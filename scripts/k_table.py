@@ -14,14 +14,14 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ktrunc.exactalg import is_prime
-from ktrunc.tcassemble import k_groups
+from ktrunc.tcassemble import tc_groups
 
 
 def render_block(p: int, emax: int, rmax: int, f: int) -> str:
     cells = {}
     for e in range(2, emax + 1):
         for r in range(1, rmax + 1):
-            cells[(e, r)] = str(k_groups(p, e, r, f))
+            cells[(e, r)] = str(tc_groups(p, e, r, f))
     widths = {
         e: max(len(f"e={e}"), *(len(cells[(e, r)]) for r in range(1, rmax + 1)))
         for e in range(2, emax + 1)

@@ -13,10 +13,9 @@ import random
 import sys
 from dataclasses import dataclass
 
-from . import cycbar, ssengine, tcassemble, witt, wittsplit
+from . import checks, cycbar, ssengine, tcassemble
+from .checks import PAGE_DEGREES
 from .exactalg import is_prime
-
-PAGE_DEGREES = range(-10, 11)
 
 
 @dataclass
@@ -102,244 +101,92 @@ def run_hh(cfg: RunConfig) -> str:
 Check = tuple[str, bool, str]
 
 
+def _check(name: str, outcome: checks.Outcome, what: str) -> Check:
+    total, bad = outcome
+    return (name, not bad,
+            f"{total} {what}" + (f", failures at {bad[:5]}" if bad else ""))
+
+
+def _counted(name: str, outcome: checks.Outcome, what: str) -> Check:
+    total, bad = outcome
+    return name, not bad, f"{total} {what}, {len(bad)} failures"
+
+
 def _suite_witt(rng: random.Random) -> list[Check]:
-    checks: list[Check] = []
-    ts = witt.TruncationSet.big(8)
-
-    bad = 0
-    for _ in range(200):
-        a = witt.WittVector(ts, tuple(rng.randrange(-9, 10) for _ in range(8)))
-        b = witt.WittVector(ts, tuple(rng.randrange(-9, 10) for _ in range(8)))
-        ga, gb = witt.ghost(a), witt.ghost(b)
-        if witt.ghost(witt.witt_add(a, b)) != tuple(
-                x + y for x, y in zip(ga, gb)):
-            bad += 1
-        if witt.ghost(witt.witt_mul(a, b)) != tuple(
-                x * y for x, y in zip(ga, gb)):
-            bad += 1
-    checks.append(("ghost map is a ring homomorphism on W_8(Z)",
-                   bad == 0, f"200 random pairs, {bad} failures"))
-
-    small = witt.TruncationSet.big(6)
-    bad = 0
-    total = 0
-    for d in range(1, 5):
-        for _ in range(25):
-            a = witt.WittVector(small,
-                                tuple(rng.randrange(-9, 10) for _ in range(6)))
-            lhs = witt.restrict(witt.frobenius(d, witt.verschiebung(d, a)),
-                                small)
-            if lhs != witt.witt_scalar(d, a):
-                bad += 1
-            total += 1
-    checks.append(("F_d after V_d is multiplication by d",
-                   bad == 0, f"{total} checks (d <= 4), {bad} failures"))
-
-    cases = [(2, 12, 1), (2, 12, 3), (2, 2, 1), (2, 6, 5),
-             (3, 3, 1), (3, 9, 2), (3, 6, 1)]
-    bad = 0
-    total = 0
-    for p, e, d in cases:
-        u = ssengine.p_valuation(e, p)
-        e_prime = e // p ** u
-        m = e_prime * d
-        for _ in range(15):
-            a = witt.WittVector(small,
-                                tuple(rng.randrange(-6, 7) for _ in range(6)))
-            lhs = witt.typical_part(m, p, witt.verschiebung(e, a))
-            rhs = witt.witt_scalar(
-                e_prime,
-                witt.verschiebung(p ** u, witt.typical_part(d, p, a)))
-            shared = witt.TruncationSet(
-                set(lhs.truncation.elements) & set(rhs.truncation.elements))
-            if witt.restrict(lhs, shared) != witt.restrict(rhs, shared):
-                bad += 1
-            total += 1
-    checks.append(("typical projection of V_e matches e'V_{p^u} of the "
-                   "typical projection", bad == 0,
-                   f"{total} checks, {bad} failures"))
-    return checks
+    return [
+        _counted("ghost map is a ring homomorphism on W_8(Z)",
+                 checks.ghost_homomorphism(rng), "random pairs"),
+        _counted("F_d after V_d is multiplication by d",
+                 checks.frobenius_verschiebung(rng), "checks (d <= 4)"),
+        _counted("typical projection of V_e matches e'V_{p^u} of the "
+                 "typical projection", checks.typical_square(rng), "checks"),
+    ]
 
 
 def _suite_split(enum_bound: int) -> list[Check]:
-    checks: list[Check] = []
-    bad = []
-    total = 0
-    for p in (2, 3, 5, 7):
-        for e in range(1, 9):
-            for r in range(1, 11):
-                want = r * (e - 1)
-                got = sum(wittsplit.h_function(p, r, e, m)
-                          for m in range(1, r * e + 1) if m % p)
-                total += 1
-                if got != want:
-                    bad.append((p, r, e))
-    checks.append(("h-function exponents sum to r(e-1)",
-                   not bad, f"{total} parameter triples"
-                   + (f", failures at {bad[:5]}" if bad else "")))
-
-    bad = []
-    total = 0
     bound = min(enum_bound, 1 << 14)
-    for p in (2, 3, 5):
-        for e in range(2, 7):
-            for r in range(1, 7):
-                if p ** (r * e) > bound:
-                    continue
-                params = wittsplit.SplitParams(p, r, e)
-                total += 1
-                if wittsplit.brute_force_quotient(params, bound) != \
-                        wittsplit.predicted_quotient(params):
-                    bad.append((p, r, e))
-    checks.append(("enumerated Witt quotients match the closed form",
-                   not bad, f"{total} quotients up to {bound} elements"
-                   + (f", failures at {bad}" if bad else "")))
-    return checks
+    return [
+        _check("h-function exponents sum to r(e-1)",
+               checks.order_identity(), "parameter triples"),
+        _check("enumerated Witt quotients match the closed form",
+               checks.brute_force_splitting(bound, (2, 3, 5), range(2, 7),
+                                            range(1, 7)),
+               f"quotients up to {bound} elements"),
+    ]
 
 
 def _suite_homology() -> list[Check]:
-    bad = []
-    total = 0
-    for p in (2, 3, 5):
-        for e in range(2, 7):
-            for m in range(1, 11):
-                total += 1
-                summary = cycbar.reduced_homology(
-                    cycbar.generate_complex(e, m, p))
-                expected = cycbar.predicted_homology(e, m, p)
-                small = cycbar.small_complex_hh(e, m, p)
-                ok = summary.ranks == expected == small
-                if ok and m % e:
-                    ok = (summary.connes_scalar_int in (m, -m)
-                          and summary.connes_scalar in (m % p, -m % p))
-                elif ok and summary.connes_scalar is not None:
-                    ok = summary.connes_scalar == 0
-                if not ok:
-                    bad.append((p, e, m))
-    return [("bar homology = small complex = closed form, with the "
-             "expected Connes scalar", not bad,
-             f"{total} (p,e,m) triples" + (f", failures at {bad[:5]}"
-                                           if bad else ""))]
-
-
-def _suite_ss() -> list[Check]:
-    bad = []
-    total = 0
-    for p in (2, 3):
-        for e in (2, 3, 4, 6):
-            for m in range(1, 13):
-                for mode in ("tate", "hfp"):
-                    page = ssengine.build_e2(e, m, p, mode)
-                    patterns = ssengine.standard_patterns(page)
-                    survivors = ssengine.run_to_einfty(page, patterns,
-                                                       PAGE_DEGREES)
-                    for t, classes in survivors.items():
-                        total += 1
-                        if t % 2 == 0:
-                            if classes:
-                                bad.append((p, e, m, mode, t))
-                            continue
-                        tower = ssengine.closed_form(p, e, m, (t - 1) // 2)
-                        want = (tower.tp_length if mode == "tate"
-                                else tower.tcminus_length)
-                        if len(classes) != want:
-                            bad.append((p, e, m, mode, t))
-    return [("E-infinity survivor counts match the closed forms",
-             not bad, f"{total} (page, degree) pairs"
-             + (f", failures at {bad[:5]}" if bad else ""))]
+    total, rank_bad = checks.homology_ranks()
+    _, scalar_bad = checks.connes_scalars()
+    bad = list(dict.fromkeys(f[:3] for f in rank_bad + scalar_bad))
+    return [_check("bar homology = small complex = closed form, with the "
+                   "expected Connes scalar", (total, bad), "(p,e,m) triples")]
 
 
 def _suite_equalizer(rng: random.Random) -> list[Check]:
-    checks: list[Check] = []
-    grid = [(p, e, r, m) for p in (2, 3) for e in (2, 3, 4, 6)
-            for r in (1, 2, 3) for m in range(1, min(r * e, 7) + 1) if m % p]
-
-    bad = []
-    total = 0
-    for p, e, r, m in grid:
-        base = tcassemble.tc_weight_group(p, e, r, m)
-        depth = len(tcassemble.build_equalizer_model(p, e, r, m)
-                    .source_lengths) - 1
-        for _ in range(20):
-            units = tuple(
-                _random_unit(rng, p) for _ in range(depth + 1))
-            model = tcassemble.build_equalizer_model(p, e, r, m, units=units)
-            total += 1
-            if tcassemble.equalizer_kernel(model) != base:
-                bad.append((p, e, r, m, units))
-    checks.append(("equalizer kernels are unit-independent", not bad,
-                   f"{total} randomized towers"
-                   + (f", first failure {bad[0]}" if bad else "")))
-
-    bad = []
-    total = 0
-    for p, e, r, m in grid:
-        s = wittsplit.s_function(p, r * e, m)
-        u = ssengine.p_valuation(e, p)
-        answers = set()
-        for depth in range(s + u + 2, s + u + 7):
-            model = tcassemble.build_equalizer_model(p, e, r, m, depth=depth)
-            answers.add(tcassemble.equalizer_kernel(model))
-            total += 1
-        if len(answers) != 1:
-            bad.append((p, e, r, m))
-    checks.append(("equalizer kernels are truncation-stable", not bad,
-                   f"{total} depth choices"
-                   + (f", failures at {bad}" if bad else "")))
-    return checks
-
-
-def _random_unit(rng: random.Random, p: int) -> int:
-    while True:
-        unit = rng.randrange(1, p ** 8)
-        if unit % p:
-            return unit
+    return [
+        _check("equalizer kernels are unit-independent",
+               checks.equalizer_units(rng), "randomized towers"),
+        _check("equalizer kernels are truncation-stable",
+               checks.equalizer_depths(), "depth choices"),
+    ]
 
 
 def _suite_routes(cfg: RunConfig) -> list[Check]:
-    ps = [cfg.p] if cfg.p is not None else [2, 3]
-    es = [cfg.e] if cfg.e is not None else [2, 3, 4, 6]
-    rmax = cfg.rmax if cfg.rmax is not None else 6
-    checks: list[Check] = []
-    for p in ps:
-        for e in es:
-            for r in range(1, rmax + 1):
-                name = f"routes (p={p}, e={e}, r={r})"
-                try:
-                    report = tcassemble.cross_check(p, e, r, cfg.enum_bound)
-                except tcassemble.RouteDisagreementError as exc:
-                    checks.append((name, False, str(exc)))
-                    continue
-                a = str(report.brute) if report.brute is not None \
-                    else "skipped"
-                detail = (f"A={a} B={report.predicted} "
-                          f"C={report.assembled}")
-                checks.append((name, report.passed, detail))
-    return checks
+    grid = checks.route_grid(cfg.p, cfg.e, cfg.rmax)
+    return [(f"routes (p={c.p}, e={c.e}, r={c.r})", c.passed, c.detail)
+            for c in checks.route_agreement(grid, cfg.enum_bound)]
 
 
 def run_verify(cfg: RunConfig) -> tuple[str, bool]:
     rng = random.Random(cfg.seed)
-    checks: list[Check] = []
+    results: list[Check] = []
     if cfg.suite in ("all", "witt"):
-        checks += _suite_witt(rng)
+        results += _suite_witt(rng)
     if cfg.suite in ("all", "split"):
-        checks += _suite_split(cfg.enum_bound)
+        results += _suite_split(cfg.enum_bound)
     if cfg.suite in ("all", "homology"):
-        checks += _suite_homology()
+        results += _suite_homology()
     if cfg.suite in ("all", "ss"):
-        checks += _suite_ss()
+        results.append(_check(
+            "E-infinity survivor counts match the closed forms",
+            checks.spectral_survivors(), "(page, degree) pairs"))
     if cfg.suite in ("all", "equalizer"):
-        checks += _suite_equalizer(rng)
+        results += _suite_equalizer(rng)
     if cfg.suite in ("all", "routes"):
-        checks += _suite_routes(cfg)
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    passed = all(ok for _, ok, _ in checks)
-    lines.append(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} "
-                 f"checks passed")
-    return "\n".join(lines), passed
+        results += _suite_routes(cfg)
+    passed = sum(ok for _, ok, _ in results)
+    if cfg.fmt == "json":
+        text = json.dumps({
+            "checks": [{"name": name, "passed": ok, "detail": detail}
+                       for name, ok, detail in results],
+            "passed": passed, "total": len(results)})
+    else:
+        lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                 for name, ok, detail in results]
+        lines.append(f"{passed}/{len(results)} checks passed")
+        text = "\n".join(lines)
+    return text, passed == len(results)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="characteristic (prime)")
         sp.add_argument("--e", type=int, required=need_e,
                         help="truncation exponent")
-        sp.add_argument("--f", type=int, default=1,
-                        help="residue degree of the coefficient field")
         sp.add_argument("--format", dest="fmt", choices=("table", "json"),
                         default="table")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--enum-bound", dest="enum_bound", type=int,
-                        default=1 << 16,
-                        help="element cap for brute-force enumeration")
 
     sp = sub.add_parser("kgroups", help="relative K-groups in a degree range")
     common(sp)
+    sp.add_argument("--f", type=int, default=1,
+                    help="residue degree of the coefficient field")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=int, help="single degree 2r-1")
     group.add_argument("--rmax", type=int,
@@ -382,6 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run named verification suites")
     common(sp, need_p=False, need_e=False)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--enum-bound", dest="enum_bound", type=int,
+                    default=1 << 16,
+                    help="element cap for brute-force enumeration")
     sp.add_argument("--suite", default="all",
                     choices=("all", "witt", "split", "homology", "ss",
                              "equalizer", "routes"))

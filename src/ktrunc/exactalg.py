@@ -181,12 +181,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)]
-                    for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -209,10 +203,6 @@ class IntMatrix:
             out = [[] for _ in range(self.rows)]
         m = IntMatrix(out, rows=self.rows, cols=other.cols)
         return m
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)) if self.entries else [],
-                         rows=self.cols, cols=self.rows)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:

@@ -137,8 +137,10 @@ def tc_weight_group(p: int, e: int, r: int, m_prime: int,
 
 
 def tc_groups(p: int, e: int, r: int, f: int = 1) -> GroupStructure:
-    """Degree 2r-1 of the relative theory: product over weights m' <= re
-    prime to p, each factor repeated f times (residue field of degree f)."""
+    """K_{2r-1}(k[x]/(x^e), (x)) for k the field of order p^f, as degree
+    2r-1 of the relative cyclic theory (the identification is an input,
+    not recomputed): product over weights m' <= re prime to p, each
+    factor repeated f times."""
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     factors: list[int] = []
@@ -148,19 +150,13 @@ def tc_groups(p: int, e: int, r: int, f: int = 1) -> GroupStructure:
     return GroupStructure(factors, residue_degree=f)
 
 
-def k_groups(p: int, e: int, r: int, f: int = 1) -> GroupStructure:
-    """K_{2r-1}(k[x]/(x^e), (x)) for k the field of order p^f; the
-    identification with the cyclic theory is an input, not recomputed."""
-    return tc_groups(p, e, r, f)
-
-
 def group_in_degree(p: int, e: int, degree: int, f: int = 1) -> GroupStructure:
     """Relative K-group in any degree >= 0; even degrees vanish."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree % 2 == 0:
         return GroupStructure.trivial(residue_degree=f)
-    return k_groups(p, e, (degree + 1) // 2, f)
+    return tc_groups(p, e, (degree + 1) // 2, f)
 
 
 @dataclass(frozen=True)

@@ -1,45 +1,17 @@
 """Acceptance gate: the eight headline reproducibility criteria.
 
-Each test prints exactly one PASS/FAIL line (visible even under captured
-output) with the check count and elapsed time, then asserts.  Criteria with
-stated budgets also assert the wall-clock limit.
+The checks live in ``ktrunc.checks``, shared with ``ktrunc verify``.  Each
+test prints exactly one PASS/FAIL line (visible even under captured
+output) with the check count and elapsed time, then asserts.  Every test
+pins its grid size, so a shared grid cannot shrink unnoticed; criteria
+with stated budgets also assert the wall-clock limit.
 """
 
 import random
 import time
 
-from ktrunc import witt
-from ktrunc.cycbar import (
-    generate_complex,
-    predicted_homology,
-    reduced_homology,
-    small_complex_hh,
-)
-from ktrunc.ssengine import (
-    build_e2,
-    closed_form,
-    p_valuation,
-    run_to_einfty,
-    standard_patterns,
-)
-from ktrunc.tcassemble import (
-    build_equalizer_model,
-    cross_check,
-    group_in_degree,
-    tc_weight_group,
-)
-from ktrunc.wittsplit import (
-    EnumerationBoundError,
-    SplitParams,
-    brute_force_quotient,
-    h_function,
-    predicted_quotient,
-    s_function,
-)
-
-HOMOLOGY_GRID = [
-    (p, e, m) for p in (2, 3, 5) for e in range(2, 7) for m in range(1, 11)
-]
+from ktrunc import checks
+from ktrunc.wittsplit import SplitParams, brute_force_quotient
 
 
 def report(capsys, criterion, ok, detail):
@@ -49,202 +21,104 @@ def report(capsys, criterion, ok, detail):
 
 def test_criterion_1_homology_closed_form(capsys):
     start = time.monotonic()
-    failures = []
-    for p, e, m in HOMOLOGY_GRID:
-        summary = reduced_homology(generate_complex(e, m, p))
-        want = predicted_homology(e, m, p)
-        small = small_complex_hh(e, m, p)
-        if not (summary.ranks == want == small):
-            failures.append((p, e, m, summary.ranks, want, small))
+    triples, failures = checks.homology_ranks()
     elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 60
+    ok = not failures and triples == 150 and elapsed < 60
     report(
         capsys, 1,
         ok,
         f"bar homology matches the closed-form ranks and the small complex on "
-        f"{len(HOMOLOGY_GRID)} triples in {elapsed:.1f}s (limit 60s), "
+        f"{triples} triples in {elapsed:.1f}s (limit 60s), "
         f"{len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert triples == 150
     assert elapsed < 60
 
 
 def test_criterion_2_connes_scalar(capsys):
     start = time.monotonic()
-    failures = []
-    for p, e, m in HOMOLOGY_GRID:
-        summary = reduced_homology(generate_complex(e, m, p))
-        if m % e:
-            good = (
-                summary.connes_scalar in (m % p, -m % p)
-                and summary.connes_scalar_int in (m, -m)
-                and (summary.connes_scalar == 0) == (m % p == 0)
-            )
-        else:
-            good = summary.connes_scalar in (0, None)
-        if not good:
-            failures.append((p, e, m, summary.connes_scalar,
-                             summary.connes_scalar_int))
+    triples, failures = checks.connes_scalars()
     elapsed = time.monotonic() - start
-    ok = not failures
+    ok = not failures and triples == 150
     report(
         capsys, 2,
         ok,
         f"induced Connes scalar is +-m mod p (zero iff p | m) off the "
-        f"diagonal and zero on it, {len(HOMOLOGY_GRID)} triples in "
+        f"diagonal and zero on it, {triples} triples in "
         f"{elapsed:.1f}s, {len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert triples == 150
 
 
 def test_criterion_3_witt_identities(capsys):
     start = time.monotonic()
     rng = random.Random(0)
-    failures = []
-    checks = 0
-
-    ts8 = witt.TruncationSet.big(8)
-    for _ in range(200):
-        a = witt.WittVector(ts8, tuple(rng.randrange(-9, 10) for _ in range(8)))
-        b = witt.WittVector(ts8, tuple(rng.randrange(-9, 10) for _ in range(8)))
-        ga, gb = witt.ghost(a), witt.ghost(b)
-        sum_ok = witt.ghost(witt.witt_add(a, b)) == tuple(
-            x + y for x, y in zip(ga, gb))
-        mul_ok = witt.ghost(witt.witt_mul(a, b)) == tuple(
-            x * y for x, y in zip(ga, gb))
-        if not (sum_ok and mul_ok):
-            failures.append(("ghost", a.coords, b.coords))
-        checks += 1
-
-    ts6 = witt.TruncationSet.big(6)
-    for d in range(1, 5):
-        for _ in range(25):
-            a = witt.WittVector(
-                ts6, tuple(rng.randrange(-9, 10) for _ in range(6)))
-            lhs = witt.restrict(
-                witt.frobenius(d, witt.verschiebung(d, a)), ts6)
-            if lhs != witt.witt_scalar(d, a):
-                failures.append(("FV", d, a.coords))
-            checks += 1
-
-    square_cases = [(2, 12, 1), (2, 12, 3), (2, 2, 1), (2, 6, 5),
-                    (3, 3, 1), (3, 9, 2), (3, 6, 1)]
-    for p, e, d in square_cases:
-        u = p_valuation(e, p)
-        e_prime = e // p**u
-        m = e_prime * d
-        for _ in range(15):
-            a = witt.WittVector(
-                ts6, tuple(rng.randrange(-6, 7) for _ in range(6)))
-            lhs = witt.typical_part(m, p, witt.verschiebung(e, a))
-            rhs = witt.witt_scalar(
-                e_prime, witt.verschiebung(p**u, witt.typical_part(d, p, a)))
-            shared = witt.TruncationSet(
-                set(lhs.truncation.elements) & set(rhs.truncation.elements))
-            if witt.restrict(lhs, shared) != witt.restrict(rhs, shared):
-                failures.append(("square", p, e, d, a.coords))
-            checks += 1
-
+    pairs, ghost_failures = checks.ghost_homomorphism(rng)
+    fv, fv_failures = checks.frobenius_verschiebung(rng)
+    square, square_failures = checks.typical_square(rng)
+    failures = ghost_failures + fv_failures + square_failures
+    sizes = (pairs, fv, square)
     elapsed = time.monotonic() - start
-    ok = not failures
+    ok = not failures and sizes == (200, 100, 105)
     report(
         capsys, 3,
         ok,
-        f"ghost homomorphism (200 pairs), F_d V_d = d (100 checks, d <= 4), "
-        f"typical projection square (105 inputs): {checks} checks in "
-        f"{elapsed:.1f}s, {len(failures)} failures",
+        f"ghost homomorphism ({pairs} pairs), F_d V_d = d ({fv} checks, "
+        f"d <= 4), typical projection square ({square} inputs): "
+        f"{sum(sizes)} checks in {elapsed:.1f}s, {len(failures)} failures",
     )
-    assert not failures, failures[:5]
+    assert not ghost_failures, ghost_failures[:5]
+    assert not fv_failures, fv_failures[:5]
+    assert not square_failures, square_failures[:5]
+    assert sizes == (200, 100, 105)
 
 
 def test_criterion_4_order_identity(capsys):
     start = time.monotonic()
-    failures = []
-    checks = 0
-    for p in (2, 3, 5, 7):
-        for e in range(1, 9):
-            for r in range(1, 11):
-                total = sum(
-                    h_function(p, r, e, m)
-                    for m in range(1, r * e + 1)
-                    if m % p
-                )
-                if total != r * (e - 1):
-                    failures.append((p, e, r, total))
-                checks += 1
+    triples, failures = checks.order_identity()
     elapsed = time.monotonic() - start
-    ok = not failures
+    ok = not failures and triples == 320
     report(
         capsys, 4,
         ok,
-        f"sum of h-exponents is r(e-1) on all {checks} triples with "
+        f"sum of h-exponents is r(e-1) on all {triples} triples with "
         f"p <= 7, e <= 8, r <= 10, in {elapsed:.1f}s, "
         f"{len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert triples == 320
 
 
 def test_criterion_5_brute_force_splitting(capsys):
     start = time.monotonic()
-    failures = []
-    grid = [
-        (p, r, e)
-        for p in (2, 3, 5, 7)
-        for e in range(1, 9)
-        for r in range(1, 11)
-        if p ** (r * e) <= 1 << 16
-    ]
-    results = {}
-    for p, r, e in grid:
-        params = SplitParams(p, r, e)
-        got = brute_force_quotient(params)
-        if got != predicted_quotient(params):
-            failures.append((p, r, e, got.factors))
-        results[(p, r, e)] = got
+    points, failures = checks.brute_force_splitting(1 << 16)
     named_ok = (
-        results[(2, 2, 2)].factors == (2, 2)
-        and results[(2, 2, 3)].factors == (2, 8)
+        brute_force_quotient(SplitParams(2, 2, 2)).factors == (2, 2)
+        and brute_force_quotient(SplitParams(2, 2, 3)).factors == (2, 8)
     )
     elapsed = time.monotonic() - start
-    ok = not failures and named_ok and elapsed < 120
+    ok = not failures and points == 85 and named_ok and elapsed < 120
     report(
         capsys, 5,
         ok,
         f"enumerated invariant factors match the closed form on all "
-        f"{len(grid)} points with p^(re) <= 2^16, named examples "
+        f"{points} points with p^(re) <= 2^16, named examples "
         f"{'ok' if named_ok else 'WRONG'}, in {elapsed:.1f}s (limit 120s), "
         f"{len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert points == 85
     assert named_ok
     assert elapsed < 120
 
 
 def test_criterion_6_spectral_engine(capsys):
     start = time.monotonic()
-    failures = []
-    pairs = 0
-    degrees = range(-10, 11)
-    for p in (2, 3):
-        for e in (2, 3, 4, 6):
-            for m in range(1, 13):
-                for mode in ("tate", "hfp"):
-                    page = build_e2(e, m, p, mode)
-                    surv = run_to_einfty(page, standard_patterns(page),
-                                         degrees)
-                    for t in degrees:
-                        count = len(surv[t])
-                        if t % 2 == 0:
-                            want = 0
-                        else:
-                            tower = closed_form(p, e, m, (t - 1) // 2)
-                            want = (tower.tp_length if mode == "tate"
-                                    else tower.tcminus_length)
-                        if count != want:
-                            failures.append((p, e, m, mode, t, count, want))
-                        pairs += 1
+    pairs, failures = checks.spectral_survivors()
     elapsed = time.monotonic() - start
-    ok = not failures
+    ok = not failures and pairs == 4032
     report(
         capsys, 6,
         ok,
@@ -253,46 +127,16 @@ def test_criterion_6_spectral_engine(capsys):
         f"{len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert pairs == 4032
 
 
 def test_criterion_7_equalizer_robustness(capsys):
     start = time.monotonic()
-    rng = random.Random(0)
-    failures = []
-    towers = 0
-    truncations = 0
-
-    def draw_unit(p):
-        while True:
-            x = rng.randrange(1, p**8)
-            if x % p:
-                return x
-
-    for p in (2, 3):
-        for e in (2, 3, 4, 6):
-            for r in (1, 2, 3):
-                for m_prime in range(1, min(r * e, 7) + 1):
-                    if m_prime % p == 0:
-                        continue
-                    base = tc_weight_group(p, e, r, m_prime)
-                    depth = len(
-                        build_equalizer_model(p, e, r, m_prime).source_lengths
-                    ) - 1
-                    for _ in range(20):
-                        units = tuple(draw_unit(p) for _ in range(depth + 1))
-                        if tc_weight_group(p, e, r, m_prime,
-                                           units=units) != base:
-                            failures.append(("units", p, e, r, m_prime, units))
-                        towers += 1
-                    s = s_function(p, r * e, m_prime)
-                    u = p_valuation(e, p)
-                    for extra in range(2, 7):
-                        if tc_weight_group(p, e, r, m_prime,
-                                           depth=s + u + extra) != base:
-                            failures.append(("depth", p, e, r, m_prime, extra))
-                        truncations += 1
+    towers, unit_failures = checks.equalizer_units(random.Random(0))
+    truncations, depth_failures = checks.equalizer_depths()
+    failures = unit_failures + depth_failures
     elapsed = time.monotonic() - start
-    ok = not failures
+    ok = not failures and (towers, truncations) == (1660, 415)
     report(
         capsys, 7,
         ok,
@@ -300,38 +144,26 @@ def test_criterion_7_equalizer_robustness(capsys):
         f"assignments (20 per tower) and {truncations} truncation depths "
         f"s+u+2 .. s+u+6, in {elapsed:.1f}s, {len(failures)} failures",
     )
-    assert not failures, failures[:5]
+    assert not unit_failures, unit_failures[:5]
+    assert not depth_failures, depth_failures[:5]
+    assert (towers, truncations) == (1660, 415)
 
 
 def test_criterion_8_three_route_agreement(capsys):
     start = time.monotonic()
-    failures = []
-    brute_ran = 0
-    cases = 0
-    for p in (2, 3):
-        for e in (2, 3, 4, 6):
-            for r in range(1, 7):
-                try:
-                    rep = cross_check(p, e, r)
-                except EnumerationBoundError as exc:
-                    failures.append((p, e, r, str(exc)))
-                    continue
-                if not rep.passed:
-                    failures.append((p, e, r, rep))
-                if rep.brute is not None:
-                    brute_ran += 1
-                cases += 1
-                # even degrees around 2r-1 must be trivial
-                if not group_in_degree(p, e, 2 * r).is_trivial():
-                    failures.append((p, e, r, "even degree nontrivial"))
+    cases = checks.route_agreement(checks.route_grid())
+    failures = [case for case in cases if not case.passed]
+    brute_ran = sum(case.brute_ran for case in cases)
     elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 300
+    ok = (not failures and (len(cases), brute_ran) == (48, 28)
+          and elapsed < 300)
     report(
         capsys, 8,
         ok,
-        f"routes A/B/C agree on {cases} (p, e, r) cases (A ran on "
+        f"routes A/B/C agree on {len(cases)} (p, e, r) cases (A ran on "
         f"{brute_ran}, skipped above the enumeration bound), even degrees "
         f"trivial, in {elapsed:.1f}s (limit 300s), {len(failures)} failures",
     )
     assert not failures, failures[:5]
+    assert (len(cases), brute_ran) == (48, 28)
     assert elapsed < 300

@@ -119,6 +119,17 @@ class TestVerify:
         assert lines[-1] == "2/2 checks passed"
         assert "A=Z/2" in lines[0]  # brute route ran at this size
 
+    def test_json_output(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "routes", "--p", "2", "--e", "2",
+            "--rmax", "2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] == payload["total"] == 2
+        assert payload["checks"][0] == {
+            "name": "routes (p=2, e=2, r=1)", "passed": True,
+            "detail": "A=Z/2 B=Z/2 C=Z/2"}
+
 
 class TestUsageErrors:
     def test_composite_characteristic(self, capsys):
@@ -134,6 +145,19 @@ class TestUsageErrors:
     def test_hh_requires_e_at_least_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hh", "--p", "2", "--e", "1", "--m", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["hh", "--p", "2", "--e", "2", "--m", "1", "--f", "2"],
+        ["hh", "--p", "2", "--e", "2", "--m", "1", "--seed", "3"],
+        ["hh", "--p", "2", "--e", "2", "--m", "1", "--enum-bound", "5"],
+        ["kgroups", "--p", "2", "--e", "2", "--r", "1", "--seed", "3"],
+        ["kgroups", "--p", "2", "--e", "2", "--r", "1", "--enum-bound", "5"],
+        ["verify", "--suite", "witt", "--f", "2"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_nonpositive_argument(self, capsys):

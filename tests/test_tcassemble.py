@@ -13,7 +13,6 @@ from ktrunc.tcassemble import (
     cross_check,
     equalizer_kernel,
     group_in_degree,
-    k_groups,
     tc_groups,
     tc_weight_group,
 )
@@ -148,8 +147,7 @@ class TestAssembledGroups:
                 for r in (1, 2, 3):
                     assert tc_groups(p, e, r).order() == p ** (r * (e - 1))
 
-    def test_k_groups_alias_and_degrees(self):
-        assert k_groups(2, 3, 2) == tc_groups(2, 3, 2)
+    def test_group_in_degree(self):
         assert group_in_degree(2, 3, 3).factors == (2, 8)
         assert group_in_degree(2, 3, 1).factors == (4,)
         assert group_in_degree(2, 3, 4).is_trivial()
