@@ -13,6 +13,7 @@ import random
 from typing import NamedTuple
 
 from . import cycbar, ssengine, tcassemble, witt, wittsplit
+from .exactalg import p_valuation
 
 Outcome = tuple[int, list[tuple]]
 
@@ -73,7 +74,7 @@ def typical_square(rng: random.Random, cases=SQUARE_CASES,
     ts = witt.TruncationSet.big(6)
     failures = []
     for p, e, d in cases:
-        u = ssengine.p_valuation(e, p)
+        u = p_valuation(e, p)
         e_prime = e // p ** u
         for _ in range(per_case):
             a = _random_vector(rng, ts, 6)
@@ -209,7 +210,7 @@ def equalizer_depths(grid=EQUALIZER_GRID, extra=range(2, 7)) -> Outcome:
     extra."""
     failures = []
     for p, e, r, m in grid:
-        base = wittsplit.s_function(p, r * e, m) + ssengine.p_valuation(e, p)
+        base = wittsplit.s_function(p, r * e, m) + p_valuation(e, p)
         for k in extra:
             if not _kernel_matches_h(p, e, r, m, depth=base + k):
                 failures.append((p, e, r, m, base + k))

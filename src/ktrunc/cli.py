@@ -54,44 +54,52 @@ def run_kgroups(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _hh_summary_text(p: int, e: int, m: int) -> tuple[str, dict[int, int]]:
-    summary = cycbar.reduced_homology(cycbar.generate_complex(e, m, p))
-    if not summary.ranks:
-        text = "all zero"
-    else:
-        parts = [f"deg {n}: {summary.ranks[n]}" for n in sorted(summary.ranks)]
-        if summary.connes_scalar is not None:
-            parts.append(f"B = {summary.connes_scalar}")
-        text = ", ".join(parts)
-    expected = cycbar.predicted_homology(e, m, p)
-    if summary.ranks != expected:
-        text += f"  MISMATCH: expected ranks {expected}"
-    return text, summary.ranks
+def _hh_weight(cfg: RunConfig, m: int):
+    """Homology of weight m, its predicted ranks and the optional page dump."""
+    summary = cycbar.reduced_homology(cycbar.generate_complex(cfg.e, m, cfg.p))
+    expected = cycbar.predicted_homology(cfg.e, m, cfg.p)
+    classes = None
+    if cfg.dump_page:
+        page = ssengine.build_e2(cfg.e, m, cfg.p, cfg.dump_page)
+        classes = ssengine.dump_page(page, ssengine.standard_patterns(page),
+                                     PAGE_DEGREES)
+    return summary, expected, classes
+
+
+def _ranks_json(ranks: dict[int, int]) -> dict[str, int]:
+    return {str(k): v for k, v in sorted(ranks.items())}
 
 
 def run_hh(cfg: RunConfig) -> str:
     ms = [cfg.m] if cfg.m is not None else list(range(1, cfg.mmax + 1))
+    weights = [(m, *_hh_weight(cfg, m)) for m in ms]
     if cfg.fmt == "json":
         entries = []
-        for m in ms:
-            summary = cycbar.reduced_homology(
-                cycbar.generate_complex(cfg.e, m, cfg.p))
-            entries.append({"m": m,
-                            "ranks": {str(k): v
-                                      for k, v in sorted(summary.ranks.items())},
-                            "connes": summary.connes_scalar})
+        for m, summary, expected, classes in weights:
+            entry = {"m": m, "ranks": _ranks_json(summary.ranks),
+                     "connes": summary.connes_scalar}
+            if summary.ranks != expected:
+                entry["expected"] = _ranks_json(expected)
+            if classes is not None:
+                entry["page"] = {"mode": cfg.dump_page, "classes": classes}
+            entries.append(entry)
         return json.dumps({"p": cfg.p, "e": cfg.e, "homology": entries})
     lines = []
-    for m in ms:
-        text, _ = _hh_summary_text(cfg.p, cfg.e, m)
+    for m, summary, expected, classes in weights:
+        if not summary.ranks:
+            text = "all zero"
+        else:
+            parts = [f"deg {n}: {summary.ranks[n]}"
+                     for n in sorted(summary.ranks)]
+            if summary.connes_scalar is not None:
+                parts.append(f"B = {summary.connes_scalar}")
+            text = ", ".join(parts)
+        if summary.ranks != expected:
+            text += f"  MISMATCH: expected ranks {expected}"
         lines.append(text if len(ms) == 1 else f"m={m}: {text}")
-        if cfg.dump_page:
-            page = ssengine.build_e2(cfg.e, m, cfg.p, cfg.dump_page)
-            patterns = ssengine.standard_patterns(page)
+        if classes is not None:
             lines.append(f"page e={cfg.e} m={m} p={cfg.p} mode={cfg.dump_page}")
-            lines.extend("  " + ln
-                         for ln in ssengine.dump_page(page, patterns,
-                                                      PAGE_DEGREES))
+            lines.extend("  " + ln for ln in classes)
     return "\n".join(lines)
 
 

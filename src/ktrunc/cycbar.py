@@ -158,11 +158,6 @@ def generate_complex(e: int, m: int, p: int) -> NormalizedComplex:
         tuple(b % p for b in connes))
 
 
-def connes_matrix(c: NormalizedComplex, n: int) -> np.ndarray:
-    """B_n: degree n to degree n+1 (zero-row matrix at the top degree)."""
-    return c.connes[n]
-
-
 @dataclass(frozen=True)
 class HomologySummary:
     """Nonzero homology ranks by degree, plus the induced Connes scalar.
@@ -356,22 +351,3 @@ def small_complex_hh(e: int, m: int, p: int) -> dict[int, int]:
             ranks[n] = rk
     return ranks
 
-
-def export_text(c: NormalizedComplex) -> str:
-    """Plain-text listing: bases, then one line per nonzero matrix entry."""
-    lines = [f"complex e={c.e} m={c.m} p={c.p}"]
-    for n in range(c.m + 1):
-        if c.basis[n]:
-            words = " ".join(str(list(w)) for w in c.basis[n])
-            lines.append(f"basis deg {n}: {words}")
-    lines.append("boundary entries (deg src_index dst_index value):")
-    for n in range(1, c.m + 1):
-        mat = c.boundary[n]
-        for dst, src in zip(*np.nonzero(mat)):
-            lines.append(f"{n} {src} {dst} {int(mat[dst, src])}")
-    lines.append("connes entries (deg src_index dst_index value):")
-    for n in range(c.m + 1):
-        mat = c.connes[n]
-        for dst, src in zip(*np.nonzero(mat)):
-            lines.append(f"{n} {src} {dst} {int(mat[dst, src])}")
-    return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Exact linear algebra substrate: integer matrices, Smith normal form with
 unimodular transforms, kernels of maps between finite cyclic-group products,
-and homology ranks over F_p.
+and ranks, kernels and solutions over F_p.
 
 All integer work is arbitrary precision and all mod-p work reduces into
 [0, p) before touching int64 arrays, so nothing here ever rounds.
@@ -12,10 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-class NotAComplexError(ValueError):
-    """The composite of two consecutive boundary maps is nonzero mod p."""
 
 
 class GhostInversionError(ArithmeticError):
@@ -35,6 +31,16 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def p_valuation(n: int, p: int) -> int:
+    if n == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _factor_prime_power(n: int) -> tuple[int, int]:
@@ -114,9 +120,6 @@ class GroupStructure:
     def factors(self) -> tuple[int, ...]:
         return tuple(p ** h for p, h in self._pairs)
 
-    def exponents(self, p: int) -> tuple[int, ...]:
-        return tuple(h for q, h in self._pairs if q == p)
-
     def expanded_factors(self) -> tuple[int, ...]:
         out = []
         for f in self.factors:
@@ -172,14 +175,6 @@ class IntMatrix:
         if cols is not None and ents and cols != c:
             raise ValueError("column count mismatch")
         self.rows, self.cols, self.entries = r, c, ents
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -330,7 +325,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                      IntMatrix(v, rows=C, cols=C))
 
 
-def _solve_integer(g: IntMatrix, snf_g: SNFResult, w: Sequence[int]) -> list[int]:
+def _solve_integer(snf_g: SNFResult, w: Sequence[int]) -> list[int]:
     """Exact solution c of g @ c = w, via the precomputed SNF of g."""
     d, u, v = snf_g.d, snf_g.u, snf_g.v
     y = u.apply(list(w))
@@ -363,7 +358,7 @@ def integer_solve(g: IntMatrix, w: Sequence[int],
     """Exact integer solution of g @ c = w; raises if none exists."""
     if snf_g is None:
         snf_g = smith_normal_form(g)
-    return _solve_integer(g, snf_g, w)
+    return _solve_integer(snf_g, w)
 
 
 def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
@@ -419,7 +414,7 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
     for j in range(n):
         w = [0] * n
         w[j] = moduli[j]
-        cols.append(_solve_integer(g, snf_g, w))
+        cols.append(_solve_integer(snf_g, w))
     c = IntMatrix([[cols[j][i] for j in range(n)] for i in range(k)],
                   rows=k, cols=n)
     diag = smith_normal_form(c).d.diagonal_entries()
@@ -440,25 +435,14 @@ _P_LIMIT = 1 << 20
 
 
 def _as_mod_array(mat, p: int) -> np.ndarray:
-    if isinstance(mat, IntMatrix):
-        data = [[v % p for v in row] for row in mat.entries]
-        arr = np.array(data, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(mat.rows, mat.cols)
-        return arr
-    arr = np.asarray(mat)
-    if arr.dtype == object or arr.dtype.kind not in "iu":
-        arr = np.array([[int(v) % p for v in row] for row in arr],
-                       dtype=np.int64)
-        return arr
-    return np.mod(arr.astype(np.int64), p)
+    return np.mod(np.asarray(mat, dtype=np.int64), p)
 
 
 def fp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_p; returns (rref, pivot columns)."""
     if not is_prime(p) or p > _P_LIMIT:
         raise ValueError(f"p = {p} out of range for mod-p reduction")
-    a = _as_mod_array(mat, p).copy()
+    a = _as_mod_array(mat, p)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -512,19 +496,3 @@ def fp_solve(mat, rhs, p: int) -> np.ndarray | None:
         x[pc] = aug[r, -1]
     return x
 
-
-def fp_homology(boundary_out, boundary_in, p: int) -> int:
-    """dim ker(boundary_out) - rank(boundary_in) over F_p.
-
-    boundary_out maps the middle term down, boundary_in maps into it;
-    their composite must vanish mod p or NotAComplexError is raised.
-    """
-    out = _as_mod_array(boundary_out, p)
-    inn = _as_mod_array(boundary_in, p)
-    if out.shape[1] != inn.shape[0]:
-        raise ValueError(
-            f"middle dimension mismatch: {out.shape} vs {inn.shape}")
-    if out.size and inn.size:
-        if ((out @ inn) % p).any():
-            raise NotAComplexError("not a complex: boundary composite is nonzero")
-    return (out.shape[1] - fp_rank(out, p)) - fp_rank(inn, p)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycbar import d_function, generate_complex, reduced_homology
+from .exactalg import p_valuation
 
 
 class PageShapeError(ValueError):
@@ -29,16 +30,6 @@ class PatternMismatchError(ValueError):
 
 class UnboundedPageError(RuntimeError):
     """The kill logic cannot bound the survivors in some total degree."""
-
-
-def p_valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)

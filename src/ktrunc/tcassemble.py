@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GroupStructure, IntMatrix, is_prime, kernel_invariants
-from .ssengine import closed_form, p_valuation
+from .exactalg import (GroupStructure, IntMatrix, is_prime, kernel_invariants,
+                       p_valuation)
+from .ssengine import closed_form
 from .wittsplit import (EnumerationBoundError, SplitParams,
                         brute_force_quotient, h_function, predicted_quotient,
                         s_function)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import GhostInversionError, is_prime
+from .exactalg import GhostInversionError, is_prime, p_valuation
 
 
 @lru_cache(maxsize=None)
@@ -73,10 +72,6 @@ class TruncationSet:
     def big(cls, n: int) -> "TruncationSet":
         return cls(range(1, n + 1))
 
-    @classmethod
-    def p_typical(cls, p: int, s: int) -> "TruncationSet":
-        return cls(p ** i for i in range(s))
-
     def __contains__(self, n: int) -> bool:
         return n in self._index
 
@@ -125,9 +120,6 @@ class WittVector:
     def coord(self, n: int) -> int:
         return self.coords[self.truncation.position(n)]
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 def _ghost_coords(ts: TruncationSet, coords: Sequence[int]) -> tuple[int, ...]:
     out = []
@@ -165,20 +157,6 @@ def from_ghost(ts: TruncationSet, ghost_vec: Sequence[int]) -> WittVector:
     if len(ghost_vec) != len(ts):
         raise ValueError("ghost vector length does not match truncation set")
     return WittVector(ts, _coords_from_ghost(ts, ghost_vec))
-
-
-def zero(ts: TruncationSet, p: int | None = None) -> WittVector:
-    return WittVector(ts, (0,) * len(ts), p)
-
-
-def unit(ts: TruncationSet, p: int | None = None) -> WittVector:
-    """The multiplicative unit [1]: ghost vector all ones."""
-    if 1 not in ts:
-        return zero(ts, p)
-    coords = _coords_from_ghost(ts, (1,) * len(ts))
-    if p is not None:
-        coords = tuple(c % p for c in coords)
-    return WittVector(ts, coords, p)
 
 
 def _lift(a: WittVector) -> WittVector:
@@ -223,10 +201,6 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     return WittVector(ts, coords, a.p)
 
 
-def witt_neg(a: WittVector) -> WittVector:
-    return witt_scalar(-1, a)
-
-
 def witt_scalar(k: int, a: WittVector) -> WittVector:
     """k * a for an integer k (the image of k under Z -> W(R))."""
     ts = a.truncation
@@ -235,14 +209,6 @@ def witt_scalar(k: int, a: WittVector) -> WittVector:
     if a.p is not None:
         coords = tuple(c % a.p for c in coords)
     return WittVector(ts, coords, a.p)
-
-
-def teichmuller(ts: TruncationSet, r: int, p: int | None = None) -> WittVector:
-    """[r]: the multiplicative lift, ghost_n = r^n."""
-    coords = _coords_from_ghost(ts, tuple(r ** n for n in ts.elements))
-    if p is not None:
-        coords = tuple(c % p for c in coords)
-    return WittVector(ts, coords, p)
 
 
 def restrict(a: WittVector, ts: TruncationSet) -> WittVector:
@@ -289,17 +255,5 @@ def typical_part(d: int, p: int, a: WittVector) -> WittVector:
     """R o F_d onto the p-typical coordinates {1, p, p^2, ...} of F_d a."""
     fa = frobenius(d, a)
     wanted = [n for n in fa.truncation.elements
-              if n == 1 or _is_p_power(n, p)]
+              if n == p ** p_valuation(n, p)]
     return restrict(fa, TruncationSet(wanted))
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def enumerate_vectors(ts: TruncationSet, p: int) -> Iterator[WittVector]:
-    """All of W_S(F_p), in lexicographic coordinate order."""
-    for coords in product(range(p), repeat=len(ts)):
-        yield WittVector(ts, coords, p)

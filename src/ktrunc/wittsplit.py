@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .exactalg import GroupStructure, is_prime
+from .exactalg import GroupStructure, is_prime, p_valuation
 from .witt import TruncationSet, _add_coords
 
 
@@ -45,12 +45,9 @@ class SplitParams:
             raise ValueError(f"p = {self.p} is not prime")
         if self.r < 1 or self.e < 1:
             raise ValueError("r and e must be positive")
-        u, ep = 0, self.e
-        while ep % self.p == 0:
-            ep //= self.p
-            u += 1
+        u = p_valuation(self.e, self.p)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "e_prime", ep)
+        object.__setattr__(self, "e_prime", self.e // self.p ** u)
 
 
 def s_function(p: int, bound: int, d: int) -> int:
@@ -149,10 +146,7 @@ def brute_force_quotient(params: SplitParams,
 
 
 def _exact_log(n: int, p: int) -> int:
-    k = 0
-    while n > 1:
-        if n % p:
-            raise AssertionError(f"{n} is not a power of {p}")
-        n //= p
-        k += 1
+    k = p_valuation(n, p)
+    if n != p ** k:
+        raise AssertionError(f"{n} is not a power of {p}")
     return k

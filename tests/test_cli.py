@@ -96,6 +96,30 @@ class TestHH:
             "--dump-page", "hfp")
         assert "survives" in out
 
+    def test_json_page_matches_table(self, capsys):
+        args = ("hh", "--p", "2", "--e", "2", "--m", "1", "--dump-page",
+                "tate")
+        _, table = run_cli(capsys, *args)
+        _, out = run_cli(capsys, *args, "--format", "json")
+        (entry,) = json.loads(out)["homology"]
+        assert entry["page"]["mode"] == "tate"
+        assert entry["page"]["classes"] == [
+            ln.removeprefix("  ") for ln in table.splitlines()[2:]]
+        assert "expected" not in entry
+
+    def test_mismatch_reported_in_both_formats(self, capsys, monkeypatch):
+        from ktrunc import cycbar
+
+        monkeypatch.setattr(cycbar, "predicted_homology",
+                            lambda e, m, p: {0: 2})
+        args = ("hh", "--p", "2", "--e", "2", "--m", "1")
+        _, table = run_cli(capsys, *args)
+        assert table.strip().endswith("MISMATCH: expected ranks {0: 2}")
+        _, out = run_cli(capsys, *args, "--format", "json")
+        (entry,) = json.loads(out)["homology"]
+        assert entry["expected"] == {"0": 2}
+        assert entry["ranks"] == {"0": 1, "1": 1}
+
 
 class TestVerify:
     def test_witt_suite_passes(self, capsys):

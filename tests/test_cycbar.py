@@ -12,14 +12,12 @@ import pytest
 from ktrunc.cycbar import (
     ComplexIdentityError,
     HomologySummary,
-    connes_matrix,
     d_function,
     generate_complex,
     predicted_homology,
     reduced_homology,
     small_complex_hh,
     weight_words,
-    export_text,
 )
 from oracle_utils import word_count
 
@@ -114,7 +112,7 @@ class TestComplexStructure:
 
     def test_top_degree_connes_is_empty(self):
         c = generate_complex(3, 5, 2)
-        assert connes_matrix(c, 5).shape == (0, c.dim(5))
+        assert c.connes[5].shape == (0, c.dim(5))
 
 
 class TestHomology:
@@ -177,12 +175,3 @@ class TestHomology:
         s = HomologySummary({0: 1, 1: 1}, 1, -1)
         assert s.ranks[0] == 1 and s.connes_scalar == 1
 
-
-class TestExport:
-    def test_deterministic_and_parseable(self):
-        c = generate_complex(2, 2, 3)
-        text = export_text(c)
-        assert text == export_text(generate_complex(2, 2, 3))
-        assert text.splitlines()[0] == "complex e=2 m=2 p=3"
-        assert "basis deg 1: [1, 1]" in text
-        assert "2 0 0 2" in text  # the weight-two boundary entry

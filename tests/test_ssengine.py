@@ -3,6 +3,7 @@ closed-form survivor counts they must reproduce."""
 
 import pytest
 
+from ktrunc.exactalg import p_valuation
 from ktrunc.ssengine import (
     BigradedPage,
     DifferentialPattern,
@@ -15,7 +16,6 @@ from ktrunc.ssengine import (
     closed_form,
     d2_from_connes,
     dump_page,
-    p_valuation,
     run_to_einfty,
     standard_patterns,
 )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ktrunc.exactalg import GroupStructure
+from ktrunc.exactalg import GroupStructure, p_valuation
 from ktrunc.tcassemble import (
     EqualizerModel,
     RouteDisagreementError,
@@ -16,7 +16,6 @@ from ktrunc.tcassemble import (
     tc_groups,
     tc_weight_group,
 )
-from ktrunc.ssengine import p_valuation
 from ktrunc.wittsplit import h_function, s_function
 from oracle_utils import kernel_by_enumeration
 
