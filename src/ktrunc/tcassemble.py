@@ -11,6 +11,15 @@ r - 1; with that indexing the count of stages where the source is one
 longer than the target equals s(p, re, m'), and the kernel reproduces
 the h-function exponent in every case.
 
+The kernel is memoized per tower model in a bounded lru cache of
+EQUALIZER_CACHE_SIZE entries.  Towers repeat heavily: a model depends only
+on p, the stage lengths and the units, not on (e, r, m') directly, so the
+9,440 weights of the table p in {2, 3, 5}, 2 <= e <= 8, r <= 16 give 66
+distinct models, and the 313,220 weights of p <= 7, 2 <= e <= 16, r <= 40
+give 125.  The h-function comparison in tc_weight_group still runs on every
+call, hit or miss.  Hits and misses are read from
+equalizer_kernel.cache_info().
+
 Routes compared: A = enumerated Witt quotient, B = h-function product,
 C = this equalizer assembly.
 """
@@ -18,6 +27,7 @@ C = this equalizer assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactalg import (GroupStructure, IntMatrix, is_prime, kernel_invariants,
                        p_valuation)
@@ -25,6 +35,10 @@ from .ssengine import closed_form
 from .wittsplit import (EnumerationBoundError, SplitParams,
                         brute_force_quotient, h_function, predicted_quotient,
                         s_function)
+
+# Bound on memoized equalizer kernels: about 8x the 125 distinct tower
+# models of the largest grid above.
+EQUALIZER_CACHE_SIZE = 1024
 
 
 class RouteDisagreementError(AssertionError):
@@ -95,6 +109,7 @@ def build_equalizer_model(p: int, e: int, r: int, m_prime: int,
     return EqualizerModel(p, tuple(source), tuple(target), tuple(units))
 
 
+@lru_cache(maxsize=EQUALIZER_CACHE_SIZE)
 def equalizer_kernel(model: EqualizerModel) -> GroupStructure:
     """Kernel of (can - phi) on the truncated tower.
 

@@ -9,6 +9,7 @@ and the closed-form rank table.
 import numpy as np
 import pytest
 
+from ktrunc import cycbar
 from ktrunc.cycbar import (
     ComplexIdentityError,
     HomologySummary,
@@ -113,6 +114,27 @@ class TestComplexStructure:
     def test_top_degree_connes_is_empty(self):
         c = generate_complex(3, 5, 2)
         assert c.connes[5].shape == (0, c.dim(5))
+
+    @pytest.mark.parametrize("name, identity", [
+        ("_face_terms", "boundary squared nonzero at degree 3"),
+        ("_connes_terms",
+         "boundary/Connes anticommutator nonzero at degree 1"),
+    ])
+    def test_wrong_sign_breaks_an_identity(self, monkeypatch, name, identity):
+        # flip the sign of the first term of every face or Connes expansion;
+        # the unwrapped builder neither reads nor fills the lru cache
+        terms = getattr(cycbar, name)
+
+        def wrong_sign(*args):
+            for i, (sign, out) in enumerate(terms(*args)):
+                yield (-sign if i == 0 else sign), out
+
+        monkeypatch.setattr(cycbar, name, wrong_sign)
+        before = cycbar._integer_complex.cache_info()
+        with pytest.raises(ComplexIdentityError,
+                           match=rf"{identity} \(e=3, m=3\)"):
+            cycbar._integer_complex.__wrapped__(3, 3)
+        assert cycbar._integer_complex.cache_info() == before
 
 
 class TestHomology:

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from ktrunc import tcassemble
 from ktrunc.exactalg import GroupStructure, p_valuation
 from ktrunc.tcassemble import (
+    EQUALIZER_CACHE_SIZE,
     EqualizerModel,
     RouteDisagreementError,
     build_equalizer_model,
@@ -16,7 +18,8 @@ from ktrunc.tcassemble import (
     tc_groups,
     tc_weight_group,
 )
-from ktrunc.wittsplit import h_function, s_function
+from ktrunc.wittsplit import (SplitParams, h_function, predicted_quotient,
+                              s_function)
 from oracle_utils import kernel_by_enumeration
 
 
@@ -131,6 +134,52 @@ class TestEqualizerKernel:
                 assert tc_weight_group(p, e, r, m_prime, depth=s + u + extra) == base
 
 
+@pytest.fixture
+def cold_kernel_cache():
+    equalizer_kernel.cache_clear()
+    yield
+    equalizer_kernel.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_kernel_cache")
+class TestKernelMemo:
+    def test_cross_check_runs_on_a_hit(self, monkeypatch):
+        # warm the cache, then make the case analysis one exponent off
+        tc_weight_group(2, 3, 2, 1)
+        monkeypatch.setattr(tcassemble, "h_function",
+                            lambda *args: h_function(*args) + 1)
+        with pytest.raises(RouteDisagreementError):
+            tc_weight_group(2, 3, 2, 1)
+        info = equalizer_kernel.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_one_miss_per_distinct_model(self):
+        grid = [(p, e, r)
+                for p in (2, 3) for e in (2, 3, 4) for r in (1, 2, 3)]
+        weights = [(p, e, r, m_prime) for p, e, r in grid
+                   for m_prime in range(1, r * e + 1) if m_prime % p]
+        models = {build_equalizer_model(*w) for w in weights}
+        first = [tc_groups(p, e, r) for p, e, r in grid]
+        info = equalizer_kernel.cache_info()
+        assert info.misses == len(models) < len(weights)
+        assert info.hits == len(weights) - len(models)
+        assert [tc_groups(p, e, r) for p, e, r in grid] == first
+        again = equalizer_kernel.cache_info()
+        assert again.misses == info.misses
+        assert again.hits == info.hits + len(weights)
+
+    def test_size_is_bounded(self):
+        rng = random.Random(3)
+        units = rng.sample(range(1, 1 << 20, 2), EQUALIZER_CACHE_SIZE + 50)
+        for u in units:
+            model = EqualizerModel(2, (1, 1), (0, 1), (1, u))
+            assert equalizer_kernel(model).factors == (2,)
+        info = equalizer_kernel.cache_info()
+        assert info.maxsize == EQUALIZER_CACHE_SIZE
+        assert info.misses == len(units)
+        assert info.currsize <= info.maxsize
+
+
 class TestAssembledGroups:
     def test_frozen_odd_groups(self):
         assert tc_groups(2, 2, 2).factors == (2, 2)
@@ -164,6 +213,13 @@ class TestAssembledGroups:
     def test_residue_degree_validated(self):
         with pytest.raises(ValueError):
             tc_groups(2, 3, 1, f=0)
+
+    def test_route_c_matches_route_b_on_the_kgroups_table_grid(self):
+        for p in (2, 3, 5):
+            for e in range(2, 9):
+                for r in range(1, 17):
+                    assert tc_groups(p, e, r) == predicted_quotient(
+                        SplitParams(p, r, e)), (p, e, r)
 
 
 class TestCrossCheck:
