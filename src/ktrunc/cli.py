@@ -11,31 +11,13 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import checks, cycbar, ssengine, tcassemble
 from .checks import PAGE_DEGREES
 from .exactalg import is_prime
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int | None = None
-    e: int | None = None
-    f: int = 1
-    r: int | None = None
-    rmax: int | None = None
-    m: int | None = None
-    mmax: int | None = None
-    fmt: str = "table"
-    seed: int = 0
-    enum_bound: int = 1 << 16
-    suite: str = "all"
-    dump_page: str | None = None
-
-
-def run_kgroups(cfg: RunConfig) -> str:
+def run_kgroups(cfg: argparse.Namespace) -> str:
     degrees = ([2 * cfg.r - 1] if cfg.r is not None
                else list(range(1, 2 * cfg.rmax)))
     rows = [(d, tcassemble.group_in_degree(cfg.p, cfg.e, d, cfg.f))
@@ -54,7 +36,7 @@ def run_kgroups(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _hh_weight(cfg: RunConfig, m: int):
+def _hh_weight(cfg: argparse.Namespace, m: int):
     """Homology of weight m, its predicted ranks and the optional page dump."""
     summary = cycbar.reduced_homology(cycbar.generate_complex(cfg.e, m, cfg.p))
     expected = cycbar.predicted_homology(cfg.e, m, cfg.p)
@@ -70,7 +52,7 @@ def _ranks_json(ranks: dict[int, int]) -> dict[str, int]:
     return {str(k): v for k, v in sorted(ranks.items())}
 
 
-def run_hh(cfg: RunConfig) -> str:
+def run_hh(cfg: argparse.Namespace) -> str:
     ms = [cfg.m] if cfg.m is not None else list(range(1, cfg.mmax + 1))
     weights = [(m, *_hh_weight(cfg, m)) for m in ms]
     if cfg.fmt == "json":
@@ -160,13 +142,13 @@ def _suite_equalizer(rng: random.Random) -> list[Check]:
     ]
 
 
-def _suite_routes(cfg: RunConfig) -> list[Check]:
+def _suite_routes(cfg: argparse.Namespace) -> list[Check]:
     grid = checks.route_grid(cfg.p, cfg.e, cfg.rmax)
     return [(f"routes (p={c.p}, e={c.e}, r={c.r})", c.passed, c.detail)
             for c in checks.route_agreement(grid, cfg.enum_bound)]
 
 
-def run_verify(cfg: RunConfig) -> tuple[str, bool]:
+def run_verify(cfg: argparse.Namespace) -> tuple[str, bool]:
     rng = random.Random(cfg.seed)
     results: list[Check] = []
     if cfg.suite in ("all", "witt"):
@@ -244,23 +226,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
+def _validate(parser: argparse.ArgumentParser,
+              cfg: argparse.Namespace) -> None:
+    """Usage errors argparse cannot express; a flag the subcommand does
+    not define reads as None."""
     if cfg.p is not None and not is_prime(cfg.p):
         parser.error(f"--p must be prime, got {cfg.p}")
-    for name in ("e", "f", "r", "rmax", "m", "mmax"):
-        value = getattr(cfg, name)
+    for name in ("e", "f", "r", "rmax", "m", "mmax", "enum_bound"):
+        value = getattr(cfg, name, None)
         if value is not None and value < 1:
-            parser.error(f"--{name} must be positive")
+            parser.error(f"--{name.replace('_', '-')} must be positive")
     if cfg.command == "hh" and cfg.e is not None and cfg.e < 2:
         parser.error("--e must be at least 2 for homology")
-    if cfg.enum_bound < 1:
-        parser.error("--enum-bound must be positive")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items()})
+    cfg = parser.parse_args(argv)
     _validate(parser, cfg)
     if cfg.command == "kgroups":
         print(run_kgroups(cfg))

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import (IntMatrix, fp_kernel_basis, fp_rank, fp_solve,
-                       integer_kernel_basis, integer_solve,
-                       smith_normal_form)
+from .exactalg import (IntMatrix, fp_kernel_basis, fp_rank, fp_rref,
+                       fp_solve, integer_kernel_basis, integer_solve,
+                       lattice_coordinates, smith_normal_form)
 
 Word = tuple[int, ...]
 
@@ -166,13 +166,14 @@ class HomologySummary:
     it is None when the homology does not consist of exactly two
     consecutive rank-one groups (in particular when it vanishes).
 
-    When the lower group sits in even degree the integral homology is
-    free of rank one in both degrees, the generators are canonical up to
-    sign, and the scalar is computed over Z (connes_scalar_int) and then
-    reduced; any other unit would be an artifact of basis choice.  When
-    the lower group sits in odd degree (integral torsion, no canonical
-    generator) the scalar is computed mod p with deterministically
-    chosen generators, and connes_scalar_int is None.
+    The page decides how the scalar is computed.  When the lower group
+    sits in even degree the integral homology is free of rank one in both
+    degrees, the generators are canonical up to sign, and the scalar is
+    computed over Z (connes_scalar_int) and then reduced; any other unit
+    would be an artifact of basis choice.  When the lower group sits in
+    odd degree (integral torsion, no canonical generator) the scalar is
+    computed mod p with deterministically chosen generators, and
+    connes_scalar_int is None.
     """
 
     ranks: dict[int, int]
@@ -180,10 +181,11 @@ class HomologySummary:
     connes_scalar_int: int | None = None
 
 
-def _boundary_in(c: NormalizedComplex, n: int) -> np.ndarray:
-    if n + 1 <= c.m:
-        return c.boundary[n + 1]
-    return np.zeros((c.dim(n), 0), dtype=np.int64)
+def _boundary_in(boundary: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The boundary map into degree n; no columns above the top degree."""
+    if n + 1 < len(boundary):
+        return boundary[n + 1]
+    return np.zeros((boundary[n].shape[1], 0), dtype=np.int64)
 
 
 def _np_int_matrix(arr: np.ndarray) -> IntMatrix:
@@ -199,14 +201,8 @@ def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray) -> list[int]:
     torsion, and the generator is the chain realizing that coordinate.
     """
     kernel = integer_kernel_basis(_np_int_matrix(out_mat))
-    snf_kernel = smith_normal_form(kernel)
     k = kernel.cols
-    coords = []
-    for j in range(in_mat.shape[1]):
-        col = [int(v) for v in in_mat[:, j]]
-        coords.append(integer_solve(kernel, col, snf_kernel))
-    pres = IntMatrix([[coords[j][i] for j in range(len(coords))]
-                      for i in range(k)], rows=k, cols=len(coords))
+    pres = lattice_coordinates(kernel, in_mat.T.tolist())
     snf_pres = smith_normal_form(pres)
     diag = snf_pres.d.diagonal_entries()
     rank = sum(1 for x in diag if x)
@@ -228,20 +224,13 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     """
     if m % e == 0:
         raise ValueError("integral normalization needs e not dividing m")
-    basis, boundary, connes = _integer_complex(e, m)
+    _, boundary, connes = _integer_complex(e, m)
     lo = 2 * d_function(e, m)
-    dims = [len(b) for b in basis]
-
-    def bnd(n: int) -> np.ndarray:
-        if n <= m:
-            return boundary[n]
-        return np.zeros((dims[m], 0), dtype=np.int64)
-
-    gen_lo = _free_part_generator(boundary[lo], bnd(lo + 1))
-    gen_hi = _free_part_generator(boundary[lo + 1], bnd(lo + 2))
+    into_hi = _boundary_in(boundary, lo + 1)
+    gen_lo = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
+    gen_hi = _free_part_generator(boundary[lo + 1], into_hi)
     image = [sum(int(row[j]) * gen_lo[j] for j in range(len(gen_lo)))
              for row in connes[lo]]
-    into_hi = bnd(lo + 2)
     stacked = IntMatrix(
         [[gen_hi[i]] + [int(v) for v in into_hi[i]]
          for i in range(len(gen_hi))],
@@ -250,33 +239,34 @@ def _integral_connes_scalar(e: int, m: int) -> int:
 
 
 def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:
-    """First kernel basis vector of d_n independent of the boundaries."""
+    """First kernel basis vector of d_n outside the span of the boundaries.
+
+    In the echelon form of [image | kernel] the first pivot past the image
+    columns marks that vector: every kernel column before it lies in the
+    span of the image.
+    """
     kernel = fp_kernel_basis(c.boundary[n], c.p)
-    image = _boundary_in(c, n)
-    base_rank = fp_rank(image, c.p)
-    for k in range(kernel.shape[1]):
-        cand = kernel[:, k:k + 1]
-        if fp_rank(np.hstack([image, cand]), c.p) > base_rank:
-            return kernel[:, k]
+    image = _boundary_in(c.boundary, n)
+    _, pivots = fp_rref(np.hstack([image, kernel]), c.p)
+    for col in pivots:
+        if col >= image.shape[1]:
+            return kernel[:, col - image.shape[1]]
     return None
 
 
-def reduced_homology(c: NormalizedComplex,
-                     integral_scalar: bool = True) -> HomologySummary:
-    """Homology ranks and the induced Connes scalar.
+def reduced_homology(c: NormalizedComplex) -> HomologySummary:
+    """Homology ranks and the induced Connes scalar (see HomologySummary).
 
-    With integral_scalar=False the scalar on a free-type page is taken
-    between deterministic mod-p generators instead of the canonical
-    integral ones; that is cheaper and changes it by at most a unit, so
-    it still detects vanishing.
+    Each boundary map is row-reduced once: the rank in degree n is
+    dim C_n - rank d_n - rank d_(n+1).
     """
     p = c.p
+    rk = [fp_rank(b, p) for b in c.boundary] + [0]
     ranks: dict[int, int] = {}
     for n in range(c.m + 1):
-        rk = (c.dim(n) - fp_rank(c.boundary[n], p)
-              - fp_rank(_boundary_in(c, n), p))
-        if rk:
-            ranks[n] = rk
+        h = c.dim(n) - rk[n] - rk[n + 1]
+        if h:
+            ranks[n] = h
 
     scalar = None
     scalar_int = None
@@ -284,7 +274,7 @@ def reduced_homology(c: NormalizedComplex,
     if len(degs) == 2 and degs[1] == degs[0] + 1 and all(
             ranks[d] == 1 for d in degs):
         lo, hi = degs
-        if lo % 2 == 0 and integral_scalar:
+        if lo % 2 == 0:
             scalar_int = _integral_connes_scalar(c.e, c.m)
             scalar = scalar_int % p
         else:
@@ -296,7 +286,8 @@ def reduced_homology(c: NormalizedComplex,
             img = (c.connes[lo] @ gen_lo) % p
             # express the image in H_hi: solve against the generator and
             # the boundaries from one degree up
-            cols = np.hstack([gen_hi.reshape(-1, 1), _boundary_in(c, hi)])
+            cols = np.hstack([gen_hi.reshape(-1, 1),
+                              _boundary_in(c.boundary, hi)])
             sol = fp_solve(cols, img, p)
             if sol is None:
                 raise AssertionError(

@@ -325,9 +325,9 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                      IntMatrix(v, rows=C, cols=C))
 
 
-def _solve_integer(snf_g: SNFResult, w: Sequence[int]) -> list[int]:
+def _solve_integer(snf: SNFResult, w: Sequence[int]) -> list[int]:
     """Exact solution c of g @ c = w, via the precomputed SNF of g."""
-    d, u, v = snf_g.d, snf_g.u, snf_g.v
+    d, u, v = snf.d, snf.u, snf.v
     y = u.apply(list(w))
     diag = d.diagonal_entries()
     z = [0] * d.cols
@@ -353,12 +353,19 @@ def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
                      rows=m.cols, cols=m.cols - rank)
 
 
-def integer_solve(g: IntMatrix, w: Sequence[int],
-                  snf_g: SNFResult | None = None) -> list[int]:
+def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:
     """Exact integer solution of g @ c = w; raises if none exists."""
-    if snf_g is None:
-        snf_g = smith_normal_form(g)
-    return _solve_integer(snf_g, w)
+    return _solve_integer(smith_normal_form(g), w)
+
+
+def lattice_coordinates(basis: IntMatrix,
+                        vectors: Sequence[Sequence[int]]) -> IntMatrix:
+    """Coordinates of each vector in the lattice spanned by the columns of
+    basis, one column per vector; raises if a vector lies outside it."""
+    snf = smith_normal_form(basis)
+    coords = [_solve_integer(snf, w) for w in vectors]
+    return IntMatrix([[c[i] for c in coords] for i in range(basis.cols)],
+                     rows=basis.cols, cols=len(coords))
 
 
 def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
@@ -405,19 +412,12 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
     k = n + mm - rank
     if k != n:
         raise GhostInversionError("kernel lattice has unexpected rank")
-    g = IntMatrix(gens, rows=n, cols=k)
-    snf_g = smith_normal_form(g)
-
     # Express each relation a_j * e_j of the source product in lattice
     # coordinates; the quotient of Z^k by those columns is the kernel group.
-    cols = []
-    for j in range(n):
-        w = [0] * n
-        w[j] = moduli[j]
-        cols.append(_solve_integer(snf_g, w))
-    c = IntMatrix([[cols[j][i] for j in range(n)] for i in range(k)],
-                  rows=k, cols=n)
-    diag = smith_normal_form(c).d.diagonal_entries()
+    relations_in_lattice = lattice_coordinates(
+        IntMatrix(gens, rows=n, cols=k),
+        [[moduli[j] if i == j else 0 for i in range(n)] for j in range(n)])
+    diag = smith_normal_form(relations_in_lattice).d.diagonal_entries()
     if len([x for x in diag if x != 0]) != k:
         raise GhostInversionError("kernel of a map of finite groups is finite")
     factors: list[int] = []

@@ -99,11 +99,12 @@ class PageClass:
 def build_e2(e: int, m: int, p: int, mode: str) -> BigradedPage:
     """E^2 page of the weight-m spectral sequence, from bar homology.
 
-    The d2 scalar is kept un-normalized (mod-p generators); the engine
-    only consumes its vanishing and unit value, both choice-independent.
+    The d2 scalar is the Connes scalar of reduced_homology: integral on a
+    (y, z) page, where the integral scalar is cached per (e, m), and
+    mod p on a (z, w) page.  The engine only consumes its vanishing and
+    unit value.
     """
-    summary = reduced_homology(generate_complex(e, m, p),
-                               integral_scalar=False)
+    summary = reduced_homology(generate_complex(e, m, p))
     d = d_function(e, m)
     ranks = summary.ranks
     if not ranks:

@@ -130,7 +130,7 @@ def brute_force_quotient(params: SplitParams,
         if absorbed % len(image):
             raise AssertionError("absorbed count must be a union of cosets")
         ci = _exact_log(absorbed // len(image), p)
-        if ci <= counts[-1] and ci != counts[-1]:
+        if ci < counts[-1]:
             raise AssertionError("order statistics must be nondecreasing")
         if ci == counts[-1]:
             raise AssertionError(

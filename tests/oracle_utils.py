@@ -133,3 +133,32 @@ def word_count(e: int, m: int, n: int) -> int:
     for _ in range(n):
         poly = poly_mul(poly, rest)
     return poly[m] if m < len(poly) else 0
+
+
+def rank_mod_p(vectors, p: int) -> int:
+    """Rank over F_p of a list of equal-length vectors, by plain Gaussian
+    elimination on a copy."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def first_outside_span(span, candidates, p: int):
+    """Index of the first candidate vector outside the F_p-span of `span`,
+    by one rank comparison per candidate; None if every one lies inside."""
+    base = rank_mod_p(span, p)
+    for k, vec in enumerate(candidates):
+        if rank_mod_p(list(span) + [vec], p) > base:
+            return k
+    return None

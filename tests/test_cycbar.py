@@ -20,7 +20,9 @@ from ktrunc.cycbar import (
     small_complex_hh,
     weight_words,
 )
-from oracle_utils import word_count
+from ktrunc.exactalg import fp_kernel_basis
+from ktrunc.ssengine import build_e2
+from oracle_utils import first_outside_span, word_count
 
 GRID = [(e, m) for e in (2, 3, 4, 5) for m in range(1, 9)]
 
@@ -165,7 +167,7 @@ class TestHomology:
         assert s.ranks == {3: 1, 4: 1}
         assert s.connes_scalar == 0
 
-    def test_integral_scalar_is_plus_minus_weight(self):
+    def test_integral_connes_scalar_is_plus_minus_weight(self):
         for e in (2, 3, 4):
             for m in range(1, 9):
                 if m % e == 0:
@@ -177,13 +179,41 @@ class TestHomology:
                     # scalar dies mod p exactly when p divides the weight
                     assert (s.connes_scalar == 0) == (m % p == 0)
 
-    def test_unnormalized_scalar_agrees_up_to_unit(self):
-        for e, m, p in [(3, 2, 5), (4, 3, 5), (3, 4, 7), (2, 5, 3)]:
-            c = generate_complex(e, m, p)
-            quick = reduced_homology(c, integral_scalar=False)
-            exact = reduced_homology(c)
-            assert quick.connes_scalar_int is None
-            assert (quick.connes_scalar == 0) == (exact.connes_scalar == 0)
+    def test_page_scalar_is_the_homology_scalar(self):
+        # the grid holds (y, z) pages and (z, w) pages, the latter from
+        # e | m with p | e
+        shapes = set()
+        for e in (2, 3, 4):
+            for m in range(1, 9):
+                for p in (2, 3, 5):
+                    s = reduced_homology(generate_complex(e, m, p))
+                    for mode in ("tate", "hfp"):
+                        page = build_e2(e, m, p, mode)
+                        assert page.d2_scalar == s.connes_scalar, (e, m, p)
+                    shapes.add(tuple(g.name for g in page.generators))
+        assert shapes == {(), ("y", "z"), ("z", "w")}
+
+    def test_generator_is_the_first_kernel_column_outside_the_boundaries(self):
+        shapes = set()
+        for e in (2, 3, 4):
+            for m in range(1, 8):
+                for p in (2, 3):
+                    c = generate_complex(e, m, p)
+                    shapes.add(tuple(reduced_homology(c).ranks))
+                    for n in range(m + 1):
+                        kernel = fp_kernel_basis(c.boundary[n], p)
+                        image = (c.boundary[n + 1] if n < m
+                                 else np.zeros((c.dim(n), 0), dtype=np.int64))
+                        k = first_outside_span(image.T.tolist(),
+                                               kernel.T.tolist(), p)
+                        gen = cycbar._homology_generator(c, n)
+                        if k is None:
+                            assert gen is None, (e, m, p, n)
+                        else:
+                            assert gen.tolist() == kernel[:, k].tolist(), (
+                                e, m, p, n)
+        # both page shapes: lower class in even and in odd degree
+        assert {degs[0] % 2 for degs in shapes if degs} == {0, 1}
 
     def test_small_complex_standalone(self):
         assert small_complex_hh(2, 1, 2) == {0: 1, 1: 1}

@@ -3,7 +3,7 @@ gcd-of-minors invariant factors, and exhaustive kernel enumeration."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ktrunc.exactalg import (
@@ -18,6 +18,7 @@ from ktrunc.exactalg import (
     integer_solve,
     is_prime,
     kernel_invariants,
+    lattice_coordinates,
     smith_normal_form,
 )
 from oracle_utils import det, kernel_by_enumeration, minor_gcd_invariants
@@ -167,6 +168,30 @@ def cyclic_maps(draw):
             row.append(step * draw(st.integers(-3, 3)))
         rows.append(row)
     return IntMatrix(rows), src, tgt
+
+
+class TestLatticeCoordinates:
+    @given(int_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coordinates_reproduce_the_vectors(self, rows, data):
+        basis = IntMatrix(rows)
+        assume(smith_normal_form(basis).rank() == basis.cols)
+        coeffs = data.draw(st.lists(
+            st.lists(entries, min_size=basis.cols, max_size=basis.cols),
+            max_size=4), label="coefficients")
+        vectors = [basis.apply(c) for c in coeffs]
+        coords = lattice_coordinates(basis, vectors)
+        assert (coords.rows, coords.cols) == (basis.cols, len(vectors))
+        product = basis @ coords
+        assert [list(col) for col in zip(*product.entries)] == vectors
+        # a full-rank basis has unique coordinates
+        assert [list(col) for col in zip(*coords.entries)] == coeffs
+
+    def test_vector_outside_the_lattice_raises(self):
+        with pytest.raises(GhostInversionError):
+            lattice_coordinates(IntMatrix([[2]]), [[1]])
+        with pytest.raises(GhostInversionError):
+            lattice_coordinates(IntMatrix([[1], [1]]), [[2, 2], [1, 0]])
 
 
 class TestKernelInvariants:
