@@ -27,6 +27,14 @@ from .exactalg import (IntMatrix, fp_kernel_basis, fp_rank, fp_rref,
 
 Word = tuple[int, ...]
 
+# Cache bounds.  `ktrunc verify --suite all` and the benchmark's hh_pages
+# grid together build 58 complexes (e, m), compute 41 integral scalars and
+# 166 homology summaries (e, m, p); every bound exceeds its count, so no
+# cache evicts on those grids and call counts do not depend on case order.
+COMPLEX_CACHE_SIZE = 64
+CONNES_SCALAR_CACHE_SIZE = 64
+HOMOLOGY_CACHE_SIZE = 256
+
 
 class ComplexIdentityError(AssertionError):
     """A mixed-complex identity failed at the integer level."""
@@ -83,6 +91,20 @@ def _connes_terms(word: Word):
         yield sign, (0,) + word[i:] + word[:i]
 
 
+def _identity_fails(words, *composites) -> bool:
+    """Whether the sum of the composites, each a pair (first, second) of
+    maps from a word to its (sign, word) terms, is nonzero on some word."""
+    for w in words:
+        acc: dict[Word, int] = {}
+        for first, second in composites:
+            for s1, mid in first[w]:
+                for s2, out in second[mid]:
+                    acc[out] = acc.get(out, 0) + s1 * s2
+        if any(acc.values()):
+            return True
+    return False
+
+
 def _entries_matrix(src: tuple[Word, ...], dst: tuple[Word, ...],
                     term_fn) -> np.ndarray:
     index = {w: i for i, w in enumerate(dst)}
@@ -93,43 +115,45 @@ def _entries_matrix(src: tuple[Word, ...], dst: tuple[Word, ...],
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def _integer_complex(e: int, m: int):
     """Bases plus integer boundary and Connes matrices, identity-checked.
 
     boundary[n] is the map out of degree n (boundary[0] has zero rows);
     connes[n] is the map from degree n into degree n+1 (connes[m] has
-    zero rows since degree m+1 is empty).
+    zero rows since degree m+1 is empty).  The identities are checked
+    word by word on the same terms the matrices are built from.
     """
     if e < 2 or m < 1:
         raise ValueError("need e >= 2 and m >= 1")
     basis = tuple(weight_words(e, m, n) for n in range(m + 1))
     dims = [len(b) for b in basis]
+    # Terms of every word; degree 0 has no faces, degree m no Connes image.
+    faces = {w: list(_face_terms(w, e)) if n else []
+             for n, words in enumerate(basis) for w in words}
+    rotations = {w: list(_connes_terms(w)) if n < m else []
+                 for n, words in enumerate(basis) for w in words}
 
     boundary = [np.zeros((0, dims[0]), dtype=np.int64)]
     for n in range(1, m + 1):
         boundary.append(_entries_matrix(basis[n], basis[n - 1],
-                                        lambda w: _face_terms(w, e)))
+                                        faces.__getitem__))
     connes = []
     for n in range(m):
-        connes.append(_entries_matrix(basis[n], basis[n + 1], _connes_terms))
+        connes.append(_entries_matrix(basis[n], basis[n + 1],
+                                      rotations.__getitem__))
     connes.append(np.zeros((0, dims[m]), dtype=np.int64))
 
     for n in range(1, m):
-        if (boundary[n] @ boundary[n + 1]).any():
+        if _identity_fails(basis[n + 1], (faces, faces)):
             raise ComplexIdentityError(
                 f"boundary squared nonzero at degree {n + 1} (e={e}, m={m})")
     for n in range(m - 1):
-        if (connes[n + 1] @ connes[n]).any():
+        if _identity_fails(basis[n], (rotations, rotations)):
             raise ComplexIdentityError(
                 f"Connes squared nonzero at degree {n} (e={e}, m={m})")
     for n in range(m + 1):
-        anti = np.zeros((dims[n], dims[n]), dtype=np.int64)
-        if n < m:
-            anti += boundary[n + 1] @ connes[n]
-        if n >= 1:
-            anti += connes[n - 1] @ boundary[n]
-        if anti.any():
+        if _identity_fails(basis[n], (rotations, faces), (faces, rotations)):
             raise ComplexIdentityError(
                 f"boundary/Connes anticommutator nonzero at degree {n} "
                 f"(e={e}, m={m})")
@@ -189,16 +213,45 @@ def _boundary_in(boundary: tuple[np.ndarray, ...], n: int) -> np.ndarray:
 
 
 def _np_int_matrix(arr: np.ndarray) -> IntMatrix:
-    return IntMatrix([[int(v) for v in row] for row in arr],
-                     rows=arr.shape[0], cols=arr.shape[1])
+    return IntMatrix(arr.tolist(), rows=arr.shape[0], cols=arr.shape[1])
+
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s*a + t*b = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _unit_preimage(phi: list[int]) -> list[int]:
+    """An integer x with phi . x = 1, for a row phi whose entries have gcd
+    1: extended gcds from the left, stopping once the running gcd is 1."""
+    x = [0] * len(phi)
+    g = 0
+    for i, c in enumerate(phi):
+        if g == 1:
+            break
+        if c:
+            g, s, t = _egcd(g, c)
+            x = [s * xi for xi in x]
+            x[i] = t
+    if g != 1:
+        raise AssertionError(f"row {phi} is not primitive")
+    return x
 
 
 def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray) -> list[int]:
     """Generator of an integral homology group that must be exactly Z.
 
     ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis; the
-    Smith form of the presentation must show one free coordinate and no
-    torsion, and the generator is the chain realizing that coordinate.
+    Smith form u @ pres @ v = d of the presentation must show one free
+    coordinate and no torsion.  Row `rank` of u is then a functional that
+    kills the image and maps the homology isomorphically onto Z, so any
+    chain it sends to 1 is a generator.
     """
     kernel = integer_kernel_basis(_np_int_matrix(out_mat))
     k = kernel.cols
@@ -210,12 +263,10 @@ def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray) -> list[int]:
         raise AssertionError(
             f"integral homology is not free of rank one: diag {diag}, "
             f"kernel rank {k}")
-    free_coords = integer_solve(snf_pres.u, [1 if i == rank else 0
-                                             for i in range(k)])
-    return kernel.apply(free_coords)
+    return kernel.apply(_unit_preimage(list(snf_pres.u.entries[rank])))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONNES_SCALAR_CACHE_SIZE)
 def _integral_connes_scalar(e: int, m: int) -> int:
     """The Connes scalar on integral generators, canonical up to sign.
 
@@ -229,11 +280,9 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     into_hi = _boundary_in(boundary, lo + 1)
     gen_lo = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
     gen_hi = _free_part_generator(boundary[lo + 1], into_hi)
-    image = [sum(int(row[j]) * gen_lo[j] for j in range(len(gen_lo)))
-             for row in connes[lo]]
+    image = _np_int_matrix(connes[lo]).apply(gen_lo)
     stacked = IntMatrix(
-        [[gen_hi[i]] + [int(v) for v in into_hi[i]]
-         for i in range(len(gen_hi))],
+        [[g] + row for g, row in zip(gen_hi, into_hi.tolist())],
         rows=len(gen_hi), cols=1 + into_hi.shape[1])
     return integer_solve(stacked, image)[0]
 
@@ -254,12 +303,29 @@ def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:
     return None
 
 
+# Homology summaries by (e, m, p), oldest first; at most HOMOLOGY_CACHE_SIZE.
+_homology_memo: dict[tuple[int, int, int], HomologySummary] = {}
+
+
 def reduced_homology(c: NormalizedComplex) -> HomologySummary:
     """Homology ranks and the induced Connes scalar (see HomologySummary).
 
-    Each boundary map is row-reduced once: the rank in degree n is
-    dim C_n - rank d_n - rank d_(n+1).
+    Complexes come only from generate_complex(e, m, p), so (e, m, p) fixes
+    the complex and its summary is computed once per triple and memoized;
+    the matrices are not kept, and callers share the summary.  The oldest
+    summary is dropped once the memo holds HOMOLOGY_CACHE_SIZE.
     """
+    key = (c.e, c.m, c.p)
+    if key not in _homology_memo:
+        if len(_homology_memo) >= HOMOLOGY_CACHE_SIZE:
+            del _homology_memo[next(iter(_homology_memo))]
+        _homology_memo[key] = _homology_summary(c)
+    return _homology_memo[key]
+
+
+def _homology_summary(c: NormalizedComplex) -> HomologySummary:
+    """Each boundary map is row-reduced once: the rank in degree n is
+    dim C_n - rank d_n - rank d_(n+1)."""
     p = c.p
     rk = [fp_rank(b, p) for b in c.boundary] + [0]
     ranks: dict[int, int] = {}

@@ -163,7 +163,7 @@ class IntMatrix:
 
     def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None,
                  cols: int | None = None):
-        ents = tuple(tuple(int(v) for v in row) for row in entries)
+        ents = tuple(tuple(map(int, row)) for row in entries)
         if ents:
             r, c = len(ents), len(ents[0])
             if any(len(row) != c for row in ents):
@@ -200,9 +200,18 @@ class IntMatrix:
         return m
 
     def apply(self, vec: Sequence[int]) -> list[int]:
+        """self @ vec, adding one column of self per nonzero entry of vec."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in apply")
-        return [sum(a * x for a, x in zip(row, vec)) for row in self.entries]
+        out = [0] * self.rows
+        rows = self.entries
+        for k, x in enumerate(vec):
+            if x:
+                for i, row in enumerate(rows):
+                    a = row[k]
+                    if a:
+                        out[i] += a * x
+        return out
 
     def diagonal_entries(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
@@ -227,7 +236,10 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
 
     Pivot choice is the entry of smallest absolute value, ties broken by
     lowest row index then lowest column index, so the reduction is
-    deterministic.
+    deterministic.  The pivot search stops at the first entry of absolute
+    value 1, a unit pivot skips the divisibility sweep, and row and column
+    operations touch only the nonzero entries they add: boundary matrices
+    are sparse and mostly +-1.
     """
     R, C = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -235,18 +247,17 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
     def row_add(i, j, q):  # row_i += q * row_j
-        ai, aj = a[i], a[j]
-        for k in range(C):
-            ai[k] += q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(R):
-            ui[k] += q * uj[k]
+        for src, dst in ((a[j], a[i]), (u[j], u[i])):
+            for k, x in enumerate(src):
+                if x:
+                    dst[k] += q * x
 
     def col_add(j, i, q):  # col_j += q * col_i
-        for row in a:
-            row[j] += q * row[i]
-        for row in v:
-            row[j] += q * row[i]
+        for rows in (a, v):
+            for row in rows:
+                x = row[i]
+                if x:
+                    row[j] += q * x
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -274,6 +285,10 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                     x = -x if x < 0 else x
                     if best is None or x < best:
                         best, pi, pj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
         if best is None:
             break
         if pi != t:
@@ -306,6 +321,8 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                 if a[t][t] < 0:
                     row_negate(t)
                 continue
+            if piv == 1:
+                break
             bad = None
             for i in range(t + 1, R):
                 row = a[i]

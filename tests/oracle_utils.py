@@ -162,3 +162,130 @@ def first_outside_span(span, candidates, p: int):
         if rank_mod_p(list(span) + [vec], p) > base:
             return k
     return None
+
+
+# -- Reference Smith normal form --------------------------------------------
+# A verbatim copy of exactalg.smith_normal_form and exactalg._solve_integer
+# before their unit-pivot exits and zero skipping, on plain lists of rows,
+# with the dense matrix-vector product they used.  The fast paths must give
+# the same (d, u, v) and the same solutions.
+
+def dense_apply(rows, vec):
+    """rows @ vec, one row at a time."""
+    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
+
+
+def reference_snf(entries, R, C):
+    """(d, u, v) as lists of rows, exactly as the original reduction."""
+    a = [list(row) for row in entries]
+    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        ai, aj = a[i], a[j]
+        for k in range(C):
+            ai[k] += q * aj[k]
+        ui, uj = u[i], u[j]
+        for k in range(R):
+            ui[k] += q * uj[k]
+
+    def col_add(j, i, q):  # col_j += q * col_i
+        for row in a:
+            row[j] += q * row[i]
+        for row in v:
+            row[j] += q * row[i]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(R, C):
+        best = None
+        pi = pj = -1
+        for i in range(t, R):
+            row = a[i]
+            for j in range(t, C):
+                x = row[j]
+                if x:
+                    x = -x if x < 0 else x
+                    if best is None or x < best:
+                        best, pi, pj = x, i, j
+        if best is None:
+            break
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if a[t][t] < 0:
+            row_negate(t)
+        while True:
+            piv = a[t][t]
+            for i in range(t + 1, R):
+                q = a[i][t] // piv
+                if q:
+                    row_add(i, t, -q)
+            rem = [i for i in range(t + 1, R) if a[i][t]]
+            if rem:
+                i = min(rem, key=lambda k: (abs(a[k][t]), k))
+                row_swap(t, i)
+                if a[t][t] < 0:
+                    row_negate(t)
+                continue
+            for j in range(t + 1, C):
+                q = a[t][j] // piv
+                if q:
+                    col_add(j, t, -q)
+            rem = [j for j in range(t + 1, C) if a[t][j]]
+            if rem:
+                j = min(rem, key=lambda k: (abs(a[t][k]), k))
+                col_swap(t, j)
+                if a[t][t] < 0:
+                    row_negate(t)
+                continue
+            bad = None
+            for i in range(t + 1, R):
+                row = a[i]
+                for j in range(t + 1, C):
+                    if row[j] % piv:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad, 1)  # pulls the offending row up; pivot will shrink
+        t += 1
+    return a, u, v
+
+
+class ReferenceSolveError(ArithmeticError):
+    pass
+
+
+def reference_solve(d, u, v, w):
+    """Exact solution c of g @ c = w from the reference (d, u, v) of g."""
+    y = dense_apply(u, list(w))
+    diag = [d[i][i] for i in range(min(len(d), len(v)))]
+    z = [0] * len(v)
+    for i, yi in enumerate(y):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if yi != 0:
+                raise ReferenceSolveError("inconsistent integral system")
+            continue
+        q, r = divmod(yi, di)
+        if r:
+            raise ReferenceSolveError("non-exact division in integral solve")
+        z[i] = q
+    return dense_apply(v, z)

@@ -4,12 +4,22 @@ import json
 
 import pytest
 
+from ktrunc import cycbar
 from ktrunc.cli import main
 
 
 def run_cli(capsys, *args):
     code = main(list(args))
     return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_homology_memo():
+    """An empty homology memo for a test that patches what fills it, and
+    none of its entries left behind for the next test."""
+    cycbar._homology_memo.clear()
+    yield
+    cycbar._homology_memo.clear()
 
 
 class TestKGroups:
@@ -107,9 +117,28 @@ class TestHH:
             ln.removeprefix("  ") for ln in table.splitlines()[2:]]
         assert "expected" not in entry
 
-    def test_mismatch_reported_in_both_formats(self, capsys, monkeypatch):
-        from ktrunc import cycbar
+    def test_printed_sign_of_a_negative_integral_scalar(self, capsys):
+        # the integral scalar at (e, m) = (3, 11) is -11, so B = -11 mod 3
+        _, out = run_cli(capsys, "hh", "--p", "3", "--e", "3", "--m", "11")
+        assert out == "deg 6: 1, deg 7: 1, B = 1\n"
 
+    def test_one_homology_computation_per_weight(self, capsys, monkeypatch,
+                                                 fresh_homology_memo):
+        # the page dump reuses the summary of the weight's own line
+        computed = []
+        summary = cycbar._homology_summary
+
+        def counted(c):
+            computed.append((c.e, c.m, c.p))
+            return summary(c)
+
+        monkeypatch.setattr(cycbar, "_homology_summary", counted)
+        code, _ = run_cli(capsys, "hh", "--p", "3", "--e", "3", "--mmax",
+                          "7", "--dump-page", "hfp")
+        assert code == 0
+        assert computed == [(3, m, 3) for m in range(1, 8)]
+
+    def test_mismatch_reported_in_both_formats(self, capsys, monkeypatch):
         monkeypatch.setattr(cycbar, "predicted_homology",
                             lambda e, m, p: {0: 2})
         args = ("hh", "--p", "2", "--e", "2", "--m", "1")

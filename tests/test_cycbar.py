@@ -53,6 +53,25 @@ class TestWords:
         assert words == tuple(sorted(words))
 
 
+def _flip_first_sign(terms):
+    """The same expansion with the sign of its first term flipped."""
+    def wrong_sign(*args):
+        for i, (sign, out) in enumerate(terms(*args)):
+            yield (-sign if i == 0 else sign), out
+    return wrong_sign
+
+
+def _stray_degree_two_term(terms):
+    """B plus a term from every degree-1 word to (1, 1, 1), a word whose
+    head is not the unit, so that B no longer kills B's image.  Faces are
+    untouched, and at e = 3, m = 3 the word lies in the degree-2 basis."""
+    def stray(word):
+        yield from terms(word)
+        if len(word) == 2:
+            yield 1, (1, 1, 1)
+    return stray
+
+
 class TestComplexStructure:
     def test_d_function(self):
         assert d_function(2, 1) == 0
@@ -117,21 +136,24 @@ class TestComplexStructure:
         c = generate_complex(3, 5, 2)
         assert c.connes[5].shape == (0, c.dim(5))
 
-    @pytest.mark.parametrize("name, identity", [
-        ("_face_terms", "boundary squared nonzero at degree 3"),
-        ("_connes_terms",
-         "boundary/Connes anticommutator nonzero at degree 1"),
+    @pytest.mark.parametrize("name, mutate, identity", [
+        pytest.param("_face_terms", _flip_first_sign,
+                     "boundary squared nonzero at degree 3",
+                     id="_face_terms-boundary squared nonzero at degree 3"),
+        pytest.param("_connes_terms", _flip_first_sign,
+                     "boundary/Connes anticommutator nonzero at degree 1",
+                     id="_connes_terms-boundary/Connes anticommutator "
+                        "nonzero at degree 1"),
+        pytest.param("_connes_terms", _stray_degree_two_term,
+                     "Connes squared nonzero at degree 1",
+                     id="_connes_terms-Connes squared nonzero at degree 1"),
     ])
-    def test_wrong_sign_breaks_an_identity(self, monkeypatch, name, identity):
-        # flip the sign of the first term of every face or Connes expansion;
-        # the unwrapped builder neither reads nor fills the lru cache
-        terms = getattr(cycbar, name)
-
-        def wrong_sign(*args):
-            for i, (sign, out) in enumerate(terms(*args)):
-                yield (-sign if i == 0 else sign), out
-
-        monkeypatch.setattr(cycbar, name, wrong_sign)
+    def test_wrong_sign_breaks_an_identity(self, monkeypatch, name, mutate,
+                                           identity):
+        # each mutation breaks one identity first, in the order they are
+        # checked; the unwrapped builder neither reads nor fills the lru
+        # cache
+        monkeypatch.setattr(cycbar, name, mutate(getattr(cycbar, name)))
         before = cycbar._integer_complex.cache_info()
         with pytest.raises(ComplexIdentityError,
                            match=rf"{identity} \(e=3, m=3\)"):
@@ -178,6 +200,18 @@ class TestHomology:
                     assert s.connes_scalar in (m % p, -m % p)
                     # scalar dies mod p exactly when p divides the weight
                     assert (s.connes_scalar == 0) == (m % p == 0)
+
+    def test_integral_connes_scalar_table(self):
+        # The integral scalar is +-m; its sign depends on how the generators
+        # are oriented and shows in `hh` output mod p, so it is pinned.
+        # It is -m at (3, 11), (4, 6) and (4, 9) and +m elsewhere.
+        negative = {(3, 11), (4, 6), (4, 9)}
+        for e in range(2, 7):
+            for m in range(1, (12 if e <= 4 else 10) + 1):
+                if m % e:
+                    want = -m if (e, m) in negative else m
+                    assert cycbar._integral_connes_scalar(e, m) == want, (
+                        e, m)
 
     def test_page_scalar_is_the_homology_scalar(self):
         # the grid holds (y, z) pages and (z, w) pages, the latter from

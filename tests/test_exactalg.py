@@ -10,6 +10,7 @@ from ktrunc.exactalg import (
     GhostInversionError,
     GroupStructure,
     IntMatrix,
+    _solve_integer,
     fp_kernel_basis,
     fp_rank,
     fp_rref,
@@ -21,7 +22,15 @@ from ktrunc.exactalg import (
     lattice_coordinates,
     smith_normal_form,
 )
-from oracle_utils import det, kernel_by_enumeration, minor_gcd_invariants
+from oracle_utils import (
+    ReferenceSolveError,
+    det,
+    dense_apply,
+    kernel_by_enumeration,
+    minor_gcd_invariants,
+    reference_snf,
+    reference_solve,
+)
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -112,6 +121,50 @@ class TestSmithNormalForm:
         z = smith_normal_form(zero)
         assert z.rank() == 0
         assert z.d == zero
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7):
+    """Mostly-zero matrices with unit and non-unit entries, some of whose
+    rows and columns are zeroed outright."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    values = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -3, 4, 6, -9])
+    rows = draw(st.lists(st.lists(values, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, r - 1), max_size=r - 1))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c - 1))
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+class TestFastPathsMatchReference:
+    """The unit-pivot exits and zero skipping change no transform."""
+
+    @given(st.one_of(sparse_matrices(), int_matrices()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_transforms_and_solutions_are_the_reference_ones(self, rows,
+                                                              data):
+        g = IntMatrix(rows)
+        snf = smith_normal_form(g)
+        d, u, v = reference_snf(rows, g.rows, g.cols)
+        assert [list(r) for r in snf.d.entries] == d
+        assert [list(r) for r in snf.u.entries] == u
+        assert [list(r) for r in snf.v.entries] == v
+        small = st.sampled_from([0, 0, 1, -1, 2, -5])
+        c = data.draw(st.lists(small, min_size=g.cols, max_size=g.cols),
+                      label="solution")
+        assert g.apply(c) == dense_apply(rows, c)
+        other = data.draw(st.lists(small, min_size=g.rows, max_size=g.rows),
+                          label="right-hand side")
+        for w in (dense_apply(rows, c), other):
+            try:
+                want = reference_solve(d, u, v, w)
+            except ReferenceSolveError:
+                with pytest.raises(GhostInversionError):
+                    _solve_integer(snf, w)
+            else:
+                assert _solve_integer(snf, w) == want
 
 
 class TestIntegerSolve:
