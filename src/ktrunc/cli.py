@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from . import checks, cycbar, ssengine, tcassemble
+from . import checks, cycbar, ssengine, tcassemble, wittsplit
 from .checks import PAGE_DEGREES
 from .exactalg import is_prime
 
@@ -218,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--enum-bound", dest="enum_bound", type=int,
                     default=1 << 16,
-                    help="element cap for brute-force enumeration")
+                    help="element cap for brute-force enumeration "
+                         f"(at most {wittsplit.ENUM_CAP})")
     sp.add_argument("--suite", default="all",
                     choices=("all", "witt", "split", "homology", "ss",
                              "equalizer", "routes"))
@@ -236,6 +237,8 @@ def _validate(parser: argparse.ArgumentParser,
         value = getattr(cfg, name, None)
         if value is not None and value < 1:
             parser.error(f"--{name.replace('_', '-')} must be positive")
+    if (getattr(cfg, "enum_bound", None) or 0) > wittsplit.ENUM_CAP:
+        parser.error(f"--enum-bound must be at most {wittsplit.ENUM_CAP}")
     if cfg.command == "hh" and cfg.e is not None and cfg.e < 2:
         parser.error("--e must be at least 2 for homology")
 

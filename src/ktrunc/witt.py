@@ -20,7 +20,12 @@ from typing import Iterable, Iterator, Sequence
 from .exactalg import GhostInversionError, is_prime, p_valuation
 
 
-@lru_cache(maxsize=None)
+# Bound on memoized divisor lists: the test suite and every benchmark grid
+# ask for at most 28 distinct n.
+DIVISORS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=DIVISORS_CACHE_SIZE)
 def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1

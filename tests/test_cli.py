@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ktrunc import cycbar
+from ktrunc import cycbar, tcassemble
 from ktrunc.cli import main
+from ktrunc.wittsplit import ENUM_CAP
 
 
 def run_cli(capsys, *args):
@@ -217,3 +218,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["kgroups", "--p", "2", "--e", "0", "--r", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bound", [ENUM_CAP + 1, 100000000000])
+    def test_enum_bound_above_the_cap(self, capsys, monkeypatch, bound):
+        def enumerate_nothing(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(tcassemble, "brute_force_quotient",
+                            enumerate_nothing)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "routes", "--enum-bound", str(bound)])
+        assert exc.value.code == 2
+        assert "--enum-bound must be at most" in capsys.readouterr().err

@@ -5,14 +5,19 @@ s(p, bound, d) and the splitting exponents; the brute-force route recomputes
 them with no structure theory.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktrunc.exactalg import GroupStructure
+from ktrunc.witt import TruncationSet, WittVector, witt_scalar
 from ktrunc.wittsplit import (
+    ENUM_CAP,
     EnumerationBoundError,
     SplitParams,
+    _mul_p_map,
     brute_force_quotient,
     h_function,
     predicted_quotient,
@@ -142,3 +147,36 @@ class TestBruteForce:
             brute_force_quotient(SplitParams(2, 5, 4), enum_bound=1 << 16)
         with pytest.raises(EnumerationBoundError):
             brute_force_quotient(SplitParams(2, 2, 2), enum_bound=8)
+        with pytest.raises(EnumerationBoundError, match=str(ENUM_CAP)):
+            brute_force_quotient(SplitParams(2, 3, 7), enum_bound=1 << 40)
+
+
+@pytest.fixture
+def fresh_mul_p_cache():
+    _mul_p_map.cache_clear()
+    yield
+    _mul_p_map.cache_clear()
+
+
+class TestMulPMap:
+    @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3)])
+    def test_codes_agree_with_one_ghost_scaling(self, p, n):
+        # code(x) reads the coordinates of x as base-p digits, first
+        # coordinate most significant; witt_scalar computes p*x in one
+        # ghost scaling, without the repeated additions of _mul_p_map.
+        ts = TruncationSet.big(n)
+        mul_p = _mul_p_map(p, ts)
+        assert not mul_p.flags.writeable
+        assert len(mul_p) == p ** n
+        for x in product(range(p), repeat=n):
+            code = int("".join(map(str, x)), p)
+            got = int(mul_p[code])
+            digits = tuple(got // p ** (n - 1 - i) % p for i in range(n))
+            assert digits == witt_scalar(p, WittVector(ts, x, p)).coords, x
+
+    def test_one_map_per_p_and_re(self, fresh_mul_p_cache):
+        assert _mul_p_map.cache_info().maxsize is not None
+        for r, e in [(2, 4), (4, 2), (8, 1)]:
+            params = SplitParams(2, r, e)
+            assert brute_force_quotient(params) == predicted_quotient(params)
+        assert _mul_p_map.cache_info().misses == 1
