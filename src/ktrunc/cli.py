@@ -181,7 +181,9 @@ def run_verify(cfg: argparse.Namespace) -> tuple[str, bool]:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="ktrunc",
         description="Exact relative K-groups of truncated polynomial rings")
@@ -224,13 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("all", "witt", "split", "homology", "ss",
                              "equalizer", "routes"))
     sp.add_argument("--rmax", type=int, help="scope for the routes suite")
-    return parser
+    return parser, sub.choices
 
 
 def _validate(parser: argparse.ArgumentParser,
               cfg: argparse.Namespace) -> None:
-    """Usage errors argparse cannot express; a flag the subcommand does
-    not define reads as None."""
+    """Usage errors argparse cannot express, reported by the subcommand's
+    parser; a flag the subcommand does not define reads as None."""
     if cfg.p is not None and not is_prime(cfg.p):
         parser.error(f"--p must be prime, got {cfg.p}")
     for name in ("e", "f", "r", "rmax", "m", "mmax", "enum_bound"):
@@ -244,9 +246,9 @@ def _validate(parser: argparse.ArgumentParser,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     cfg = parser.parse_args(argv)
-    _validate(parser, cfg)
+    _validate(commands[cfg.command], cfg)
     if cfg.command == "kgroups":
         print(run_kgroups(cfg))
         return 0

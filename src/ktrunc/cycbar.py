@@ -16,8 +16,8 @@ periodic resolution of k[x]/(x^e) and serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,23 +163,33 @@ def _integer_complex(e: int, m: int):
 
 @dataclass(frozen=True)
 class NormalizedComplex:
+    """The weight-m complex over F_p.  Its boundary and Connes matrices are
+    the integer ones reduced mod p on first read, so a caller that reads
+    only (e, m, p), as reduced_homology does on a memo hit, reduces none."""
+
     e: int
     m: int
     p: int
     basis: tuple[tuple[Word, ...], ...]
-    boundary: tuple[np.ndarray, ...]  # boundary[n]: C_n -> C_{n-1}, mod p
-    connes: tuple[np.ndarray, ...]    # connes[n]:   C_n -> C_{n+1}, mod p
+    _boundary_z: tuple[np.ndarray, ...] = field(repr=False)
+    _connes_z: tuple[np.ndarray, ...] = field(repr=False)
+
+    @cached_property
+    def boundary(self) -> tuple[np.ndarray, ...]:
+        """boundary[n]: C_n -> C_{n-1}, mod p."""
+        return tuple(b % self.p for b in self._boundary_z)
+
+    @cached_property
+    def connes(self) -> tuple[np.ndarray, ...]:
+        """connes[n]: C_n -> C_{n+1}, mod p."""
+        return tuple(b % self.p for b in self._connes_z)
 
     def dim(self, n: int) -> int:
         return len(self.basis[n]) if 0 <= n <= self.m else 0
 
 
 def generate_complex(e: int, m: int, p: int) -> NormalizedComplex:
-    basis, boundary, connes = _integer_complex(e, m)
-    return NormalizedComplex(
-        e, m, p, basis,
-        tuple(b % p for b in boundary),
-        tuple(b % p for b in connes))
+    return NormalizedComplex(e, m, p, *_integer_complex(e, m))
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,10 @@ class WittVector:
         return self.coords[self.truncation.position(n)]
 
 
+# The ghost map, its inverse and _add_coords also run on columns: each
+# coordinate an int64 numpy array holding that coordinate of many vectors,
+# computed elementwise.  The caller keeps every intermediate within int64.
+
 def _ghost_coords(ts: TruncationSet, coords: Sequence[int]) -> tuple[int, ...]:
     out = []
     for terms in ts._ghost_terms:
@@ -142,9 +146,11 @@ def _coords_from_ghost(ts: TruncationSet, ghost: Sequence[int]) -> tuple[int, ..
         acc = ghost[i]
         # last term is (i, n, 1): the n * a_n contribution
         for pos, d, e in terms[:-1]:
-            acc -= d * coords[pos] ** e
+            acc = acc - d * coords[pos] ** e
         n = terms[-1][1]
         q, r = divmod(acc, n)
+        if type(r) is not int:  # a column: report its first miss, if any
+            r = int(r[r != 0][0]) if r.any() else 0
         if r:
             raise GhostInversionError(
                 f"ghost vector not in the image: component {n} off by {r}")

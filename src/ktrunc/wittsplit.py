@@ -12,17 +12,19 @@ m' contributes a cyclic group Z/p^h with
 Brute force: enumerate the full quotient group and read off its invariant
 factors from order statistics, using no structure theory at all.  Each
 element of W_re(F_p) is an integer code, its coordinates read as base-p
-digits, and the multiply-by-p map, built from Witt additions, is an array of
-codes memoized per (p, re), so every enumeration step is one numpy gather.
-Enumerations are capped at ENUM_CAP elements.  The two routes are compared
-in the test suite over an exhaustive grid.
+digits, and the multiply-by-p map is an array of codes memoized per (p, re),
+so every enumeration step is one numpy gather.  The map is built from p-1
+Witt additions, each made once per block of MUL_P_BLOCK codes on int64
+columns (one per coordinate) through the same ghost map and inverse as a
+single vector; a worst-case bound on every intermediate is checked against
+int64 before the build.  Enumerations are capped at ENUM_CAP elements.  The
+two routes are compared in the test suite over an exhaustive grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -36,10 +38,19 @@ ENUM_CAP = 1 << 20
 # Bound on memoized multiply-by-p maps, one per (p, re): the test suite asks
 # for 35 and the witt_enum benchmark grid for 30.
 MUL_P_CACHE_SIZE = 64
+# Codes per block of columns in _mul_p_map; bounds the memory of a build.
+MUL_P_BLOCK = 1 << 12
+# _mul_p_map builds only when _addition_bound stays below this, so no int64
+# intermediate overflows.
+INT64_LIMIT = 1 << 62
 
 
 class EnumerationBoundError(ValueError):
     """The brute-force enumeration would exceed the configured bound."""
+
+
+class Int64BoundError(OverflowError):
+    """A column build of the multiply-by-p map could overflow int64."""
 
 
 @dataclass(frozen=True)
@@ -94,25 +105,68 @@ def predicted_quotient(params: SplitParams) -> GroupStructure:
     return GroupStructure.from_prime_exponents(p, exps)
 
 
-def _code(coords, p: int) -> int:
-    """The index of coords in product(range(p), repeat=len(coords))."""
+def _digits(codes: np.ndarray, p: int, n: int) -> tuple[np.ndarray, ...]:
+    """Columns of the n base-p digits of codes, most significant first."""
+    return tuple(codes // p ** (n - 1 - i) % p for i in range(n))
+
+
+def _code(digits, p: int):
+    """The codes whose base-p digits, most significant first, are digits;
+    the inverse of _digits."""
     code = 0
-    for c in coords:
+    for c in digits:
         code = code * p + c
     return code
 
 
+def _addition_bound(p: int, ts: TruncationSet) -> int:
+    """Worst-case |integer| in one _add_coords on coordinates in [0, p).
+
+    Follows ts._ghost_terms by the triangle inequality: each ghost
+    component of the sum is at most twice sum d * (p-1)^(n/d), and each
+    inversion step at most that plus sum d * |a_d|^(n/d) over the bounds on
+    the coordinates a_d already inverted, which also bounds its partial
+    sums, terms and quotient.
+    """
+    top = p - 1
+    peak = 0
+    coords: list[int] = []
+    for terms in ts._ghost_terms:
+        acc = 2 * sum(d * top ** e for _, d, e in terms)
+        for pos, d, e in terms[:-1]:
+            acc += d * coords[pos] ** e
+        coords.append(acc // terms[-1][1])
+        peak = max(peak, acc)
+    return peak
+
+
 @lru_cache(maxsize=MUL_P_CACHE_SIZE)
 def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
-    """x -> p*x on all of W_S(F_p) as a read-only int32 array of codes:
-    entry _code(x) is _code(p*x), and p*x is the sum of p copies of x."""
-    codes = []
-    for coords in product(range(p), repeat=len(ts)):
-        acc = coords
+    """x -> p*x on all of W_S(F_p) as a read-only int32 array of codes.
+
+    Entry code(x) is code(p*x), where code(x) reads the coordinates of x as
+    base-p digits, first coordinate most significant (the order of
+    itertools.product(range(p), repeat=len(ts))).  p*x is the sum of p
+    copies of x: p-1 calls of _add_coords per block of MUL_P_BLOCK codes,
+    on int64 columns holding one coordinate of every code in the block.
+    Raises Int64BoundError, before any int64 arithmetic, if
+    _addition_bound(p, ts) reaches INT64_LIMIT.
+    """
+    n = len(ts)
+    bound = _addition_bound(p, ts)
+    if bound >= INT64_LIMIT:
+        raise Int64BoundError(
+            f"adding in W_{n}(F_{p}) can reach {bound}, past int64")
+    total = p ** n
+    out = np.empty(total, dtype=np.int32)
+    for start in range(0, total, MUL_P_BLOCK):
+        codes = np.arange(start, min(start + MUL_P_BLOCK, total),
+                          dtype=np.int64)
+        x = _digits(codes, p, n)
+        acc = x
         for _ in range(p - 1):
-            acc = _add_coords(ts, acc, coords, p)
-        codes.append(_code(acc, p))
-    out = np.array(codes, dtype=np.int32)
+            acc = _add_coords(ts, acc, x, p)
+        out[start:start + len(codes)] = _code(acc, p)
     out.flags.writeable = False
     return out
 
@@ -137,12 +191,13 @@ def brute_force_quotient(params: SplitParams,
             f"|W_{r * e}(F_{p})| = {total} exceeds enum_bound = {bound}")
     ts = TruncationSet.big(r * e)
 
+    # Coordinate (i+1)e-1 of V_e(y) is y_i, every other one is 0; y runs
+    # over all of W_r(F_p) at once, one column per coordinate.
+    coords = [0] * (r * e)
+    for i, y_i in enumerate(_digits(np.arange(p ** r), p, r)):
+        coords[(i + 1) * e - 1] = y_i
     in_image = np.zeros(total, dtype=bool)
-    for y in product(range(p), repeat=r):
-        coords = [0] * (r * e)
-        for i, c in enumerate(y):
-            coords[(i + 1) * e - 1] = c
-        in_image[_code(coords, p)] = True
+    in_image[_code(coords, p)] = True
     image_order = int(np.count_nonzero(in_image))
     if total % image_order:
         raise AssertionError("image order must divide group order")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
+from ktrunc.witt import _add_coords
+
 
 def det(rows) -> int:
     """Integer determinant by cofactor expansion.  Fine up to ~6x6."""
@@ -289,3 +291,24 @@ def reference_solve(d, u, v, w):
             raise ReferenceSolveError("non-exact division in integral solve")
         z[i] = q
     return dense_apply(v, z)
+
+
+# -- Reference multiply-by-p map -------------------------------------------
+# The multiply-by-p map as wittsplit._mul_p_map built it one element at a
+# time, before its column blocks: p-1 additions of coordinate tuples per
+# element.
+
+def mul_p_codes(p: int, ts) -> list[int]:
+    """code(p*x) for every x in W_S(F_p), in the order of
+    product(range(p), repeat=len(ts)); code(x) reads the coordinates of x
+    as base-p digits, first coordinate most significant."""
+    codes = []
+    for coords in product(range(p), repeat=len(ts)):
+        acc = coords
+        for _ in range(p - 1):
+            acc = _add_coords(ts, acc, coords, p)
+        code = 0
+        for c in acc:
+            code = code * p + c
+        codes.append(code)
+    return codes

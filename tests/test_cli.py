@@ -230,3 +230,17 @@ class TestUsageErrors:
             main(["verify", "--suite", "routes", "--enum-bound", str(bound)])
         assert exc.value.code == 2
         assert "--enum-bound must be at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--enum-bound", "0"],
+        ["verify", "--enum-bound", str(ENUM_CAP + 1)],
+        ["hh", "--p", "2", "--e", "1", "--m", "1"],
+        ["kgroups", "--p", "4", "--e", "2", "--r", "1"],
+    ])
+    def test_reported_with_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ktrunc {argv[0]} [-h]")

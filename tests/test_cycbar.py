@@ -170,6 +170,16 @@ class TestHomology:
                 assert summary.ranks == predicted_homology(e, m, p), (e, m, p)
                 assert summary.ranks == small_complex_hh(e, m, p), (e, m, p)
 
+    def test_memo_hit_reduces_nothing(self):
+        summary = reduced_homology(generate_complex(3, 5, 2))
+        again = generate_complex(3, 5, 2)
+        assert reduced_homology(again) is summary
+        assert "boundary" not in vars(again) and "connes" not in vars(again)
+        # reduced mod p on first read, once
+        _, boundary, _ = cycbar._integer_complex(3, 5)
+        assert np.array_equal(again.boundary[2], boundary[2] % 2)
+        assert again.boundary is vars(again)["boundary"]
+
     def test_frozen_summaries(self):
         s = reduced_homology(generate_complex(2, 1, 2))
         assert s.ranks == {0: 1, 1: 1}

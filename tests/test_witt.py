@@ -6,6 +6,7 @@ a handful of coordinate identities small enough to check by enumeration.
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from ktrunc.exactalg import GhostInversionError
 from ktrunc.witt import (
     TruncationSet,
     WittVector,
+    _coords_from_ghost,
     from_ghost,
     frobenius,
     ghost,
@@ -85,8 +87,21 @@ class TestGhost:
         assert ghost(a) == (2, 10, 23)
 
     def test_off_image_rejected(self):
-        with pytest.raises(GhostInversionError):
+        with pytest.raises(GhostInversionError,
+                           match="^ghost vector not in the image: "
+                                 "component 2 off by 1$"):
             from_ghost(TruncationSet.big(2), (0, 1))
+
+    def test_one_bad_element_in_a_column_rejected(self):
+        # w_2 = a_1^2 + 2 a_2: columns hold one component of three vectors,
+        # and only the middle one of (1, 2) has no integral preimage
+        ts = TruncationSet.big(2)
+        good = _coords_from_ghost(ts, (np.array([1, 1, 1]),
+                                       np.array([1, 3, 5])))
+        assert [c.tolist() for c in good] == [[1, 1, 1], [0, 1, 2]]
+        with pytest.raises(GhostInversionError, match="component 2 off by 1"):
+            _coords_from_ghost(ts, (np.array([1, 1, 1]),
+                                    np.array([1, 2, 5])))
 
     def test_ghost_needs_integral_vector(self):
         with pytest.raises(ValueError):

@@ -7,22 +7,29 @@ them with no structure theory.
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktrunc.exactalg import GroupStructure
-from ktrunc.witt import TruncationSet, WittVector, witt_scalar
+from ktrunc.exactalg import GroupStructure, is_prime
+from ktrunc.witt import (TruncationSet, WittVector, _coords_from_ghost,
+                         _ghost_coords, witt_scalar)
 from ktrunc.wittsplit import (
     ENUM_CAP,
+    INT64_LIMIT,
+    MUL_P_BLOCK,
     EnumerationBoundError,
+    Int64BoundError,
     SplitParams,
+    _addition_bound,
     _mul_p_map,
     brute_force_quotient,
     h_function,
     predicted_quotient,
     s_function,
 )
+from oracle_utils import mul_p_codes
 
 
 class TestSplitParams:
@@ -180,3 +187,50 @@ class TestMulPMap:
             params = SplitParams(2, r, e)
             assert brute_force_quotient(params) == predicted_quotient(params)
         assert _mul_p_map.cache_info().misses == 1
+
+    # The oracle makes p^n (p-1) additions one element at a time, which
+    # limits the primes; the grids of route A use p <= 7.
+    @pytest.mark.parametrize("p, n", [
+        (p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 13)
+        if p ** n <= MUL_P_BLOCK])
+    def test_blocks_match_one_element_at_a_time(self, p, n):
+        ts = TruncationSet.big(n)
+        assert _mul_p_map.__wrapped__(p, ts).tolist() == mul_p_codes(p, ts)
+
+    def test_several_blocks_match_one_element_at_a_time(self):
+        ts = TruncationSet.big(14)
+        assert 2 ** 14 > 2 * MUL_P_BLOCK
+        assert _mul_p_map.__wrapped__(2, ts).tolist() == mul_p_codes(2, ts)
+
+    def test_int64_bound_holds_up_to_the_cap(self):
+        for p in filter(is_prime, range(2, 1025)):
+            n = 1
+            while p ** (n + 1) <= ENUM_CAP:
+                n += 1
+            assert _addition_bound(p, TruncationSet.big(n)) < INT64_LIMIT, p
+
+    @pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3)])
+    def test_bound_covers_every_sum(self, p, n):
+        # Over all pairs x, y in W_S(F_p) at once: every ghost component of
+        # x + y, and every term d * a_d^(n/d) its inversion subtracts and
+        # every partial sum left, lies within the bound.
+        ts = TruncationSet.big(n)
+        pairs = np.array(list(product(range(p), repeat=2 * n))).T
+        ghost = tuple(a + b for a, b in zip(_ghost_coords(ts, pairs[:n]),
+                                            _ghost_coords(ts, pairs[n:])))
+        coords = _coords_from_ghost(ts, ghost)
+        seen = []
+        for acc, terms in zip(ghost, ts._ghost_terms):
+            seen.append(acc)
+            for pos, d, e in terms[:-1]:
+                term = d * coords[pos] ** e
+                acc = acc - term
+                seen += [term, acc]
+        assert 0 < np.abs(np.array(seen)).max() <= _addition_bound(p, ts)
+
+    def test_refuses_a_build_past_int64(self):
+        # W_54(F_2) is the first big Witt ring over F_2 whose bound reaches
+        # 2^62; the refusal comes before any array is allocated.
+        assert _addition_bound(2, TruncationSet.big(53)) < INT64_LIMIT
+        with pytest.raises(Int64BoundError):
+            _mul_p_map.__wrapped__(2, TruncationSet.big(54))
