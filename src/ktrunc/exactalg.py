@@ -4,10 +4,18 @@ and ranks, kernels and solutions over F_p.
 
 All integer work is arbitrary precision and all mod-p work reduces into
 [0, p) before touching int64 arrays, so nothing here ever rounds.
+
+The chain-complex matrices that reach this module are sparse and mostly
++-1, so fp_rank, smith_normal_form and IntMatrix.apply do work only on
+nonzero entries: fp_rank eliminates rows kept as dicts, and the Smith form
+and apply skip zeros without changing a single transform.  fp_rref, and the
+kernel bases and solutions built on it, stay dense numpy row reductions;
+their pivots choose the mod-p homology generators.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -157,9 +165,13 @@ class GroupStructure:
 
 
 class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries."""
+    """Dense integer matrix with arbitrary-precision entries.
 
-    __slots__ = ("rows", "cols", "entries")
+    The first apply() indexes the nonzero entries of each column; the
+    index is a cache, so equality and hashing read only the entries.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None,
                  cols: int | None = None):
@@ -175,6 +187,7 @@ class IntMatrix:
         if cols is not None and ents and cols != c:
             raise ValueError("column count mismatch")
         self.rows, self.cols, self.entries = r, c, ents
+        self._columns = None
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -200,17 +213,19 @@ class IntMatrix:
         return m
 
     def apply(self, vec: Sequence[int]) -> list[int]:
-        """self @ vec, adding one column of self per nonzero entry of vec."""
+        """self @ vec, adding the nonzero entries of one column of self per
+        nonzero entry of vec."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in apply")
+        if self._columns is None:
+            cols = zip(*self.entries) if self.rows else [()] * self.cols
+            self._columns = [[(i, a) for i, a in enumerate(col) if a]
+                             for col in cols]
         out = [0] * self.rows
-        rows = self.entries
         for k, x in enumerate(vec):
             if x:
-                for i, row in enumerate(rows):
-                    a = row[k]
-                    if a:
-                        out[i] += a * x
+                for i, a in self._columns[k]:
+                    out[i] += a * x
         return out
 
     def diagonal_entries(self) -> list[int]:
@@ -237,37 +252,30 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     Pivot choice is the entry of smallest absolute value, ties broken by
     lowest row index then lowest column index, so the reduction is
     deterministic.  The pivot search stops at the first entry of absolute
-    value 1, a unit pivot skips the divisibility sweep, and row and column
-    operations touch only the nonzero entries they add: boundary matrices
-    are sparse and mostly +-1.
+    value 1, and a unit pivot skips the divisibility sweep.  Boundary
+    matrices are sparse and mostly +-1, so every operation touches only
+    nonzero entries: v is kept as a list of its columns until the end,
+    which makes its column operations row operations; each sweep collects
+    the nonzero entries of the pivot row of a and u (or the pivot column
+    of v) once; and since the row sweep leaves column t of a zero except
+    at the pivot, a column operation changes one entry of a.
     """
     R, C = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    vc = [[1 if i == j else 0 for i in range(C)] for j in range(C)]
 
-    def row_add(i, j, q):  # row_i += q * row_j
-        for src, dst in ((a[j], a[i]), (u[j], u[i])):
-            for k, x in enumerate(src):
-                if x:
-                    dst[k] += q * x
-
-    def col_add(j, i, q):  # col_j += q * col_i
-        for rows in (a, v):
-            for row in rows:
-                x = row[i]
-                if x:
-                    row[j] += q * x
+    def nonzeros(row):
+        return [(k, x) for k, x in enumerate(row) if x]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
-    def col_swap(i, j):
-        for row in a:
+    def col_swap(i, j):  # rows above t are zero in columns t and beyond
+        for row in a[t:]:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vc[i], vc[j] = vc[j], vc[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -299,10 +307,15 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
             row_negate(t)
         while True:
             piv = a[t][t]
+            pivot_a, pivot_u = nonzeros(a[t]), nonzeros(u[t])
             for i in range(t + 1, R):
                 q = a[i][t] // piv
-                if q:
-                    row_add(i, t, -q)
+                if q:  # row_i -= q * row_t
+                    ai, ui = a[i], u[i]
+                    for k, x in pivot_a:
+                        ai[k] -= q * x
+                    for k, x in pivot_u:
+                        ui[k] -= q * x
             rem = [i for i in range(t + 1, R) if a[i][t]]
             if rem:
                 i = min(rem, key=lambda k: (abs(a[k][t]), k))
@@ -310,13 +323,17 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                 if a[t][t] < 0:
                     row_negate(t)
                 continue
+            at, pivot_v = a[t], nonzeros(vc[t])
             for j in range(t + 1, C):
-                q = a[t][j] // piv
-                if q:
-                    col_add(j, t, -q)
-            rem = [j for j in range(t + 1, C) if a[t][j]]
+                q = at[j] // piv
+                if q:  # col_j -= q * col_t
+                    at[j] -= q * piv
+                    vj = vc[j]
+                    for k, x in pivot_v:
+                        vj[k] -= q * x
+            rem = [j for j in range(t + 1, C) if at[j]]
             if rem:
-                j = min(rem, key=lambda k: (abs(a[t][k]), k))
+                j = min(rem, key=lambda k: (abs(at[k]), k))
                 col_swap(t, j)
                 if a[t][t] < 0:
                     row_negate(t)
@@ -334,12 +351,14 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                     break
             if bad is None:
                 break
-            row_add(t, bad, 1)  # pulls the offending row up; pivot will shrink
+            # pull the offending row up; the pivot will shrink
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         t += 1
 
     return SNFResult(IntMatrix(a, rows=R, cols=C),
                      IntMatrix(u, rows=R, cols=R),
-                     IntMatrix(v, rows=C, cols=C))
+                     IntMatrix(list(zip(*vc)), rows=C, cols=C))
 
 
 def _solve_integer(snf: SNFResult, w: Sequence[int]) -> list[int]:
@@ -455,10 +474,14 @@ def _as_mod_array(mat, p: int) -> np.ndarray:
     return np.mod(np.asarray(mat, dtype=np.int64), p)
 
 
-def fp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over F_p; returns (rref, pivot columns)."""
+def _check_modulus(p: int) -> None:
     if not is_prime(p) or p > _P_LIMIT:
         raise ValueError(f"p = {p} out of range for mod-p reduction")
+
+
+def fp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form over F_p; returns (rref, pivot columns)."""
+    _check_modulus(p)
     a = _as_mod_array(mat, p)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -484,7 +507,53 @@ def fp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def fp_rank(mat, p: int) -> int:
-    return len(fp_rref(mat, p)[1])
+    """Rank over F_p by sparse elimination.
+
+    Each row is a dict from column to its nonzero residue, and each column
+    knows the set of rows that use it.  The shortest remaining row is
+    eliminated first (a heap with lazy invalidation), pivoting on its entry
+    whose column has the fewest rows, so fill-in stays small on boundary
+    matrices, which have at most n+1 nonzeros per column.
+    """
+    _check_modulus(p)
+    a = _as_mod_array(mat, p)
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    users: dict[int, set[int]] = {}
+    ii, jj = np.nonzero(a)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        rows[i][j] = x
+        users.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if size != len(row):
+            continue  # stale: the row changed since this entry was pushed
+        c = min(row, key=lambda j: (len(users[j]), j))
+        scale = pow(row[c], p - 2, p)
+        for j in row:
+            users[j].discard(i)
+        for k in users.pop(c):
+            other = rows[k]
+            f = other.pop(c) * scale % p
+            for j, x in row.items():
+                if j == c:
+                    continue
+                y = (other.get(j, 0) - f * x) % p
+                if y:
+                    if j not in other:
+                        users[j].add(k)
+                    other[j] = y
+                elif j in other:
+                    del other[j]
+                    users[j].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+        rows[i] = {}
+        rank += 1
+    return rank
 
 
 def fp_kernel_basis(mat, p: int) -> np.ndarray:

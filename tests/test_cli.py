@@ -1,12 +1,18 @@
 """Command-line behavior: output formats, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ktrunc import cycbar, tcassemble
 from ktrunc.cli import main
 from ktrunc.wittsplit import ENUM_CAP
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -149,6 +155,19 @@ class TestHH:
         (entry,) = json.loads(out)["homology"]
         assert entry["expected"] == {"0": 2}
         assert entry["ranks"] == {"0": 1, "1": 1}
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, capsys):
+        argv = ["hh", "--p", "3", "--e", "2", "--m", "3"]
+        code, out = run_cli(capsys, *argv)
+        path = os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "ktrunc", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr == ""
 
 
 class TestVerify:

@@ -1,11 +1,15 @@
 """Integer and mod-p linear algebra, checked against cofactor determinants,
 gcd-of-minors invariant factors, and exhaustive kernel enumeration."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ktrunc import cycbar
+from ktrunc.cycbar import _integer_complex, _integral_connes_scalar
 from ktrunc.exactalg import (
     GhostInversionError,
     GroupStructure,
@@ -28,6 +32,7 @@ from oracle_utils import (
     dense_apply,
     kernel_by_enumeration,
     minor_gcd_invariants,
+    rank_mod_p,
     reference_snf,
     reference_solve,
 )
@@ -138,8 +143,23 @@ def sparse_matrices(draw, max_dim=7):
              for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs past 20 s: a Smith form whose column sweep
+    leaves row t nonzero swaps columns forever instead of failing."""
+    def expire(signum, frame):
+        raise TimeoutError("test did not finish in 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestFastPathsMatchReference:
-    """The unit-pivot exits and zero skipping change no transform."""
+    """The unit-pivot exits, zero skipping and v kept by columns change no
+    transform."""
 
     @given(st.one_of(sparse_matrices(), int_matrices()), st.data())
     @settings(max_examples=200, deadline=None)
@@ -165,6 +185,62 @@ class TestFastPathsMatchReference:
                     _solve_integer(snf, w)
             else:
                 assert _solve_integer(snf, w) == want
+
+    @pytest.mark.parametrize("e, m", [(4, 8), (5, 9)])
+    def test_bar_complex_boundaries(self, e, m, time_limit):
+        _, boundary, _ = _integer_complex(e, m)
+        for b in boundary:
+            self.assert_reference_snf(b.tolist(), *b.shape)
+
+    def test_stacked_connes_system(self, monkeypatch, time_limit):
+        """The matrix [generator | boundaries] that the integral Connes
+        scalar solves against, at (e, m) = (3, 7)."""
+        systems = []
+
+        def recording_solve(g, w):
+            systems.append(g)
+            return integer_solve(g, w)
+
+        monkeypatch.setattr(cycbar, "integer_solve", recording_solve)
+        _integral_connes_scalar.__wrapped__(3, 7)
+        (g,) = systems
+        assert (g.rows, g.cols) == (16, 8)
+        self.assert_reference_snf([list(r) for r in g.entries], g.rows,
+                                  g.cols)
+
+    @staticmethod
+    def assert_reference_snf(rows, R, C):
+        snf = smith_normal_form(IntMatrix(rows, rows=R, cols=C))
+        d, u, v = reference_snf(rows, R, C)
+        assert [list(r) for r in snf.d.entries] == d
+        assert [list(r) for r in snf.u.entries] == u
+        assert [list(r) for r in snf.v.entries] == v
+
+
+class TestColumnIndex:
+    """IntMatrix.apply caches a column index; equality ignores it."""
+
+    def test_equal_and_same_hash_after_one_applies(self):
+        rows = [[0, 2, 0], [-1, 0, 3]]
+        first, second = IntMatrix(rows), IntMatrix(rows)
+        assert first.apply([1, 1, 1]) == [2, 2]
+        assert first == second and hash(first) == hash(second)
+        assert {first: "x"}[second] == "x"
+        assert first != IntMatrix([[0, 2, 0], [-1, 0, 4]])
+
+    @given(st.one_of(sparse_matrices(), int_matrices()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_apply_matches_dense(self, rows, data):
+        g = IntMatrix(rows)
+        small = st.sampled_from([0, 0, 1, -1, 3])
+        for _ in range(3):
+            vec = data.draw(st.lists(small, min_size=g.cols,
+                                     max_size=g.cols))
+            assert g.apply(vec) == dense_apply(rows, vec)
+
+    def test_empty_shapes(self):
+        assert IntMatrix([], cols=3).apply([1, 2, 3]) == []
+        assert IntMatrix([[], []]).apply([]) == [0, 0]
 
 
 class TestIntegerSolve:
@@ -321,3 +397,56 @@ class TestModP:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             fp_rank(np.array([[1]]), 4)
+
+
+@st.composite
+def sparse_mod_p_matrices(draw, max_dim=30):
+    """Mostly-zero matrices up to max_dim square, some entries multiples of
+    p, plus rows that are combinations of earlier rows, so elimination
+    cancels entries and whole rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    values = st.sampled_from([0] * 8 + [1, -1, 2, p, p + 1, -3])
+    rows = draw(st.lists(st.lists(values, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for _ in range(draw(st.integers(0, max_dim - r))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(
+            st.integers(0, len(rows) - 1))
+        f = draw(st.integers(1, p - 1)) if p > 2 else 1
+        rows.append([x + f * y for x, y in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[k] for k in order], dtype=np.int64), p
+
+
+class TestSparseRank:
+    """fp_rank eliminates sparsely; rank_mod_p and fp_rref are dense."""
+
+    @given(sparse_mod_p_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle(self, case):
+        a, p = case
+        assert fp_rank(a, p) == rank_mod_p(a.tolist(), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_empty_and_zero_mod_p(self, p):
+        for n in (0, 1, 4):
+            for a in (np.zeros((0, n), dtype=np.int64),
+                      np.zeros((n, 0), dtype=np.int64),
+                      np.full((n, n), p, dtype=np.int64),
+                      np.array([[p, -p, 0]] * n, dtype=np.int64)
+                      .reshape(n, 3)):
+                assert fp_rank(a, p) == rank_mod_p(a.tolist(), p) == 0
+
+    def test_matches_rref_pivots_on_every_boundary(self):
+        for e in range(2, 6):
+            for m in range(1, 11):
+                _, boundary, _ = _integer_complex(e, m)
+                for p in (2, 3, 5):
+                    for n, b in enumerate(boundary):
+                        assert fp_rank(b, p) == len(fp_rref(b, p)[1]), (
+                            e, m, p, n)
+
+    def test_rejects_large_modulus(self):
+        with pytest.raises(ValueError):
+            fp_rank(np.array([[1]]), 1048583)
