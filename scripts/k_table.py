@@ -14,14 +14,14 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ktrunc.exactalg import is_prime
-from ktrunc.tcassemble import tc_groups
+from ktrunc.tcassemble import group_in_degree
 
 
 def render_block(p: int, emax: int, rmax: int, f: int) -> str:
     cells = {}
     for e in range(2, emax + 1):
         for r in range(1, rmax + 1):
-            cells[(e, r)] = str(tc_groups(p, e, r, f))
+            cells[(e, r)] = str(group_in_degree(p, e, 2 * r - 1, f))
     widths = {
         e: max(len(f"e={e}"), *(len(cells[(e, r)]) for r in range(1, rmax + 1)))
         for e in range(2, emax + 1)

@@ -236,20 +236,27 @@ class RouteCase(NamedTuple):
 
 
 def route_agreement(grid, enum_bound: int = 1 << 16) -> list[RouteCase]:
-    """Routes A, B and C agree in degree 2r-1 and degree 2r is trivial,
+    """Routes A (enumerated Witt quotient), B (h-function product) and C
+    (equalizer assembly) agree in degree 2r-1 and degree 2r is trivial,
     per (p, e, r).  Route A is skipped above enum_bound elements.  Each
     case is returned, failing or not, since callers report every one."""
     cases = []
     for p, e, r in grid:
+        params = wittsplit.SplitParams(p, r, e)
+        predicted = wittsplit.predicted_quotient(params)
         try:
-            report = tcassemble.cross_check(p, e, r, enum_bound)
+            assembled = tcassemble.group_in_degree(p, e, 2 * r - 1)
         except tcassemble.RouteDisagreementError as exc:
             cases.append(RouteCase(p, e, r, False, False, str(exc)))
             continue
-        ran = report.brute is not None
-        detail = (f"A={report.brute if ran else 'skipped'} "
-                  f"B={report.predicted} C={report.assembled}")
-        passed = report.passed
+        try:
+            brute = wittsplit.brute_force_quotient(params, enum_bound)
+        except wittsplit.EnumerationBoundError:
+            brute = None
+        ran = brute is not None
+        passed = assembled == predicted and (not ran or brute == predicted)
+        detail = (f"A={brute if ran else 'skipped'} "
+                  f"B={predicted} C={assembled}")
         if not tcassemble.group_in_degree(p, e, 2 * r).is_trivial():
             passed = False
             detail += ", even degree nontrivial"

@@ -25,7 +25,7 @@ def run_kgroups(cfg: argparse.Namespace) -> str:
     if cfg.fmt == "json":
         payload = {
             "p": cfg.p, "e": cfg.e, "f": cfg.f,
-            "groups": [{"degree": d, "factors": list(g.expanded_factors())}
+            "groups": [{"degree": d, "factors": list(g.factors)}
                        for d, g in rows]}
         return json.dumps(payload)
     width = max(len(str(g)) for _, g in rows)

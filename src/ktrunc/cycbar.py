@@ -313,33 +313,24 @@ def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:
     return None
 
 
-# Homology summaries by (e, m, p), oldest first; at most HOMOLOGY_CACHE_SIZE.
-_homology_memo: dict[tuple[int, int, int], HomologySummary] = {}
-
-
 def reduced_homology(c: NormalizedComplex) -> HomologySummary:
     """Homology ranks and the induced Connes scalar (see HomologySummary).
 
     Complexes come only from generate_complex(e, m, p), so (e, m, p) fixes
     the complex and its summary is computed once per triple and memoized;
-    the matrices are not kept, and callers share the summary.  The oldest
-    summary is dropped once the memo holds HOMOLOGY_CACHE_SIZE.
+    the matrices are not kept, and callers share the summary.
     """
-    key = (c.e, c.m, c.p)
-    if key not in _homology_memo:
-        if len(_homology_memo) >= HOMOLOGY_CACHE_SIZE:
-            del _homology_memo[next(iter(_homology_memo))]
-        _homology_memo[key] = _homology_summary(c)
-    return _homology_memo[key]
+    return _homology_summary(c.e, c.m, c.p)
 
 
-def _homology_summary(c: NormalizedComplex) -> HomologySummary:
+@lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
+def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
     """Each boundary map is row-reduced once: the rank in degree n is
     dim C_n - rank d_n - rank d_(n+1)."""
-    p = c.p
+    c = generate_complex(e, m, p)
     rk = [fp_rank(b, p) for b in c.boundary] + [0]
     ranks: dict[int, int] = {}
-    for n in range(c.m + 1):
+    for n in range(m + 1):
         h = c.dim(n) - rk[n] - rk[n + 1]
         if h:
             ranks[n] = h
@@ -351,7 +342,7 @@ def _homology_summary(c: NormalizedComplex) -> HomologySummary:
             ranks[d] == 1 for d in degs):
         lo, hi = degs
         if lo % 2 == 0:
-            scalar_int = _integral_connes_scalar(c.e, c.m)
+            scalar_int = _integral_connes_scalar(e, m)
             scalar = scalar_int % p
         else:
             gen_lo = _homology_generator(c, lo)

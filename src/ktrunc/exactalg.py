@@ -16,6 +16,7 @@ their pivots choose the mod-p homology generators.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,8 +52,8 @@ def p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _factor_prime_power(n: int) -> tuple[int, int]:
-    """Split n as p**k for a single prime p, or raise."""
+def _check_prime_power(n: int) -> None:
+    """Raise unless n is p**k for a single prime p and k >= 1."""
     if n < 2:
         raise ValueError(f"{n} is not a prime power")
     p = 2
@@ -61,15 +62,12 @@ def _factor_prime_power(n: int) -> tuple[int, int]:
             break
         p += 1
     else:
-        return n, 1
-    k = 0
+        return
     m = n
     while m % p == 0:
         m //= p
-        k += 1
     if m != 1:
         raise ValueError(f"{n} is not a prime power")
-    return p, k
 
 
 def _split_prime_powers(n: int) -> list[int]:
@@ -91,77 +89,44 @@ def _split_prime_powers(n: int) -> list[int]:
 
 
 class GroupStructure:
-    """A finite abelian group, as its sorted list of prime-power factors.
-
-    Internally each factor is kept as a (prime, exponent) pair and rendered
-    as p**h on the way out.  The trivial group has no factors.  The
-    residue_degree f repeats every factor f times, which is the effect of
-    extending the coefficient field to the degree-f extension; factors()
-    stays at the f = 1 level and expanded_factors() applies the repetition.
+    """A finite abelian group, as the sorted tuple of its prime-power
+    factors.  Factors equal to 1 are dropped, so the trivial group has
+    none, and any other factor that is not a prime power raises ValueError.
     """
 
-    __slots__ = ("_pairs", "residue_degree")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[int] = (), residue_degree: int = 1):
-        if residue_degree < 1:
-            raise ValueError("residue_degree must be >= 1")
-        pairs = []
-        for f in factors:
-            f = int(f)
-            if f == 1:
-                continue
-            pairs.append(_factor_prime_power(f))
-        pairs.sort(key=lambda t: (t[0] ** t[1], t[0]))
-        self._pairs = tuple(pairs)
-        self.residue_degree = int(residue_degree)
-
-    @classmethod
-    def from_prime_exponents(cls, p: int, exponents: Iterable[int],
-                             residue_degree: int = 1) -> "GroupStructure":
-        return cls((p ** h for h in exponents if h > 0), residue_degree)
-
-    @classmethod
-    def trivial(cls, residue_degree: int = 1) -> "GroupStructure":
-        return cls((), residue_degree)
-
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return tuple(p ** h for p, h in self._pairs)
-
-    def expanded_factors(self) -> tuple[int, ...]:
-        out = []
+    def __init__(self, factors: Iterable[int] = ()):
+        self.factors = tuple(sorted(f for f in map(int, factors) if f != 1))
         for f in self.factors:
-            out.extend([f] * self.residue_degree)
-        out.sort()
-        return tuple(out)
+            _check_prime_power(f)
+
+    @classmethod
+    def from_prime_exponents(cls, p: int,
+                             exponents: Iterable[int]) -> "GroupStructure":
+        return cls(p ** h for h in exponents if h > 0)
 
     def order(self) -> int:
-        n = 1
-        for f in self.expanded_factors():
-            n *= f
-        return n
+        return math.prod(self.factors)
 
     def is_trivial(self) -> bool:
-        return not self._pairs
+        return not self.factors
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupStructure):
             return NotImplemented
-        return (self._pairs == other._pairs
-                and self.residue_degree == other.residue_degree)
+        return self.factors == other.factors
 
     def __hash__(self) -> int:
-        return hash((self._pairs, self.residue_degree))
+        return hash(self.factors)
 
     def __repr__(self) -> str:
-        return (f"GroupStructure({list(self.factors)!r}, "
-                f"residue_degree={self.residue_degree})")
+        return f"GroupStructure({list(self.factors)!r})"
 
     def __str__(self) -> str:
-        fs = self.expanded_factors()
-        if not fs:
+        if not self.factors:
             return "0"
-        return " x ".join(f"Z/{f}" for f in fs)
+        return " x ".join(f"Z/{f}" for f in self.factors)
 
 
 class IntMatrix:
@@ -434,7 +399,7 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
                     f"relation entry ({i},{j}) does not define a map of "
                     f"cyclic groups")
     if n == 0:
-        return GroupStructure.trivial()
+        return GroupStructure()
 
     # Lattice L = { x in Z^n : relations @ x = 0 mod target }: kernel of the
     # stacked map [relations | -diag(target)] on Z^(n+mm), projected to the

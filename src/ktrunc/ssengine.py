@@ -252,10 +252,6 @@ class TowerGroup:
     """Closed-form lengths: the degree-(2r+1) homotopy of the Tate and
     negative-cyclic towers at one weight is cyclic of the stated length."""
 
-    p: int
-    e: int
-    m: int
-    r: int
     tp_length: int
     tcminus_length: int
 
@@ -272,7 +268,7 @@ def closed_form(p: int, e: int, m: int, r: int) -> TowerGroup:
         raise ValueError("need m >= 1 and e >= 1")
     if m % e == 0:
         u = p_valuation(e, p)
-        return TowerGroup(p, e, m, r, u, u)
+        return TowerGroup(u, u)
     v = p_valuation(m, p)
     tcminus = v + 1 if r >= d_function(e, m) else v
-    return TowerGroup(p, e, m, r, v, tcminus)
+    return TowerGroup(v, tcminus)

@@ -1,5 +1,5 @@
-"""Assembly of the odd relative K-groups of k[x]/(x^e) from per-weight
-equalizer kernels, with a three-route cross-check.
+"""Route C: the relative K-groups of k[x]/(x^e), assembled from
+per-weight equalizer kernels.
 
 For each weight class m' prime to p there is a tower of cyclic p-groups
 indexed by v (the weight p^v m'), with two maps out of each stage: the
@@ -20,8 +20,8 @@ give 125.  The h-function comparison in tc_weight_group still runs on every
 call, hit or miss.  Hits and misses are read from
 equalizer_kernel.cache_info().
 
-Routes compared: A = enumerated Witt quotient, B = h-function product,
-C = this equalizer assembly.
+checks.route_agreement compares this route with route A (the enumerated
+Witt quotient) and route B (the h-function product).
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from functools import lru_cache
 from .exactalg import (GroupStructure, IntMatrix, is_prime, kernel_invariants,
                        p_valuation)
 from .ssengine import closed_form
-from .wittsplit import (EnumerationBoundError, SplitParams,
-                        brute_force_quotient, h_function, predicted_quotient,
-                        s_function)
+from .wittsplit import h_function, s_function
 
 # Bound on memoized equalizer kernels: about 8x the 125 distinct tower
 # models of the largest grid above.
@@ -152,53 +150,20 @@ def tc_weight_group(p: int, e: int, r: int, m_prime: int,
     return kernel
 
 
-def tc_groups(p: int, e: int, r: int, f: int = 1) -> GroupStructure:
-    """K_{2r-1}(k[x]/(x^e), (x)) for k the field of order p^f, as degree
-    2r-1 of the relative cyclic theory (the identification is an input,
-    not recomputed): product over weights m' <= re prime to p, each
-    factor repeated f times."""
-    if f < 1:
-        raise ValueError("residue degree must be >= 1")
-    factors: list[int] = []
-    for m_prime in range(1, r * e + 1):
-        if m_prime % p:
-            factors.extend(tc_weight_group(p, e, r, m_prime).factors)
-    return GroupStructure(factors, residue_degree=f)
-
-
 def group_in_degree(p: int, e: int, degree: int, f: int = 1) -> GroupStructure:
-    """Relative K-group in any degree >= 0; even degrees vanish."""
+    """K_degree(k[x]/(x^e), (x)) for k the field of order p^f, as the same
+    degree of the relative cyclic theory (the identification is an input,
+    not recomputed).  Even degrees vanish.  Degree 2r-1 is the product of
+    the weight groups over m' <= re prime to p; the F_{p^f} answer is the
+    f-fold product of the f = 1 answer, so each factor is repeated f times.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if f < 1:
+        raise ValueError("residue degree must be >= 1")
     if degree % 2 == 0:
-        return GroupStructure.trivial(residue_degree=f)
-    return tc_groups(p, e, (degree + 1) // 2, f)
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    p: int
-    e: int
-    r: int
-    brute: GroupStructure | None
-    brute_note: str | None
-    predicted: GroupStructure
-    assembled: GroupStructure
-    passed: bool
-
-
-def cross_check(p: int, e: int, r: int,
-                enum_bound: int = 1 << 16) -> CrossCheckReport:
-    """Compare routes A (enumeration), B (closed form), C (assembly)."""
-    params = SplitParams(p, r, e)
-    predicted = predicted_quotient(params)
-    assembled = tc_groups(p, e, r, 1)
-    brute = None
-    note = None
-    try:
-        brute = brute_force_quotient(params, enum_bound)
-    except EnumerationBoundError as exc:
-        note = str(exc)
-    routes = [predicted, assembled] + ([brute] if brute is not None else [])
-    passed = all(g == routes[0] for g in routes)
-    return CrossCheckReport(p, e, r, brute, note, predicted, assembled, passed)
+        return GroupStructure()
+    r = (degree + 1) // 2
+    return GroupStructure(
+        factor for m_prime in range(1, r * e + 1) if m_prime % p
+        for factor in tc_weight_group(p, e, r, m_prime).factors * f)

@@ -164,12 +164,6 @@ def ghost(a: WittVector) -> tuple[int, ...]:
     return _ghost_coords(a.truncation, a.coords)
 
 
-def from_ghost(ts: TruncationSet, ghost_vec: Sequence[int]) -> WittVector:
-    if len(ghost_vec) != len(ts):
-        raise ValueError("ghost vector length does not match truncation set")
-    return WittVector(ts, _coords_from_ghost(ts, ghost_vec))
-
-
 def _lift(a: WittVector) -> WittVector:
     return WittVector(a.truncation, a.coords, None)
 

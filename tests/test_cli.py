@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from ktrunc import cycbar, tcassemble
+from ktrunc import cycbar, wittsplit
 from ktrunc.cli import main
 from ktrunc.wittsplit import ENUM_CAP
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *args):
@@ -22,11 +23,11 @@ def run_cli(capsys, *args):
 
 @pytest.fixture
 def fresh_homology_memo():
-    """An empty homology memo for a test that patches what fills it, and
-    none of its entries left behind for the next test."""
-    cycbar._homology_memo.clear()
+    """An empty homology memo with zeroed counts for a test that reads
+    them, and none of its entries left behind for the next test."""
+    cycbar._homology_summary.cache_clear()
     yield
-    cycbar._homology_memo.clear()
+    cycbar._homology_summary.cache_clear()
 
 
 class TestKGroups:
@@ -129,21 +130,14 @@ class TestHH:
         _, out = run_cli(capsys, "hh", "--p", "3", "--e", "3", "--m", "11")
         assert out == "deg 6: 1, deg 7: 1, B = 1\n"
 
-    def test_one_homology_computation_per_weight(self, capsys, monkeypatch,
+    def test_one_homology_computation_per_weight(self, capsys,
                                                  fresh_homology_memo):
         # the page dump reuses the summary of the weight's own line
-        computed = []
-        summary = cycbar._homology_summary
-
-        def counted(c):
-            computed.append((c.e, c.m, c.p))
-            return summary(c)
-
-        monkeypatch.setattr(cycbar, "_homology_summary", counted)
         code, _ = run_cli(capsys, "hh", "--p", "3", "--e", "3", "--mmax",
                           "7", "--dump-page", "hfp")
         assert code == 0
-        assert computed == [(3, m, 3) for m in range(1, 8)]
+        info = cycbar._homology_summary.cache_info()
+        assert (info.misses, info.hits) == (7, 7)
 
     def test_mismatch_reported_in_both_formats(self, capsys, monkeypatch):
         monkeypatch.setattr(cycbar, "predicted_homology",
@@ -168,6 +162,21 @@ class TestModuleEntryPoint:
                               env={**os.environ, "PYTHONPATH": path})
         assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr == ""
+
+
+class TestScripts:
+    def test_k_table(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "k_table.py"),
+             "--primes", "2", "--emax", "3", "--rmax", "2", "--f", "2"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [ln.rstrip() for ln in proc.stdout.splitlines()] == [
+            "p = 2, residue degree f = 2",
+            "degree  e=2                    e=3",
+            "-" * 52,
+            "K_1     Z/2 x Z/2              Z/4 x Z/4",
+            "K_3     Z/2 x Z/2 x Z/2 x Z/2  Z/2 x Z/2 x Z/8 x Z/8"]
 
 
 class TestVerify:
@@ -243,7 +252,7 @@ class TestUsageErrors:
         def enumerate_nothing(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(tcassemble, "brute_force_quotient",
+        monkeypatch.setattr(wittsplit, "brute_force_quotient",
                             enumerate_nothing)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "routes", "--enum-bound", str(bound)])

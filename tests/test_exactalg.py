@@ -63,8 +63,8 @@ class TestGroupStructure:
         assert g.order() == 16
 
     def test_trivial(self):
-        assert str(GroupStructure.trivial()) == "0"
-        assert GroupStructure.trivial().is_trivial()
+        assert str(GroupStructure()) == "0"
+        assert GroupStructure().is_trivial()
         assert GroupStructure([1, 1]).is_trivial()
 
     def test_rejects_non_prime_power(self):
@@ -74,13 +74,6 @@ class TestGroupStructure:
     def test_from_prime_exponents_drops_zeros(self):
         g = GroupStructure.from_prime_exponents(2, [0, 3, 0, 1])
         assert g.factors == (2, 8)
-
-    def test_residue_degree_repeats_factors(self):
-        g = GroupStructure([4, 2], residue_degree=2)
-        assert g.factors == (2, 4)
-        assert g.expanded_factors() == (2, 2, 4, 4)
-        assert g.order() == 64
-        assert g != GroupStructure([4, 2])
 
     def test_sort_key_is_order_then_prime(self):
         g = GroupStructure([9, 2, 8, 3])
@@ -332,7 +325,7 @@ class TestKernelInvariants:
         want = kernel_by_enumeration(
             [list(r) for r in relations.entries], src, tgt
         )
-        assert list(got.expanded_factors()) == want
+        assert list(got.factors) == want
 
     def test_identity_and_zero_maps(self):
         ident = IntMatrix([[1, 0], [0, 1]])

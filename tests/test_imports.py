@@ -1,11 +1,15 @@
-"""Every name a ktrunc module imports is used in that module."""
+"""Every name a ktrunc module imports is used in that module, and every
+public function and class it defines is read outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ktrunc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ktrunc"
+# Where a public name of ktrunc must be read for it to count as used.
+READERS = (SRC, ROOT / "scripts", ROOT / "bench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +36,42 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names a module reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def unread_public_names(modules: dict[str, str],
+                        readers: list[str]) -> list[str]:
+    """Public top-level functions and classes of `modules` (name to source)
+    that no source in `readers` reads."""
+    read = set().union(*map(loaded_names, readers))
+    return [f"{module}.{node.name}" for module, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for folder in READERS
+               for path in sorted(folder.rglob("*.py"))]
+    assert unread_public_names(modules, readers) == []
+
+
+def test_an_unread_public_name_is_reported():
+    modules = {"m": "def used(): pass\ndef unused(): pass\n"
+                    "class _Private: pass\nclass Shape: pass\n"}
+    readers = ["import m\nm.used()\n", "from m import Shape\n"]
+    assert unread_public_names(modules, readers) == ["m.unused"]

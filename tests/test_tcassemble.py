@@ -1,21 +1,19 @@
-"""Equalizer towers and the assembled odd K-groups, cross-checked against
-exhaustive kernel enumeration and the route comparison."""
+"""Equalizer towers and the assembled K-groups, cross-checked against
+exhaustive kernel enumeration and route B."""
 
 import random
 
 import pytest
 
-from ktrunc import tcassemble
+from ktrunc import checks, tcassemble, wittsplit
 from ktrunc.exactalg import GroupStructure, p_valuation
 from ktrunc.tcassemble import (
     EQUALIZER_CACHE_SIZE,
     EqualizerModel,
     RouteDisagreementError,
     build_equalizer_model,
-    cross_check,
     equalizer_kernel,
     group_in_degree,
-    tc_groups,
     tc_weight_group,
 )
 from ktrunc.wittsplit import (SplitParams, h_function, predicted_quotient,
@@ -103,7 +101,7 @@ class TestEqualizerKernel:
                 [p**t for t in model.target_lengths],
             )
             got = equalizer_kernel(model)
-            assert list(got.expanded_factors()) == want, (p, e, r, m_prime)
+            assert list(got.factors) == want, (p, e, r, m_prime)
 
     def test_weight_groups(self):
         assert tc_weight_group(2, 2, 2, 1).factors == (2,)
@@ -159,11 +157,12 @@ class TestKernelMemo:
         weights = [(p, e, r, m_prime) for p, e, r in grid
                    for m_prime in range(1, r * e + 1) if m_prime % p]
         models = {build_equalizer_model(*w) for w in weights}
-        first = [tc_groups(p, e, r) for p, e, r in grid]
+        first = [group_in_degree(p, e, 2 * r - 1) for p, e, r in grid]
         info = equalizer_kernel.cache_info()
         assert info.misses == len(models) < len(weights)
         assert info.hits == len(weights) - len(models)
-        assert [tc_groups(p, e, r) for p, e, r in grid] == first
+        assert [group_in_degree(p, e, 2 * r - 1)
+                for p, e, r in grid] == first
         again = equalizer_kernel.cache_info()
         assert again.misses == info.misses
         assert again.hits == info.hits + len(weights)
@@ -182,18 +181,19 @@ class TestKernelMemo:
 
 class TestAssembledGroups:
     def test_frozen_odd_groups(self):
-        assert tc_groups(2, 2, 2).factors == (2, 2)
-        assert tc_groups(2, 3, 2).factors == (2, 8)
-        assert tc_groups(3, 3, 1).factors == (3, 3)
-        assert tc_groups(2, 3, 1).factors == (4,)
-        assert tc_groups(2, 6, 1).factors == (2, 2, 8)
-        assert tc_groups(3, 6, 1).factors == (3, 3, 3, 9)
+        assert group_in_degree(2, 2, 3).factors == (2, 2)
+        assert group_in_degree(2, 3, 3).factors == (2, 8)
+        assert group_in_degree(3, 3, 1).factors == (3, 3)
+        assert group_in_degree(2, 3, 1).factors == (4,)
+        assert group_in_degree(2, 6, 1).factors == (2, 2, 8)
+        assert group_in_degree(3, 6, 1).factors == (3, 3, 3, 9)
 
     def test_orders(self):
         for p in (2, 3):
             for e in (2, 3, 4):
                 for r in (1, 2, 3):
-                    assert tc_groups(p, e, r).order() == p ** (r * (e - 1))
+                    assert (group_in_degree(p, e, 2 * r - 1).order()
+                            == p ** (r * (e - 1)))
 
     def test_group_in_degree(self):
         assert group_in_degree(2, 3, 3).factors == (2, 8)
@@ -204,39 +204,60 @@ class TestAssembledGroups:
             group_in_degree(2, 3, -1)
 
     def test_residue_degree_expansion(self):
-        g = tc_groups(2, 3, 1, f=2)
-        assert g.factors == (4,)
-        assert g.expanded_factors() == (4, 4)
+        g = group_in_degree(2, 3, 1, f=2)
+        assert g.factors == (4, 4)
         assert g.order() == 16
-        assert group_in_degree(2, 3, 0, f=3).residue_degree == 3
+        assert group_in_degree(2, 3, 0, f=3).is_trivial()
+
+    def test_residue_degree_repeats_each_factor(self):
+        # the F_{p^f} answer is the f-fold product of the f = 1 answer
+        for p in (2, 3):
+            for e in range(1, 5):
+                for d in range(6):
+                    once = group_in_degree(p, e, d).factors
+                    for f in (1, 2, 3):
+                        assert (group_in_degree(p, e, d, f).factors
+                                == tuple(sorted(once * f))), (p, e, d, f)
 
     def test_residue_degree_validated(self):
         with pytest.raises(ValueError):
-            tc_groups(2, 3, 1, f=0)
+            group_in_degree(2, 3, 1, f=0)
 
     def test_route_c_matches_route_b_on_the_kgroups_table_grid(self):
         for p in (2, 3, 5):
             for e in range(2, 9):
                 for r in range(1, 17):
-                    assert tc_groups(p, e, r) == predicted_quotient(
-                        SplitParams(p, r, e)), (p, e, r)
+                    assert group_in_degree(p, e, 2 * r - 1) == (
+                        predicted_quotient(SplitParams(p, r, e))), (p, e, r)
+
+
+class TestRouteAgreement:
+    def test_all_three_routes_small(self):
+        (case,) = checks.route_agreement([(2, 2, 2)])
+        assert case.passed and case.brute_ran
+        assert case.detail == "A=Z/2 x Z/2 B=Z/2 x Z/2 C=Z/2 x Z/2"
+
+    def test_route_a_skipped_over_bound(self):
+        (case,) = checks.route_agreement([(2, 3, 6)])
+        assert case.passed and not case.brute_ran
+        assert case.detail.startswith("A=skipped B=")
+
+    def test_wrong_route_a_fails_the_case(self, monkeypatch):
+        monkeypatch.setattr(wittsplit, "brute_force_quotient",
+                            lambda params, bound: GroupStructure([2]))
+        (case,) = checks.route_agreement([(2, 2, 2)])
+        assert not case.passed and case.brute_ran
+        assert case.detail.startswith("A=Z/2 B=Z/2 x Z/2 ")
+
+    def test_route_c_disagreement_fails_the_case(self, monkeypatch):
+        monkeypatch.setattr(tcassemble, "h_function",
+                            lambda *args: h_function(*args) + 1)
+        (case,) = checks.route_agreement([(2, 2, 2)])
+        assert not case.passed and not case.brute_ran
+        assert "equalizer kernel gives" in case.detail
 
 
 class TestCrossCheck:
-    def test_all_three_routes_small(self):
-        report = cross_check(2, 2, 2)
-        assert report.passed
-        assert report.brute is not None
-        assert report.brute == report.predicted == report.assembled
-        assert report.predicted.factors == (2, 2)
-
-    def test_brute_skipped_over_bound(self):
-        report = cross_check(2, 3, 6)
-        assert report.passed
-        assert report.brute is None
-        assert report.brute_note is not None
-        assert report.predicted == report.assembled
-
     def test_disagreement_error_carries_both_sides(self):
         err = RouteDisagreementError(
             "demo", GroupStructure([2]), GroupStructure([4])

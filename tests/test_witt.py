@@ -16,7 +16,6 @@ from ktrunc.witt import (
     TruncationSet,
     WittVector,
     _coords_from_ghost,
-    from_ghost,
     frobenius,
     ghost,
     restrict,
@@ -74,12 +73,12 @@ class TestGhost:
     @given(vectors(BIG8))
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, a):
-        assert from_ghost(BIG8, ghost(a)) == a
+        assert WittVector(BIG8, _coords_from_ghost(BIG8, ghost(a))) == a
 
     @given(vectors(MIXED))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_mixed_set(self, a):
-        assert from_ghost(MIXED, ghost(a)) == a
+        assert WittVector(MIXED, _coords_from_ghost(MIXED, ghost(a))) == a
 
     def test_first_components(self):
         a = WittVector(TruncationSet.big(3), (2, 3, 5))
@@ -90,7 +89,7 @@ class TestGhost:
         with pytest.raises(GhostInversionError,
                            match="^ghost vector not in the image: "
                                  "component 2 off by 1$"):
-            from_ghost(TruncationSet.big(2), (0, 1))
+            _coords_from_ghost(TruncationSet.big(2), (0, 1))
 
     def test_one_bad_element_in_a_column_rejected(self):
         # w_2 = a_1^2 + 2 a_2: columns hold one component of three vectors,
