@@ -243,6 +243,15 @@ def _validate(parser: argparse.ArgumentParser,
         parser.error(f"--enum-bound must be at most {wittsplit.ENUM_CAP}")
     if cfg.command == "hh" and cfg.e is not None and cfg.e < 2:
         parser.error("--e must be at least 2 for homology")
+    if cfg.command == "kgroups" and cfg.fmt == "table":
+        # the top order p^(f*r*(e-1)) is printed in decimal; 2^4 > 10, so
+        # an exponent of 4 * limit or more is too long without building it
+        k = cfg.f * (cfg.r or cfg.rmax) * (cfg.e - 1)
+        limit = sys.get_int_max_str_digits()
+        if limit and (k >= 4 * limit or cfg.p ** k >= 10 ** limit):
+            parser.error(f"--format table prints the order {cfg.p}^{k}, "
+                         f"which has more than {limit} digits; use "
+                         f"--format json")
 
 
 def main(argv=None) -> int:

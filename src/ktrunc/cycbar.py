@@ -8,8 +8,10 @@ Faces multiply adjacent letters, with the last face wrapping around; any
 face that reaches exponent e hits the basepoint and contributes zero.
 Connes' operator inserts the unit in front of each cyclic rotation.
 
-All three mixed-complex identities are verified over Z once per (e, m);
-the mod-p matrices are reductions of those integer matrices.  A separate
+All three mixed-complex identities are verified over Z once per (e, m),
+and that one copy of the integer matrices serves every p: the mod-p
+routines reduce their input, and the integral Connes scalar on homology
+generators is read off the same matrices over Z.  A separate
 two-term "small complex" computes the same homology from the standard
 periodic resolution of k[x]/(x^e) and serves as an independent oracle.
 """
@@ -17,7 +19,7 @@ periodic resolution of k[x]/(x^e) and serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,26 +165,17 @@ def _integer_complex(e: int, m: int):
 
 @dataclass(frozen=True)
 class NormalizedComplex:
-    """The weight-m complex over F_p.  Its boundary and Connes matrices are
-    the integer ones reduced mod p on first read, so a caller that reads
-    only (e, m, p), as reduced_homology does on a memo hit, reduces none."""
+    """The weight-m complex, read over F_p.  boundary[n]: C_n -> C_(n-1)
+    and connes[n]: C_n -> C_(n+1) are the integer matrices of
+    _integer_complex(e, m) themselves, shared and never copied; the mod-p
+    routines reduce what they are handed."""
 
     e: int
     m: int
     p: int
     basis: tuple[tuple[Word, ...], ...]
-    _boundary_z: tuple[np.ndarray, ...] = field(repr=False)
-    _connes_z: tuple[np.ndarray, ...] = field(repr=False)
-
-    @cached_property
-    def boundary(self) -> tuple[np.ndarray, ...]:
-        """boundary[n]: C_n -> C_{n-1}, mod p."""
-        return tuple(b % self.p for b in self._boundary_z)
-
-    @cached_property
-    def connes(self) -> tuple[np.ndarray, ...]:
-        """connes[n]: C_n -> C_{n+1}, mod p."""
-        return tuple(b % self.p for b in self._connes_z)
+    boundary: tuple[np.ndarray, ...] = field(repr=False)
+    connes: tuple[np.ndarray, ...] = field(repr=False)
 
     def dim(self, n: int) -> int:
         return len(self.basis[n]) if 0 <= n <= self.m else 0
@@ -226,46 +219,25 @@ def _np_int_matrix(arr: np.ndarray) -> IntMatrix:
     return IntMatrix(arr.tolist(), rows=arr.shape[0], cols=arr.shape[1])
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = s*a + t*b = gcd(a, b) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
-
-
-def _unit_preimage(phi: list[int]) -> list[int]:
-    """An integer x with phi . x = 1, for a row phi whose entries have gcd
-    1: extended gcds from the left, stopping once the running gcd is 1."""
-    x = [0] * len(phi)
-    g = 0
-    for i, c in enumerate(phi):
-        if g == 1:
-            break
-        if c:
-            g, s, t = _egcd(g, c)
-            x = [s * xi for xi in x]
-            x[i] = t
-    if g != 1:
-        raise AssertionError(f"row {phi} is not primitive")
-    return x
-
-
-def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray) -> list[int]:
-    """Generator of an integral homology group that must be exactly Z.
+def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray,
+                         cycles: tuple[list[int], ...] = ()
+                         ) -> tuple[list[int], list[int]]:
+    """Generator of an integral homology group that must be exactly Z, and
+    the class of each given cycle as a multiple of it.
 
     ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis; the
     Smith form u @ pres @ v = d of the presentation must show one free
-    coordinate and no torsion.  Row `rank` of u is then a functional that
-    kills the image and maps the homology isomorphically onto Z, so any
-    chain it sends to 1 is a generator.
+    coordinate and no torsion.  Row `rank` of u is then a functional phi
+    whose kernel is exactly the image, so it maps the homology
+    isomorphically onto Z: any chain phi sends to 1 is a generator, and a
+    cycle is phi of its kernel coordinates times that generator, modulo
+    boundaries.
     """
     kernel = integer_kernel_basis(_np_int_matrix(out_mat))
-    k = kernel.cols
-    pres = lattice_coordinates(kernel, in_mat.T.tolist())
+    k, n_in = kernel.cols, in_mat.shape[1]
+    coords = lattice_coordinates(kernel, in_mat.T.tolist() + list(cycles))
+    pres = IntMatrix([row[:n_in] for row in coords.entries], rows=k,
+                     cols=n_in)
     snf_pres = smith_normal_form(pres)
     diag = snf_pres.d.diagonal_entries()
     rank = sum(1 for x in diag if x)
@@ -273,7 +245,11 @@ def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray) -> list[int]:
         raise AssertionError(
             f"integral homology is not free of rank one: diag {diag}, "
             f"kernel rank {k}")
-    return kernel.apply(_unit_preimage(list(snf_pres.u.entries[rank])))
+    phi = snf_pres.u.entries[rank]
+    classes = [sum(f * row[j] for f, row in zip(phi, coords.entries))
+               for j in range(n_in, coords.cols)]
+    generator = kernel.apply(integer_solve(IntMatrix([phi]), [1]))
+    return generator, classes
 
 
 @lru_cache(maxsize=CONNES_SCALAR_CACHE_SIZE)
@@ -281,20 +257,19 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     """The Connes scalar on integral generators, canonical up to sign.
 
     Only defined when e does not divide m, where the integral homology
-    is Z in degrees 2d and 2d+1.
+    is Z in degrees 2d and 2d+1.  It is phi_hi(B gen_lo): phi_hi kills
+    every boundary and sends gen_hi to 1, so the value is exact, sign
+    included.
     """
     if m % e == 0:
         raise ValueError("integral normalization needs e not dividing m")
     _, boundary, connes = _integer_complex(e, m)
     lo = 2 * d_function(e, m)
-    into_hi = _boundary_in(boundary, lo + 1)
-    gen_lo = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
-    gen_hi = _free_part_generator(boundary[lo + 1], into_hi)
+    gen_lo, _ = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
     image = _np_int_matrix(connes[lo]).apply(gen_lo)
-    stacked = IntMatrix(
-        [[g] + row for g, row in zip(gen_hi, into_hi.tolist())],
-        rows=len(gen_hi), cols=1 + into_hi.shape[1])
-    return integer_solve(stacked, image)[0]
+    _, (scalar,) = _free_part_generator(
+        boundary[lo + 1], _boundary_in(boundary, lo + 1), (image,))
+    return scalar
 
 
 def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:

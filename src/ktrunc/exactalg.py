@@ -52,24 +52,6 @@ def p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _check_prime_power(n: int) -> None:
-    """Raise unless n is p**k for a single prime p and k >= 1."""
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        return
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
-
-
 def _split_prime_powers(n: int) -> list[int]:
     """Elementary divisors of Z/n: one prime power per prime dividing n."""
     out = []
@@ -99,7 +81,8 @@ class GroupStructure:
     def __init__(self, factors: Iterable[int] = ()):
         self.factors = tuple(sorted(f for f in map(int, factors) if f != 1))
         for f in self.factors:
-            _check_prime_power(f)
+            if _split_prime_powers(f) != [f]:
+                raise ValueError(f"{f} is not a prime power")
 
     @classmethod
     def from_prime_exponents(cls, p: int,

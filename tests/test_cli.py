@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ktrunc import cycbar, wittsplit
+from ktrunc import cycbar, tcassemble, wittsplit
 from ktrunc.cli import main
+from ktrunc.exactalg import GroupStructure
 from ktrunc.wittsplit import ENUM_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -258,6 +259,46 @@ class TestUsageErrors:
             main(["verify", "--suite", "routes", "--enum-bound", str(bound)])
         assert exc.value.code == 2
         assert "--enum-bound must be at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector", ["--r", "--rmax"])
+    def test_kgroups_table_order_above_the_digit_limit(self, capsys,
+                                                       monkeypatch, selector):
+        # p^(f*r*(e-1)) = 2^22350 has 6,729 digits; the table is refused
+        # before any group is computed
+        def compute_nothing(*args):
+            raise AssertionError("group computed")
+
+        monkeypatch.setattr(tcassemble, "group_in_degree", compute_nothing)
+        with pytest.raises(SystemExit) as exc:
+            main(["kgroups", "--p", "2", "--e", "150", selector, "150"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ktrunc kgroups [-h]")
+        assert "prints the order 2^22350, which has more than" in captured.err
+
+    def test_kgroups_order_at_the_digit_limit(self, capsys, monkeypatch):
+        # 2^k has at most `limit` digits exactly when k < bits(10^limit), so
+        # the largest printable order is accepted and the next refused;
+        # --format json never prints the order.  The stub group in degree
+        # 2r-1 is (Z/p)^(f*r*(e-1)), of the order criterion 4 predicts.
+        limit = sys.get_int_max_str_digits()
+        k = (10 ** limit).bit_length() - 1
+        monkeypatch.setattr(
+            tcassemble, "group_in_degree",
+            lambda p, e, d, f: GroupStructure([p] * (f * (d + 1) // 2
+                                                     * (e - 1) * (d % 2))))
+        code, out = run_cli(capsys, "kgroups", "--p", "2", "--e", "2",
+                            "--r", str(k))
+        assert code == 0 and out.endswith(f"order {2 ** k}\n")
+        assert len(str(2 ** k)) == limit
+        code, out = run_cli(capsys, "kgroups", "--p", "2", "--e", "2",
+                            "--r", str(k + 1), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["groups"][0]["factors"] == [2] * (k + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["kgroups", "--p", "2", "--e", "2", "--r", str(k + 1)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--enum-bound", "0"],

@@ -105,11 +105,11 @@ class TestComplexStructure:
 
     def test_boundary_example_weight_two(self):
         # d(0,x,x) = (x,x) - 0 + (x,x): the interior merge hits x^2 = 0,
-        # the two surviving faces coincide
-        c3 = generate_complex(2, 2, 3)
-        assert c3.boundary[2].tolist() == [[2]]
-        c2 = generate_complex(2, 2, 2)
-        assert not c2.boundary[2].any()
+        # the two surviving faces coincide, so the entry is 2 over Z for
+        # every p and vanishes mod 2
+        for p in (2, 3):
+            assert generate_complex(2, 2, p).boundary[2].tolist() == [[2]]
+        assert not (generate_complex(2, 2, 2).boundary[2] % 2).any()
 
     def test_connes_example_weight_one(self):
         # B(x) = (1, x), a single insertion
@@ -170,15 +170,15 @@ class TestHomology:
                 assert summary.ranks == predicted_homology(e, m, p), (e, m, p)
                 assert summary.ranks == small_complex_hh(e, m, p), (e, m, p)
 
-    def test_memo_hit_reduces_nothing(self):
+    def test_complexes_share_the_integer_matrices(self):
+        # every p reads the one integer copy; a memo hit returns the
+        # summary computed first
+        _, boundary, connes = cycbar._integer_complex(3, 5)
+        for p in (2, 3):
+            c = generate_complex(3, 5, p)
+            assert c.boundary is boundary and c.connes is connes
         summary = reduced_homology(generate_complex(3, 5, 2))
-        again = generate_complex(3, 5, 2)
-        assert reduced_homology(again) is summary
-        assert "boundary" not in vars(again) and "connes" not in vars(again)
-        # reduced mod p on first read, once
-        _, boundary, _ = cycbar._integer_complex(3, 5)
-        assert np.array_equal(again.boundary[2], boundary[2] % 2)
-        assert again.boundary is vars(again)["boundary"]
+        assert reduced_homology(generate_complex(3, 5, 2)) is summary
 
     def test_frozen_summaries(self):
         s = reduced_homology(generate_complex(2, 1, 2))
@@ -214,10 +214,10 @@ class TestHomology:
     def test_integral_connes_scalar_table(self):
         # The integral scalar is +-m; its sign depends on how the generators
         # are oriented and shows in `hh` output mod p, so it is pinned.
-        # It is -m at (3, 11), (4, 6) and (4, 9) and +m elsewhere.
-        negative = {(3, 11), (4, 6), (4, 9)}
+        # It is -m at (3, 11), (4, 6), (4, 9) and (5, 12) and +m elsewhere.
+        negative = {(3, 11), (4, 6), (4, 9), (5, 12)}
         for e in range(2, 7):
-            for m in range(1, (12 if e <= 4 else 10) + 1):
+            for m in range(1, 13):
                 if m % e:
                     want = -m if (e, m) in negative else m
                     assert cycbar._integral_connes_scalar(e, m) == want, (

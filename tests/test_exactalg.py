@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ktrunc import cycbar
+from ktrunc import cycbar, exactalg
 from ktrunc.cycbar import _integer_complex, _integral_connes_scalar
 from ktrunc.exactalg import (
     GhostInversionError,
@@ -68,8 +68,10 @@ class TestGroupStructure:
         assert GroupStructure([1, 1]).is_trivial()
 
     def test_rejects_non_prime_power(self):
-        with pytest.raises(ValueError):
-            GroupStructure([12])
+        for factor in (12, 6, 0, -4):
+            with pytest.raises(ValueError,
+                               match=f"^{factor} is not a prime power$"):
+                GroupStructure([8, factor])
 
     def test_from_prime_exponents_drops_zeros(self):
         g = GroupStructure.from_prime_exponents(2, [0, 3, 0, 1])
@@ -185,21 +187,26 @@ class TestFastPathsMatchReference:
         for b in boundary:
             self.assert_reference_snf(b.tolist(), *b.shape)
 
-    def test_stacked_connes_system(self, monkeypatch, time_limit):
-        """The matrix [generator | boundaries] that the integral Connes
-        scalar solves against, at (e, m) = (3, 7)."""
-        systems = []
+    def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
+        """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
+        through the Smith form: for each of the two degrees, the boundary
+        out of it, its kernel basis, the presentation of its homology and
+        the functional phi that integer_solve inverts."""
+        seen = []
 
-        def recording_solve(g, w):
-            systems.append(g)
-            return integer_solve(g, w)
+        def recording_snf(m):
+            seen.append(m)
+            return smith_normal_form(m)
 
-        monkeypatch.setattr(cycbar, "integer_solve", recording_solve)
+        monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
+        monkeypatch.setattr(cycbar, "smith_normal_form", recording_snf)
         _integral_connes_scalar.__wrapped__(3, 7)
-        (g,) = systems
-        assert (g.rows, g.cols) == (16, 8)
-        self.assert_reference_snf([list(r) for r in g.entries], g.rows,
-                                  g.cols)
+        assert [(g.rows, g.cols) for g in seen] == [
+            (4, 14), (14, 10), (10, 16), (1, 10),
+            (14, 16), (16, 7), (7, 7), (1, 7)]
+        for g in seen:
+            self.assert_reference_snf([list(r) for r in g.entries], g.rows,
+                                      g.cols)
 
     @staticmethod
     def assert_reference_snf(rows, R, C):
