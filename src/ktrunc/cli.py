@@ -1,14 +1,16 @@
 """Command-line surface: K-group tables, homology inspection, spectral
 sequence page dumps, and named verification suites.
 
-Exit status: 0 success, 1 verification failure, 2 usage error.  All
-randomness is seeded, so identical invocations produce identical bytes.
+Exit status: 0 success, 1 verification failure or standard output closed
+before it was written, 2 usage error.  All randomness is seeded, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -259,13 +261,19 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     _validate(commands[cfg.command], cfg)
     if cfg.command == "kgroups":
-        print(run_kgroups(cfg))
-        return 0
-    if cfg.command == "hh":
-        print(run_hh(cfg))
-        return 0
-    text, passed = run_verify(cfg)
-    print(text)
+        text, passed = run_kgroups(cfg), True
+    elif cfg.command == "hh":
+        text, passed = run_hh(cfg), True
+    else:
+        text, passed = run_verify(cfg)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`).  As the note on
+        # SIGPIPE in the Python docs recommends, point stdout at devnull so
+        # the flush at exit does not raise again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if passed else 1
 
 

@@ -8,12 +8,16 @@ Faces multiply adjacent letters, with the last face wrapping around; any
 face that reaches exponent e hits the basepoint and contributes zero.
 Connes' operator inserts the unit in front of each cyclic rotation.
 
-All three mixed-complex identities are verified over Z once per (e, m),
-and that one copy of the integer matrices serves every p: the mod-p
-routines reduce their input, and the integral Connes scalar on homology
-generators is read off the same matrices over Z.  A separate
-two-term "small complex" computes the same homology from the standard
-periodic resolution of k[x]/(x^e) and serves as an independent oracle.
+The boundary and Connes matrices are built once per (e, m) over Z and
+stored sparse, by the nonzero entries of each column (SparseIntMatrix);
+all three mixed-complex identities are verified on those stored columns.
+That one copy serves every p.  Each boundary is reduced once over Z along
+its +-1 entries, so its rank mod any p is the number of unit pivots plus
+the rank of a residual of a few rows.  Only the integral Connes scalar
+(its Smith forms) and the mod-p generators of the (z, w) pages read dense
+matrices, and only the ones they use.  A separate two-term "small
+complex" computes the same homology from the standard periodic resolution
+of k[x]/(x^e) and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,16 +27,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import (IntMatrix, fp_kernel_basis, fp_rank, fp_rref,
-                       fp_solve, integer_kernel_basis, integer_solve,
-                       lattice_coordinates, smith_normal_form)
+from .exactalg import (IntMatrix, SparseIntMatrix, fp_kernel_basis, fp_rank,
+                       fp_rref, fp_solve, integer_kernel_basis,
+                       integer_solve, lattice_coordinates, smith_normal_form,
+                       unit_pivot_reduction)
 
 Word = tuple[int, ...]
 
 # Cache bounds.  `ktrunc verify --suite all` and the benchmark's hh_pages
-# grid together build 58 complexes (e, m), compute 41 integral scalars and
-# 166 homology summaries (e, m, p); every bound exceeds its count, so no
-# cache evicts on those grids and call counts do not depend on case order.
+# grid together build and reduce 58 complexes (e, m), compute 41 integral
+# scalars and 166 homology summaries (e, m, p); every bound exceeds its
+# count, so no cache evicts on those grids and call counts do not depend on
+# case order.
 COMPLEX_CACHE_SIZE = 64
 CONNES_SCALAR_CACHE_SIZE = 64
 HOMOLOGY_CACHE_SIZE = 256
@@ -93,28 +99,36 @@ def _connes_terms(word: Word):
         yield sign, (0,) + word[i:] + word[:i]
 
 
-def _identity_fails(words, *composites) -> bool:
-    """Whether the sum of the composites, each a pair (first, second) of
-    maps from a word to its (sign, word) terms, is nonzero on some word."""
-    for w in words:
-        acc: dict[Word, int] = {}
+def _composite_nonzero(*composites) -> bool:
+    """Whether the sum of the products second @ first, over the given pairs
+    (first, second) of stored matrices out of one degree, has a nonzero
+    column."""
+    for j in range(composites[0][0].shape[1]):
+        acc: dict[int, int] = {}
         for first, second in composites:
-            for s1, mid in first[w]:
-                for s2, out in second[mid]:
-                    acc[out] = acc.get(out, 0) + s1 * s2
+            for i, a in first.columns[j]:
+                for k, b in second.columns[i]:
+                    acc[k] = acc.get(k, 0) + a * b
         if any(acc.values()):
             return True
     return False
 
 
 def _entries_matrix(src: tuple[Word, ...], dst: tuple[Word, ...],
-                    term_fn) -> np.ndarray:
+                    term_fn) -> SparseIntMatrix:
+    """The map sending each word of src to its (sign, word) terms, on the
+    basis dst: column j holds the terms of src[j] after cancellation."""
     index = {w: i for i, w in enumerate(dst)}
-    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-    for j, w in enumerate(src):
+    columns = []
+    for w in src:
+        col: dict[int, int] = {}
         for sign, out in term_fn(w):
-            mat[index[out], j] += sign
-    return mat
+            i = index[out]
+            col[i] = col.get(i, 0) + sign
+        if 0 in col.values():
+            col = {i: x for i, x in col.items() if x}
+        columns.append(tuple(col.items()))
+    return SparseIntMatrix(len(dst), columns)
 
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)
@@ -124,38 +138,33 @@ def _integer_complex(e: int, m: int):
     boundary[n] is the map out of degree n (boundary[0] has zero rows);
     connes[n] is the map from degree n into degree n+1 (connes[m] has
     zero rows since degree m+1 is empty).  The identities are checked
-    word by word on the same terms the matrices are built from.
+    column by column on the stored matrices, so they also cover the word
+    to row mapping the matrices are built with.
     """
     if e < 2 or m < 1:
         raise ValueError("need e >= 2 and m >= 1")
     basis = tuple(weight_words(e, m, n) for n in range(m + 1))
-    dims = [len(b) for b in basis]
-    # Terms of every word; degree 0 has no faces, degree m no Connes image.
-    faces = {w: list(_face_terms(w, e)) if n else []
-             for n, words in enumerate(basis) for w in words}
-    rotations = {w: list(_connes_terms(w)) if n < m else []
-                 for n, words in enumerate(basis) for w in words}
-
-    boundary = [np.zeros((0, dims[0]), dtype=np.int64)]
+    boundary = [SparseIntMatrix(0, [()] * len(basis[0]))]
     for n in range(1, m + 1):
         boundary.append(_entries_matrix(basis[n], basis[n - 1],
-                                        faces.__getitem__))
-    connes = []
-    for n in range(m):
-        connes.append(_entries_matrix(basis[n], basis[n + 1],
-                                      rotations.__getitem__))
-    connes.append(np.zeros((0, dims[m]), dtype=np.int64))
+                                        lambda w: _face_terms(w, e)))
+    connes = [_entries_matrix(basis[n], basis[n + 1], _connes_terms)
+              for n in range(m)]
+    connes.append(SparseIntMatrix(0, [()] * len(basis[m])))
 
     for n in range(1, m):
-        if _identity_fails(basis[n + 1], (faces, faces)):
+        if _composite_nonzero((boundary[n + 1], boundary[n])):
             raise ComplexIdentityError(
                 f"boundary squared nonzero at degree {n + 1} (e={e}, m={m})")
     for n in range(m - 1):
-        if _identity_fails(basis[n], (rotations, rotations)):
+        if _composite_nonzero((connes[n], connes[n + 1])):
             raise ComplexIdentityError(
                 f"Connes squared nonzero at degree {n} (e={e}, m={m})")
     for n in range(m + 1):
-        if _identity_fails(basis[n], (rotations, faces), (faces, rotations)):
+        composites = [(connes[n], boundary[n + 1])] if n < m else []
+        if n:
+            composites.append((boundary[n], connes[n - 1]))
+        if _composite_nonzero(*composites):
             raise ComplexIdentityError(
                 f"boundary/Connes anticommutator nonzero at degree {n} "
                 f"(e={e}, m={m})")
@@ -163,10 +172,18 @@ def _integer_complex(e: int, m: int):
     return basis, tuple(boundary), tuple(connes)
 
 
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+def _boundary_reductions(e: int, m: int) -> tuple:
+    """unit_pivot_reduction of every boundary of the (e, m) complex: the
+    rank of boundary[n] mod any p is units + fp_rank(residual, p)."""
+    _, boundary, _ = _integer_complex(e, m)
+    return tuple(unit_pivot_reduction(b) for b in boundary)
+
+
 @dataclass(frozen=True)
 class NormalizedComplex:
     """The weight-m complex, read over F_p.  boundary[n]: C_n -> C_(n-1)
-    and connes[n]: C_n -> C_(n+1) are the integer matrices of
+    and connes[n]: C_n -> C_(n+1) are the sparse integer matrices of
     _integer_complex(e, m) themselves, shared and never copied; the mod-p
     routines reduce what they are handed."""
 
@@ -174,8 +191,8 @@ class NormalizedComplex:
     m: int
     p: int
     basis: tuple[tuple[Word, ...], ...]
-    boundary: tuple[np.ndarray, ...] = field(repr=False)
-    connes: tuple[np.ndarray, ...] = field(repr=False)
+    boundary: tuple[SparseIntMatrix, ...] = field(repr=False)
+    connes: tuple[SparseIntMatrix, ...] = field(repr=False)
 
     def dim(self, n: int) -> int:
         return len(self.basis[n]) if 0 <= n <= self.m else 0
@@ -208,18 +225,15 @@ class HomologySummary:
     connes_scalar_int: int | None = None
 
 
-def _boundary_in(boundary: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+def _boundary_in(boundary: tuple[SparseIntMatrix, ...],
+                 n: int) -> SparseIntMatrix:
     """The boundary map into degree n; no columns above the top degree."""
     if n + 1 < len(boundary):
         return boundary[n + 1]
-    return np.zeros((boundary[n].shape[1], 0), dtype=np.int64)
+    return SparseIntMatrix(boundary[n].shape[1], ())
 
 
-def _np_int_matrix(arr: np.ndarray) -> IntMatrix:
-    return IntMatrix(arr.tolist(), rows=arr.shape[0], cols=arr.shape[1])
-
-
-def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray,
+def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
                          cycles: tuple[list[int], ...] = ()
                          ) -> tuple[list[int], list[int]]:
     """Generator of an integral homology group that must be exactly Z, and
@@ -233,11 +247,12 @@ def _free_part_generator(out_mat: np.ndarray, in_mat: np.ndarray,
     cycle is phi of its kernel coordinates times that generator, modulo
     boundaries.
     """
-    kernel = integer_kernel_basis(_np_int_matrix(out_mat))
+    kernel = integer_kernel_basis(out_mat.int_matrix())
     k, n_in = kernel.cols, in_mat.shape[1]
-    coords = lattice_coordinates(kernel, in_mat.T.tolist() + list(cycles))
-    pres = IntMatrix([row[:n_in] for row in coords.entries], rows=k,
-                     cols=n_in)
+    coords = lattice_coordinates(kernel,
+                                 in_mat.dense().T.tolist() + list(cycles))
+    pres = IntMatrix._of_int_rows((row[:n_in] for row in coords.entries), k,
+                                  n_in)
     snf_pres = smith_normal_form(pres)
     diag = snf_pres.d.diagonal_entries()
     rank = sum(1 for x in diag if x)
@@ -266,7 +281,7 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     _, boundary, connes = _integer_complex(e, m)
     lo = 2 * d_function(e, m)
     gen_lo, _ = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
-    image = _np_int_matrix(connes[lo]).apply(gen_lo)
+    image = connes[lo].apply(gen_lo)
     _, (scalar,) = _free_part_generator(
         boundary[lo + 1], _boundary_in(boundary, lo + 1), (image,))
     return scalar
@@ -279,8 +294,8 @@ def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:
     columns marks that vector: every kernel column before it lies in the
     span of the image.
     """
-    kernel = fp_kernel_basis(c.boundary[n], c.p)
-    image = _boundary_in(c.boundary, n)
+    kernel = fp_kernel_basis(c.boundary[n].dense(), c.p)
+    image = _boundary_in(c.boundary, n).dense()
     _, pivots = fp_rref(np.hstack([image, kernel]), c.p)
     for col in pivots:
         if col >= image.shape[1]:
@@ -300,10 +315,11 @@ def reduced_homology(c: NormalizedComplex) -> HomologySummary:
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
-    """Each boundary map is row-reduced once: the rank in degree n is
-    dim C_n - rank d_n - rank d_(n+1)."""
+    """The rank in degree n is dim C_n - rank d_n - rank d_(n+1), each
+    boundary rank read off its one reduction over Z."""
     c = generate_complex(e, m, p)
-    rk = [fp_rank(b, p) for b in c.boundary] + [0]
+    rk = [units + fp_rank(residual, p)
+          for units, residual in _boundary_reductions(e, m)] + [0]
     ranks: dict[int, int] = {}
     for n in range(m + 1):
         h = c.dim(n) - rk[n] - rk[n + 1]
@@ -325,11 +341,11 @@ def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
             if gen_lo is None or gen_hi is None:
                 raise AssertionError(
                     "rank-one homology must have a generator")
-            img = (c.connes[lo] @ gen_lo) % p
+            img = (c.connes[lo].dense() @ gen_lo) % p
             # express the image in H_hi: solve against the generator and
             # the boundaries from one degree up
             cols = np.hstack([gen_hi.reshape(-1, 1),
-                              _boundary_in(c.boundary, hi)])
+                              _boundary_in(c.boundary, hi).dense()])
             sol = fp_solve(cols, img, p)
             if sol is None:
                 raise AssertionError(

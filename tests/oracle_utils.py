@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
+import numpy as np
+
 from ktrunc.witt import _add_coords
 
 
@@ -135,6 +137,18 @@ def word_count(e: int, m: int, n: int) -> int:
     for _ in range(n):
         poly = poly_mul(poly, rest)
     return poly[m] if m < len(poly) else 0
+
+
+def dense_entries_matrix(src, dst, term_fn) -> np.ndarray:
+    """The matrix of the map sending each word of src to its (sign, word)
+    terms, on the basis dst, as cycbar built it before storing it sparse:
+    one dense int64 array, every term added into its entry."""
+    index = {w: i for i, w in enumerate(dst)}
+    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
+    for j, w in enumerate(src):
+        for sign, out in term_fn(w):
+            mat[index[out], j] += sign
+    return mat
 
 
 def rank_mod_p(vectors, p: int) -> int:

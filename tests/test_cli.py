@@ -153,16 +153,34 @@ class TestHH:
 
 
 class TestModuleEntryPoint:
+    @staticmethod
+    def env():
+        path = os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        return {**os.environ, "PYTHONPATH": path}
+
     def test_python_dash_m_matches_main(self, capsys):
         argv = ["hh", "--p", "3", "--e", "2", "--m", "3"]
         code, out = run_cli(capsys, *argv)
-        path = os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run([sys.executable, "-m", "ktrunc", *argv],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=self.env())
         assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr == ""
+
+    def test_reader_closing_the_pipe_early(self):
+        # the JSON line is about 133 KB, more than a pipe buffer holds, so
+        # the write fails once the reader has closed its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ktrunc", "kgroups", "--p", "3", "--e",
+             "20", "--rmax", "80", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env())
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b'{"p": 3, "e": 20')
+        assert b"Traceback" not in stderr
 
 
 class TestScripts:

@@ -1,10 +1,16 @@
 """Weight components of the cyclic bar complex and their homology.
 
 Basis sizes are checked against generating-function coefficients, the
+stored sparse matrices against a dense reference builder, the
 mixed-complex identities are re-asserted numerically mod p, and homology
 is triangulated between the bar route, the two-periodic small complex,
 and the closed-form rank table.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +26,12 @@ from ktrunc.cycbar import (
     small_complex_hh,
     weight_words,
 )
-from ktrunc.exactalg import fp_kernel_basis
+from ktrunc.exactalg import fp_kernel_basis, fp_rank
 from ktrunc.ssengine import build_e2
-from oracle_utils import first_outside_span, word_count
+from oracle_utils import (dense_entries_matrix, first_outside_span,
+                          rank_mod_p, word_count)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = [(e, m) for e in (2, 3, 4, 5) for m in range(1, 9)]
 
 
@@ -91,16 +99,18 @@ class TestComplexStructure:
         for e, m in GRID:
             for p in (2, 3):
                 c = generate_complex(e, m, p)
+                boundary = [b.dense() for b in c.boundary]
+                connes = [b.dense() for b in c.connes]
                 for n in range(1, m):
-                    assert not ((c.boundary[n] @ c.boundary[n + 1]) % p).any()
+                    assert not ((boundary[n] @ boundary[n + 1]) % p).any()
                 for n in range(m - 1):
-                    assert not ((c.connes[n + 1] @ c.connes[n]) % p).any()
+                    assert not ((connes[n + 1] @ connes[n]) % p).any()
                 for n in range(m + 1):
                     anti = np.zeros((c.dim(n), c.dim(n)), dtype=np.int64)
                     if n < m:
-                        anti += c.boundary[n + 1] @ c.connes[n]
+                        anti += boundary[n + 1] @ connes[n]
                     if n >= 1:
-                        anti += c.connes[n - 1] @ c.boundary[n]
+                        anti += connes[n - 1] @ boundary[n]
                     assert not (anti % p).any()
 
     def test_boundary_example_weight_two(self):
@@ -108,21 +118,22 @@ class TestComplexStructure:
         # the two surviving faces coincide, so the entry is 2 over Z for
         # every p and vanishes mod 2
         for p in (2, 3):
-            assert generate_complex(2, 2, p).boundary[2].tolist() == [[2]]
-        assert not (generate_complex(2, 2, 2).boundary[2] % 2).any()
+            assert generate_complex(2, 2, p).boundary[2].dense().tolist() == [
+                [2]]
+        assert not (generate_complex(2, 2, 2).boundary[2].dense() % 2).any()
 
     def test_connes_example_weight_one(self):
         # B(x) = (1, x), a single insertion
         c = generate_complex(2, 1, 2)
         assert c.basis[0] == ((1,),)
         assert c.basis[1] == ((0, 1),)
-        assert c.connes[0].tolist() == [[1]]
+        assert c.connes[0].dense().tolist() == [[1]]
 
     def test_connes_example_weight_two(self):
         # B(x, x): the two cyclic rotations coincide and the signs cancel
         # integrally, so the matrix is zero even before reduction
         c = generate_complex(2, 2, 5)
-        assert not c.connes[1].any()
+        assert not c.connes[1].dense().any()
 
     def test_connes_vanishes_on_basepoint_headed_words(self):
         for e, m in [(3, 4), (4, 5)]:
@@ -130,7 +141,8 @@ class TestComplexStructure:
             for n in range(m + 1):
                 for j, w in enumerate(c.basis[n]):
                     if w[0] == 0 and n < m:
-                        assert not c.connes[n][:, j].any(), (e, m, w)
+                        assert not c.connes[n].dense()[:, j].any(), (
+                            e, m, w)
 
     def test_top_degree_connes_is_empty(self):
         c = generate_complex(3, 5, 2)
@@ -159,6 +171,67 @@ class TestComplexStructure:
                            match=rf"{identity} \(e=3, m=3\)"):
             cycbar._integer_complex.__wrapped__(3, 3)
         assert cycbar._integer_complex.cache_info() == before
+
+
+class TestSparseStorage:
+    """The stored columns against the dense builder they replaced
+    (oracle_utils.dense_entries_matrix), on every map of e <= 5, m <= 9."""
+
+    def test_dense_view_matches_the_reference_builder(self):
+        for e in range(2, 6):
+            for m in range(1, 10):
+                basis, boundary, connes = cycbar._integer_complex(e, m)
+                for n in range(m + 1):
+                    faces = (dense_entries_matrix(
+                        basis[n], basis[n - 1],
+                        lambda w: cycbar._face_terms(w, e)) if n
+                        else np.zeros((0, len(basis[0])), dtype=np.int64))
+                    rotations = (dense_entries_matrix(
+                        basis[n], basis[n + 1], cycbar._connes_terms)
+                        if n < m
+                        else np.zeros((0, len(basis[m])), dtype=np.int64))
+                    for got, want in ((boundary[n], faces),
+                                      (connes[n], rotations)):
+                        assert got.shape == want.shape, (e, m, n)
+                        assert got.size == want.size, (e, m, n)
+                        assert (got.dense() == want).all(), (e, m, n)
+                        assert all(x for col in got.columns for _, x in col)
+
+    def test_builder_result_has_the_shape_and_size_the_tracer_reads(self):
+        basis = [weight_words(3, 5, n) for n in (1, 2)]
+        mat = cycbar._entries_matrix(basis[1], basis[0],
+                                     lambda w: cycbar._face_terms(w, 3))
+        assert "{}x{}".format(*mat.shape) == (
+            f"{len(basis[0])}x{len(basis[1])}")
+        assert mat.size == len(basis[0]) * len(basis[1])
+
+    def test_unit_pivot_ranks_on_every_boundary(self):
+        for e in range(2, 6):
+            for m in range(1, 10):
+                _, boundary, _ = cycbar._integer_complex(e, m)
+                reductions = cycbar._boundary_reductions(e, m)
+                for n, (b, (units, residual)) in enumerate(
+                        zip(boundary, reductions)):
+                    rows = b.dense().tolist()
+                    for p in (2, 3, 5, 7):
+                        assert units + fp_rank(residual, p) == rank_mod_p(
+                            rows, p), (e, m, n, p)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_weight_fourteen_complex_stays_small(self):
+        # e = 7, m = 14: 15,234 words, all homology zero mod 2.  With dense
+        # boundaries this peaked at 551 MB; with sparse ones, under 80 MB.
+        code = ("from ktrunc import cycbar\n"
+                "cycbar._homology_summary(7, 14, 2)\n"
+                "for line in open('/proc/self/status'):\n"
+                "    if line.startswith('VmHWM:'):\n"
+                "        print(int(line.split()[1]))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=300)
+        assert int(proc.stdout) / 1024 < 150
 
 
 class TestHomology:
@@ -245,8 +318,8 @@ class TestHomology:
                     c = generate_complex(e, m, p)
                     shapes.add(tuple(reduced_homology(c).ranks))
                     for n in range(m + 1):
-                        kernel = fp_kernel_basis(c.boundary[n], p)
-                        image = (c.boundary[n + 1] if n < m
+                        kernel = fp_kernel_basis(c.boundary[n].dense(), p)
+                        image = (c.boundary[n + 1].dense() if n < m
                                  else np.zeros((c.dim(n), 0), dtype=np.int64))
                         k = first_outside_span(image.T.tolist(),
                                                kernel.T.tolist(), p)

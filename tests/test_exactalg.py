@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ktrunc import cycbar, exactalg
@@ -14,6 +14,7 @@ from ktrunc.exactalg import (
     GhostInversionError,
     GroupStructure,
     IntMatrix,
+    SparseIntMatrix,
     _solve_integer,
     fp_kernel_basis,
     fp_rank,
@@ -25,6 +26,7 @@ from ktrunc.exactalg import (
     kernel_invariants,
     lattice_coordinates,
     smith_normal_form,
+    unit_pivot_reduction,
 )
 from oracle_utils import (
     ReferenceSolveError,
@@ -38,6 +40,17 @@ from oracle_utils import (
 )
 
 entries = st.integers(min_value=-9, max_value=9)
+
+
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """The rows of a dense matrix as fp_rank reads them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def sparse_matrix(rows) -> SparseIntMatrix:
+    """A nonempty dense matrix, given by its rows, stored by columns."""
+    return SparseIntMatrix(len(rows), [
+        tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)])
 
 
 def int_matrices(max_dim=4):
@@ -185,7 +198,7 @@ class TestFastPathsMatchReference:
     def test_bar_complex_boundaries(self, e, m, time_limit):
         _, boundary, _ = _integer_complex(e, m)
         for b in boundary:
-            self.assert_reference_snf(b.tolist(), *b.shape)
+            self.assert_reference_snf(b.dense().tolist(), *b.shape)
 
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
@@ -241,6 +254,20 @@ class TestColumnIndex:
     def test_empty_shapes(self):
         assert IntMatrix([], cols=3).apply([1, 2, 3]) == []
         assert IntMatrix([[], []]).apply([]) == [0, 0]
+
+    @given(st.one_of(sparse_matrices(), int_matrices()))
+    @settings(max_examples=50, deadline=None)
+    def test_unconverted_matrices_equal_the_converted_ones(self, rows):
+        # the Smith form's d, u and v and the dense copy of a sparse
+        # matrix skip the constructor's conversion, and change nothing
+        snf = smith_normal_form(IntMatrix(rows))
+        for m in (snf.d, snf.u, snf.v, sparse_matrix(rows).int_matrix()):
+            again = IntMatrix([list(r) for r in m.entries], rows=m.rows,
+                              cols=m.cols)
+            assert m == again and hash(m) == hash(again)
+            assert all(type(row) is tuple for row in m.entries)
+            assert all(type(x) is int for row in m.entries for x in row)
+        assert sparse_matrix(rows).int_matrix() == IntMatrix(rows)
 
 
 class TestIntegerSolve:
@@ -368,7 +395,8 @@ class TestModP:
         a = np.array(rows, dtype=np.int64)
         basis = fp_kernel_basis(a, p)
         assert not ((a @ basis) % p).any()
-        assert fp_rank(a, p) + basis.shape[1] == a.shape[1]
+        assert fp_rank(sparse_rows(a.tolist()), p) + basis.shape[1] == \
+            a.shape[1]
         # rref is idempotent
         r1, piv1 = fp_rref(a, p)
         r2, piv2 = fp_rref(r1, p)
@@ -426,7 +454,8 @@ class TestSparseRank:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_oracle(self, case):
         a, p = case
-        assert fp_rank(a, p) == rank_mod_p(a.tolist(), p)
+        assert fp_rank(sparse_rows(a.tolist()), p) == rank_mod_p(a.tolist(),
+                                                                 p)
 
     @pytest.mark.parametrize("p", [2, 3, 101])
     def test_empty_and_zero_mod_p(self, p):
@@ -436,7 +465,8 @@ class TestSparseRank:
                       np.full((n, n), p, dtype=np.int64),
                       np.array([[p, -p, 0]] * n, dtype=np.int64)
                       .reshape(n, 3)):
-                assert fp_rank(a, p) == rank_mod_p(a.tolist(), p) == 0
+                assert fp_rank(sparse_rows(a.tolist()), p) == rank_mod_p(
+                    a.tolist(), p) == 0
 
     def test_matches_rref_pivots_on_every_boundary(self):
         for e in range(2, 6):
@@ -444,9 +474,55 @@ class TestSparseRank:
                 _, boundary, _ = _integer_complex(e, m)
                 for p in (2, 3, 5):
                     for n, b in enumerate(boundary):
-                        assert fp_rank(b, p) == len(fp_rref(b, p)[1]), (
-                            e, m, p, n)
+                        dense = b.dense()
+                        assert fp_rank(sparse_rows(dense.tolist()), p) == len(
+                            fp_rref(dense, p)[1]), (e, m, p, n)
 
     def test_rejects_large_modulus(self):
         with pytest.raises(ValueError):
             fp_rank(np.array([[1]]), 1048583)
+
+
+@st.composite
+def unit_pivot_matrices(draw, max_dim=8):
+    """Integer matrices with entries in -3..3 of four kinds: any entries,
+    mostly zeros, no unit at all (entries 0, +-2, +-3, as in 2 times the
+    identity), and a unit-free block beside [[1, 2], [2, 3]], whose second
+    row gets its unit only once the first row is eliminated."""
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    kind = draw(st.sampled_from(["any", "sparse", "no units", "late"]))
+    values = {"any": st.integers(-3, 3),
+              "sparse": st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -3]),
+              "no units": st.sampled_from([0, 0, 2, -2, 3, -3]),
+              "late": st.sampled_from([0, 0, 2, -2, 3, -3])}[kind]
+    rows = draw(st.lists(st.lists(values, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if kind == "late":
+        rows = [[1, 2] + [0] * c, [2, 3] + [0] * c] + [
+            [0, 0] + row for row in rows]
+    return rows
+
+
+class TestUnitPivotReduction:
+    """Unit pivots over Z, then fp_rank of the residual, against the dense
+    rank_mod_p for several primes."""
+
+    @given(unit_pivot_matrices())
+    @example([[2, 0], [0, 2]])
+    @example([[1, 2], [2, 3]])
+    @example([[2, 3], [3, 1]])
+    @settings(max_examples=300, deadline=None)
+    def test_units_plus_residual_rank_is_the_rank_mod_p(self, rows):
+        units, residual = unit_pivot_reduction(sparse_matrix(rows))
+        for row in residual:
+            assert row and all(x not in (0, 1, -1) for x in row.values())
+        for p in (2, 3, 5, 7):
+            assert units + fp_rank(residual, p) == rank_mod_p(rows, p), p
+
+    def test_no_unit_leaves_everything_in_the_residual(self):
+        units, residual = unit_pivot_reduction(sparse_matrix([[2, 0], [0, 2]]))
+        assert units == 0 and residual == ({0: 2}, {1: 2})
+
+    def test_a_unit_that_appears_after_an_elimination_is_used(self):
+        # pivot on the 1 of row 0; row 1 becomes [0, -1], a unit
+        assert unit_pivot_reduction(sparse_matrix([[1, 2], [2, 3]])) == (2, ())
