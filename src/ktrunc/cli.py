@@ -54,8 +54,13 @@ def _ranks_json(ranks: dict[int, int]) -> dict[str, int]:
     return {str(k): v for k, v in sorted(ranks.items())}
 
 
+def _hh_weights(cfg: argparse.Namespace) -> range:
+    return (range(cfg.m, cfg.m + 1) if cfg.m is not None
+            else range(1, cfg.mmax + 1))
+
+
 def run_hh(cfg: argparse.Namespace) -> str:
-    ms = [cfg.m] if cfg.m is not None else list(range(1, cfg.mmax + 1))
+    ms = _hh_weights(cfg)
     weights = [(m, *_hh_weight(cfg, m)) for m in ms]
     if cfg.fmt == "json":
         entries = []
@@ -208,7 +213,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     group.add_argument("--rmax", type=int,
                        help="all degrees 1 .. 2*rmax-1")
 
-    sp = sub.add_parser("hh", help="weight-graded bar homology")
+    sp = sub.add_parser(
+        "hh", help="weight-graded bar homology",
+        description="Weight-graded bar homology.  Every weight is checked "
+        "against a size budget before anything is built: a weight of at "
+        f"most {cycbar.WEIGHT_BUDGET}, at most {cycbar.WORD_BUDGET:,} "
+        "words in its complex (every weight up to 14 fits, for every e), "
+        "and, when e does not divide m, at most "
+        f"{cycbar.SCALAR_DEGREE_BUDGET:,} words in each of the four "
+        "degrees around the integral Connes scalar.  A weight past it "
+        "exits 2 before any weight is computed.")
     common(sp)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int, help="single weight")
@@ -245,6 +259,12 @@ def _validate(parser: argparse.ArgumentParser,
         parser.error(f"--enum-bound must be at most {wittsplit.ENUM_CAP}")
     if cfg.command == "hh" and cfg.e is not None and cfg.e < 2:
         parser.error("--e must be at least 2 for homology")
+    if cfg.command == "hh":
+        for m in _hh_weights(cfg):
+            try:
+                cycbar.check_size_budget(cfg.e, m)
+            except cycbar.ComplexTooLargeError as exc:
+                parser.error(str(exc))
     if cfg.command == "kgroups" and cfg.fmt == "table":
         # the top order p^(f*r*(e-1)) is printed in decimal; 2^4 > 10, so
         # an exponent of 4 * limit or more is too long without building it

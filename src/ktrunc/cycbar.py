@@ -15,22 +15,29 @@ That one copy serves every p.  Each boundary is reduced once over Z along
 its +-1 entries, so its rank mod any p is the number of unit pivots plus
 the rank of a residual of a few rows.  Only the integral Connes scalar
 (its Smith forms) and the mod-p generators of the (z, w) pages read dense
-matrices, and only the ones they use.  A separate two-term "small
-complex" computes the same homology from the standard periodic resolution
-of k[x]/(x^e) and serves as an independent oracle.
+matrices, and only the ones they use.  The integral scalar presents each
+homology group in the kernel basis of the boundary out of its degree,
+through the coordinate map integer_kernel_basis keeps with that basis, so
+the presentation is read off the sparse boundary columns into the degree.
+check_size_budget counts the words of each degree without building one,
+and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
+checks every weight it is asked for before it builds anything.  A
+separate two-term "small complex" computes the same homology from the
+standard periodic resolution of k[x]/(x^e) and serves as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .exactalg import (IntMatrix, SparseIntMatrix, fp_kernel_basis, fp_rank,
                        fp_rref, fp_solve, integer_kernel_basis,
-                       integer_solve, lattice_coordinates, smith_normal_form,
-                       unit_pivot_reduction)
+                       integer_solve, smith_normal_form, unit_pivot_reduction)
 
 Word = tuple[int, ...]
 
@@ -44,8 +51,26 @@ CONNES_SCALAR_CACHE_SIZE = 64
 HOMOLOGY_CACHE_SIZE = 256
 
 
+# Size budget of `hh`, checked on word counts before anything is built.
+# The weight bounds the recursion depth of _interior_parts.  Every weight up to
+# 14 has at most 2^14 words for every e.  The integral Connes scalar runs
+# dense Smith forms on the four degrees around it.  Timings of `hh` on 2
+# CPUs with Python 3.11: (e, m) = (7, 14), 15,234 words and no scalar,
+# 1.5 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 5 s and
+# 235 MB; (4, 15), widest 2,570, 5 s and 242 MB; (3, 19), widest 3,718,
+# 69 s and 616 MB.
+WEIGHT_BUDGET = 512
+WORD_BUDGET = 1 << 14
+SCALAR_DEGREE_BUDGET = 3000
+
+
 class ComplexIdentityError(AssertionError):
     """A mixed-complex identity failed at the integer level."""
+
+
+class ComplexTooLargeError(ValueError):
+    """The (e, m) complex, or the integral Connes scalar read off it, is
+    past the size budget."""
 
 
 def d_function(e: int, m: int) -> int:
@@ -75,6 +100,51 @@ def weight_words(e: int, m: int, n: int) -> tuple[Word, ...]:
         for rest in _interior_parts(m - head, n, e):
             out.append((head,) + rest)
     return tuple(out)
+
+
+def words_per_degree(e: int, m: int) -> list[int]:
+    """len(weight_words(e, m, n)) for n = 0..m, counted without building a
+    word: a degree-n word is a head in [0, e-1] followed by a composition
+    of m - head into n parts in [1, e-1].  comps[i] counts the
+    compositions of start + i, over the sums start.. that n parts reach
+    without passing m, so a row costs its width, not m."""
+    counts = []
+    start, comps = 0, [1]
+    for _ in range(m + 1):
+        counts.append(sum(comps[max(0, m - e + 1 - start):
+                                max(0, m + 1 - start)]))
+        prefix = [0, *accumulate(comps)]
+        width = len(comps)
+        comps = [prefix[min(s - start, width)]
+                 - prefix[max(0, s - e + 1 - start)]
+                 for s in range(start + 1,
+                                min(m + 1, start + width + e - 1))]
+        start += 1
+    return counts
+
+
+def check_size_budget(e: int, m: int) -> None:
+    """Raise ComplexTooLargeError when the weight-m complex, or the dense
+    Smith forms of its integral Connes scalar (e not dividing m), would be
+    past the budget."""
+    if m > WEIGHT_BUDGET:
+        raise ComplexTooLargeError(
+            f"weight {m} is past the size budget of {WEIGHT_BUDGET}")
+    words = words_per_degree(e, m)
+    total = sum(words)
+    if total > WORD_BUDGET:
+        shown = f"{total:,}" if total < 10 ** 9 else "over 10^9"
+        raise ComplexTooLargeError(
+            f"the (e, m) = ({e}, {m}) complex has {shown} words, past the "
+            f"size budget of {WORD_BUDGET:,}")
+    if m % e:
+        lo = 2 * d_function(e, m)
+        widest = max(words[max(0, lo - 1):lo + 3])
+        if widest > SCALAR_DEGREE_BUDGET:
+            raise ComplexTooLargeError(
+                f"the integral Connes scalar at (e, m) = ({e}, {m}) reads "
+                f"a degree of {widest:,} words, past the size budget of "
+                f"{SCALAR_DEGREE_BUDGET:,}")
 
 
 def _face_terms(word: Word, e: int):
@@ -239,30 +309,27 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
     """Generator of an integral homology group that must be exactly Z, and
     the class of each given cycle as a multiple of it.
 
-    ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis; the
-    Smith form u @ pres @ v = d of the presentation must show one free
+    ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis, whose
+    coordinates integer_kernel_basis reads off the Smith form of out_mat;
+    the Smith form u @ pres @ v = d of the presentation must show one free
     coordinate and no torsion.  Row `rank` of u is then a functional phi
     whose kernel is exactly the image, so it maps the homology
     isomorphically onto Z: any chain phi sends to 1 is a generator, and a
     cycle is phi of its kernel coordinates times that generator, modulo
     boundaries.
     """
-    kernel = integer_kernel_basis(out_mat.int_matrix())
-    k, n_in = kernel.cols, in_mat.shape[1]
-    coords = lattice_coordinates(kernel,
-                                 in_mat.dense().T.tolist() + list(cycles))
-    pres = IntMatrix._of_int_rows((row[:n_in] for row in coords.entries), k,
-                                  n_in)
-    snf_pres = smith_normal_form(pres)
+    kernel, coordinates = integer_kernel_basis(out_mat.int_matrix())
+    cycle_coords = coordinates(enumerate(w) for w in cycles).entries
+    snf_pres = smith_normal_form(coordinates(in_mat.columns))
     diag = snf_pres.d.diagonal_entries()
     rank = sum(1 for x in diag if x)
-    if k - rank != 1 or any(x > 1 for x in diag):
+    if kernel.cols - rank != 1 or any(x > 1 for x in diag):
         raise AssertionError(
             f"integral homology is not free of rank one: diag {diag}, "
-            f"kernel rank {k}")
+            f"kernel rank {kernel.cols}")
     phi = snf_pres.u.entries[rank]
-    classes = [sum(f * row[j] for f, row in zip(phi, coords.entries))
-               for j in range(n_in, coords.cols)]
+    classes = [sum(f * row[j] for f, row in zip(phi, cycle_coords))
+               for j in range(len(cycles))]
     generator = kernel.apply(integer_solve(IntMatrix([phi]), [1]))
     return generator, classes
 

@@ -11,9 +11,14 @@ column, and unit_pivot_reduction eliminates each one once over Z along its
 +-1 entries: a unit pivot is a unit mod every prime, so its rank mod any p
 is the number of pivots plus the fp_rank of the small residual, and
 fp_rank eliminates sparse rows kept as dicts.  smith_normal_form and
-IntMatrix.apply skip zeros without changing a single transform.  fp_rref,
-and the kernel bases and solutions built on it, stay dense numpy row
-reductions; their pivots choose the mod-p homology generators.
+IntMatrix.apply skip zeros without changing a single transform.  For
+integer_kernel_basis alone the Smith form also keeps the inverse of its
+column transform v, as sparse rows; rows rank.. of it are a left inverse
+of the kernel basis, so the coordinate map it returns reads the
+coordinates of kernel vectors off that inverse, with no second Smith form
+and no solve per vector.  fp_rref, and the kernel bases and solutions
+built on it, stay dense numpy row reductions; their pivots choose the
+mod-p homology generators.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,15 +255,19 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
+    """u @ m @ v == d.  v_inverse is v's inverse, stored by columns, when
+    the Smith form was asked to keep it (integer_kernel_basis), else None."""
+
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    v_inverse: SparseIntMatrix | None = None
 
     def rank(self) -> int:
         return sum(1 for x in self.d.diagonal_entries() if x != 0)
 
 
-def smith_normal_form(m: IntMatrix) -> SNFResult:
+def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
     """Diagonalize m over Z: returns (d, u, v) with u @ m @ v == d,
     u and v unimodular, and d_1 | d_2 | ... on the nonnegative diagonal.
 
@@ -272,11 +281,17 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     the nonzero entries of the pivot row of a and u (or the pivot column
     of v) once; and since the row sweep leaves column t of a zero except
     at the pivot, a column operation changes one entry of a.
+
+    With _inverse (integer_kernel_basis alone sets it) the inverse of v is
+    kept too, as sparse rows: col_j -= q * col_t on v is row_t += q * row_j
+    on its inverse, and a column swap swaps two rows.  Step t adds only
+    into row t, so the rows past t stay nearly as sparse as the identity.
     """
     R, C = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
     vc = [[1 if i == j else 0 for i in range(C)] for j in range(C)]
+    vi = [{j: 1} for j in range(C)] if _inverse else None
 
     def nonzeros(row):
         return [(k, x) for k, x in enumerate(row) if x]
@@ -289,6 +304,8 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
         for row in a[t:]:
             row[i], row[j] = row[j], row[i]
         vc[i], vc[j] = vc[j], vc[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -337,14 +354,22 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                     row_negate(t)
                 continue
             at, pivot_v = a[t], nonzeros(vc[t])
-            for j in range(t + 1, C):
-                q = at[j] // piv
+            for j, aj in pivot_a[1:]:  # pivot_a[0] is the pivot
+                q = aj // piv
                 if q:  # col_j -= q * col_t
                     at[j] -= q * piv
                     vj = vc[j]
                     for k, x in pivot_v:
                         vj[k] -= q * x
-            rem = [j for j in range(t + 1, C) if at[j]]
+                    if vi is not None:  # row_t += q * row_j
+                        vt = vi[t]
+                        for k, x in vi[j].items():
+                            y = vt.get(k, 0) + q * x
+                            if y:
+                                vt[k] = y
+                            else:
+                                del vt[k]
+            rem = [j for j, _ in pivot_a[1:] if at[j]]
             if rem:
                 j = min(rem, key=lambda k: (abs(at[k]), k))
                 col_swap(t, j)
@@ -369,9 +394,16 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
             u[t] = [x + y for x, y in zip(u[t], u[bad])]
         t += 1
 
+    v_inverse = None
+    if vi is not None:
+        columns = [[] for _ in range(C)]
+        for i, row in enumerate(vi):
+            for j, x in row.items():
+                columns[j].append((i, x))
+        v_inverse = SparseIntMatrix(C, map(tuple, columns))
     return SNFResult(IntMatrix._of_int_rows(a, R, C),
                      IntMatrix._of_int_rows(u, R, R),
-                     IntMatrix._of_int_rows(zip(*vc), C, C))
+                     IntMatrix._of_int_rows(zip(*vc), C, C), v_inverse)
 
 
 def _solve_integer(snf: SNFResult, w: Sequence[int]) -> list[int]:
@@ -393,12 +425,45 @@ def _solve_integer(snf: SNFResult, w: Sequence[int]) -> list[int]:
     return v.apply(z)
 
 
-def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice of m."""
-    snf = smith_normal_form(m)
+def integer_kernel_basis(m: IntMatrix) -> tuple[
+        IntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
+                            IntMatrix]]:
+    """(basis, coordinates): the columns of basis form a basis of the
+    integer kernel lattice of m, and coordinates(vectors) gives the
+    coordinates of kernel vectors in it, one column per vector.
+
+    With u @ m @ v == d of rank r, the basis is columns r.. of v, and the
+    coordinates of w are rows r.. of v^-1 @ w, read off the inverse the
+    Smith form kept (no second Smith form, no solve per vector).  Each
+    vector is given sparse, as (index, value) pairs; one whose rows ..r of
+    v^-1 @ w do not vanish lies outside the kernel, and coordinates raises
+    GhostInversionError for it.
+    """
+    snf = smith_normal_form(m, _inverse=True)
     rank = snf.rank()
-    return IntMatrix._of_int_rows((row[rank:] for row in snf.v.entries),
-                                  m.cols, m.cols - rank)
+    basis = IntMatrix._of_int_rows((row[rank:] for row in snf.v.entries),
+                                   m.cols, m.cols - rank)
+    inverse = snf.v_inverse.columns
+
+    def coordinates(vectors: Iterable[Iterable[tuple[int, int]]]
+                    ) -> IntMatrix:
+        vectors = list(vectors)
+        out = [[0] * len(vectors) for _ in range(basis.cols)]
+        for j, vec in enumerate(vectors):
+            low = {}  # rows ..rank of v^-1 @ vec, zero exactly on the kernel
+            for i, x in vec:
+                if x:
+                    for k, a in inverse[i]:
+                        if k < rank:
+                            low[k] = low.get(k, 0) + a * x
+                        else:
+                            out[k - rank][j] += a * x
+            if any(low.values()):
+                raise GhostInversionError(
+                    "vector outside the integer kernel")
+        return IntMatrix._of_int_rows(out, basis.cols, len(vectors))
+
+    return basis, coordinates
 
 
 def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:

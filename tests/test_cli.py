@@ -131,6 +131,11 @@ class TestHH:
         _, out = run_cli(capsys, "hh", "--p", "3", "--e", "3", "--m", "11")
         assert out == "deg 6: 1, deg 7: 1, B = 1\n"
 
+    def test_printed_sign_past_the_scalar_table(self, capsys):
+        # the integral scalar at (e, m) = (5, 13) is -13, so B = -13 mod 3
+        _, out = run_cli(capsys, "hh", "--p", "3", "--e", "5", "--m", "13")
+        assert out == "deg 4: 1, deg 5: 1, B = 2\n"
+
     def test_one_homology_computation_per_weight(self, capsys,
                                                  fresh_homology_memo):
         # the page dump reuses the summary of the weight's own line
@@ -317,6 +322,33 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["kgroups", "--p", "2", "--e", "2", "--r", str(k + 1)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("weights, message", [
+        (["--m", "16"], "(6, 16) complex has 53,568 words, past the size "
+                        "budget of 16,384"),
+        (["--mmax", "10000000000"], "(6, 15) complex has 27,248 words"),
+    ])
+    def test_hh_past_the_size_budget(self, capsys, monkeypatch, weights,
+                                     message):
+        def compute_nothing(*args):
+            raise AssertionError("homology computed")
+
+        monkeypatch.setattr(cycbar, "reduced_homology", compute_nothing)
+        with pytest.raises(SystemExit) as exc:
+            main(["hh", "--p", "3", "--e", "6", *weights])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ktrunc hh [-h]")
+        assert message in captured.err
+
+    def test_hh_help_states_the_size_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hh", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "a weight of at most 512, at most 16,384 words" in text
+        assert "at most 3,000 words in each of the four degrees" in text
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--enum-bound", "0"],

@@ -8,6 +8,7 @@ and the closed-form rank table.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,12 @@ class TestWords:
             for n in range(m + 1):
                 assert len(weight_words(e, m, n)) == word_count(e, m, n), (
                     e, m, n)
+
+    def test_counts_without_building_words(self):
+        for e in range(2, 9):
+            for m in range(1, 13):
+                assert cycbar.words_per_degree(e, m) == [
+                    word_count(e, m, n) for n in range(m + 1)], (e, m)
 
     def test_normalization_constraints(self):
         for e, m in GRID:
@@ -234,6 +241,33 @@ class TestSparseStorage:
         assert int(proc.stdout) / 1024 < 150
 
 
+class TestSizeBudget:
+    def test_every_weight_up_to_fourteen_fits(self):
+        for e in range(2, 20):
+            for m in range(1, 15):
+                assert sum(cycbar.words_per_degree(e, m)) <= \
+                    cycbar.WORD_BUDGET, (e, m)
+        for e, m in [(6, 14), (7, 14), (4, 15), (2, cycbar.WEIGHT_BUDGET)]:
+            cycbar.check_size_budget(e, m)
+
+    @pytest.mark.parametrize("e, m, message", [
+        (6, 16, "complex has 53,568 words, past the size budget of 16,384"),
+        (3, 19, "reads a degree of 3,718 words, past the size budget of "
+                "3,000"),
+        (2, 513, "weight 513 is past the size budget of 512"),
+        (3, 512, "complex has over 10^9 words"),
+    ])
+    def test_refused_without_building_a_word(self, monkeypatch, e, m,
+                                             message):
+        def build_nothing(*args):
+            raise AssertionError("words built")
+
+        monkeypatch.setattr(cycbar, "weight_words", build_nothing)
+        with pytest.raises(cycbar.ComplexTooLargeError,
+                           match=re.escape(message)):
+            cycbar.check_size_budget(e, m)
+
+
 class TestHomology:
     def test_three_routes_agree(self):
         for e, m in GRID:
@@ -287,7 +321,8 @@ class TestHomology:
     def test_integral_connes_scalar_table(self):
         # The integral scalar is +-m; its sign depends on how the generators
         # are oriented and shows in `hh` output mod p, so it is pinned.
-        # It is -m at (3, 11), (4, 6), (4, 9) and (5, 12) and +m elsewhere.
+        # It is -m at (3, 11), (4, 6), (4, 9) and (5, 12) and +m elsewhere,
+        # and -13 at (5, 13), past the grid.
         negative = {(3, 11), (4, 6), (4, 9), (5, 12)}
         for e in range(2, 7):
             for m in range(1, 13):
@@ -295,6 +330,7 @@ class TestHomology:
                     want = -m if (e, m) in negative else m
                     assert cycbar._integral_connes_scalar(e, m) == want, (
                         e, m)
+        assert cycbar._integral_connes_scalar(5, 13) == -13
 
     def test_page_scalar_is_the_homology_scalar(self):
         # the grid holds (y, z) pages and (z, w) pages, the latter from

@@ -53,6 +53,16 @@ def sparse_matrix(rows) -> SparseIntMatrix:
         tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)])
 
 
+def dense_product(a, b):
+    """a @ b, on lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def int_matrices(max_dim=4):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
@@ -203,23 +213,30 @@ class TestFastPathsMatchReference:
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
         through the Smith form: for each of the two degrees, the boundary
-        out of it, its kernel basis, the presentation of its homology and
-        the functional phi that integer_solve inverts."""
+        out of it (keeping the inverse of v, which gives the kernel
+        coordinates), the presentation of its homology and the functional
+        phi that integer_solve inverts."""
         seen = []
 
-        def recording_snf(m):
-            seen.append(m)
-            return smith_normal_form(m)
+        def recording_snf(m, **kwargs):
+            snf = smith_normal_form(m, **kwargs)
+            seen.append((m, snf))
+            return snf
 
         monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
         monkeypatch.setattr(cycbar, "smith_normal_form", recording_snf)
         _integral_connes_scalar.__wrapped__(3, 7)
-        assert [(g.rows, g.cols) for g in seen] == [
-            (4, 14), (14, 10), (10, 16), (1, 10),
-            (14, 16), (16, 7), (7, 7), (1, 7)]
-        for g in seen:
-            self.assert_reference_snf([list(r) for r in g.entries], g.rows,
-                                      g.cols)
+        assert [(g.rows, g.cols) for g, _ in seen] == [
+            (4, 14), (10, 16), (1, 10), (14, 16), (7, 7), (1, 7)]
+        assert [snf.v_inverse is not None for _, snf in seen] == [
+            True, False, False, True, False, False]
+        for g, snf in seen:
+            v = self.assert_reference_snf([list(r) for r in g.entries],
+                                          g.rows, g.cols)
+            if snf.v_inverse is not None:
+                # the kept inverse is the inverse of the reference v
+                assert dense_product(snf.v_inverse.dense().tolist(),
+                                     v) == identity(g.cols)
 
     @staticmethod
     def assert_reference_snf(rows, R, C):
@@ -228,6 +245,7 @@ class TestFastPathsMatchReference:
         assert [list(r) for r in snf.d.entries] == d
         assert [list(r) for r in snf.u.entries] == u
         assert [list(r) for r in snf.v.entries] == v
+        return v
 
 
 class TestColumnIndex:
@@ -292,7 +310,7 @@ class TestIntegerSolve:
     @settings(max_examples=100, deadline=None)
     def test_kernel_basis_spans_kernel(self, rows):
         m = IntMatrix(rows)
-        basis = integer_kernel_basis(m)
+        basis, _ = integer_kernel_basis(m)
         prod = m @ basis
         assert all(x == 0 for row in prod.entries for x in row)
         rank = smith_normal_form(m).rank()
@@ -348,6 +366,80 @@ class TestLatticeCoordinates:
             lattice_coordinates(IntMatrix([[2]]), [[1]])
         with pytest.raises(GhostInversionError):
             lattice_coordinates(IntMatrix([[1], [1]]), [[2, 2], [1, 0]])
+
+
+@st.composite
+def deficient_matrices(draw, max_dim=6):
+    """Matrices with entries in -3..3, some of whose columns are zero and
+    some of whose rows and columns repeat others, so the rank often falls
+    short of both dimensions."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    small = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(small, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if r > 1:
+        for i in draw(st.lists(st.integers(1, r - 1), max_size=2)):
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    cols = [list(col) for col in zip(*rows)]
+    if c > 1:
+        for j in draw(st.lists(st.integers(1, c - 1), max_size=2)):
+            cols[j] = list(cols[draw(st.integers(0, j - 1))])
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c - 1)):
+        cols[j] = [0] * r
+    return [list(row) for row in zip(*cols)]
+
+
+class TestKernelCoordinates:
+    """integer_kernel_basis reads kernel coordinates off the inverse of v
+    that its Smith form kept; lattice_coordinates, a Smith form of the
+    basis and one solve per vector, is the oracle."""
+
+    @staticmethod
+    def assert_coordinates(m: IntMatrix, vectors):
+        basis, coordinates = integer_kernel_basis(m)
+        snf = smith_normal_form(m, _inverse=True)
+        assert dense_product(snf.v_inverse.dense().tolist(),
+                             [list(r) for r in snf.v.entries]) == \
+            identity(m.cols)
+        for w in vectors:
+            if any(m.apply(w)):
+                with pytest.raises(GhostInversionError):
+                    coordinates([enumerate(w)])
+            else:
+                assert coordinates([enumerate(w)]) == \
+                    lattice_coordinates(basis, [w])
+        kernel = [w for w in vectors if not any(m.apply(w))]
+        sparse = [[(i, x) for i, x in enumerate(w) if x] for w in kernel]
+        assert coordinates(sparse) == lattice_coordinates(basis, kernel)
+
+    @given(deficient_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lattice_coordinates(self, rows, data):
+        m = IntMatrix(rows)
+        basis, _ = integer_kernel_basis(m)
+        small = st.integers(-3, 3)
+        coeffs = data.draw(st.lists(
+            st.lists(small, min_size=basis.cols, max_size=basis.cols),
+            max_size=3), label="kernel coefficients")
+        others = data.draw(st.lists(
+            st.lists(small, min_size=m.cols, max_size=m.cols),
+            max_size=2), label="other vectors")
+        self.assert_coordinates(m, [basis.apply(c) for c in coeffs] + others)
+
+    def test_every_boundary(self):
+        """On each boundary of e <= 5, m <= 9: the columns of the boundary
+        into the same degree, which are cycles, and the basis words whose
+        column is nonzero, which are not."""
+        for e in range(2, 6):
+            for m in range(1, 10):
+                _, boundary, _ = _integer_complex(e, m)
+                for n, b in enumerate(boundary):
+                    cycles = (boundary[n + 1].dense().T.tolist()
+                              if n + 1 < len(boundary) else [])
+                    units = [[int(i == j) for i in range(b.shape[1])]
+                             for j, col in enumerate(b.columns) if col]
+                    self.assert_coordinates(b.int_matrix(), cycles + units)
 
 
 class TestKernelInvariants:
