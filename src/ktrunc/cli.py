@@ -18,6 +18,11 @@ from . import checks, cycbar, ssengine, tcassemble, wittsplit
 from .checks import PAGE_DEGREES
 from .exactalg import is_prime
 
+# Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
+# the number of weights it computes, each repeated f times in the output.
+# Near the bound, --e 1000 --r 1000 takes about 14 s on a 2-core x86_64 VM.
+KGROUPS_BUDGET = 1 << 20
+
 
 def run_kgroups(cfg: argparse.Namespace) -> str:
     degrees = ([2 * cfg.r - 1] if cfg.r is not None
@@ -204,7 +209,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         sp.add_argument("--format", dest="fmt", choices=("table", "json"),
                         default="table")
 
-    sp = sub.add_parser("kgroups", help="relative K-groups in a degree range")
+    sp = sub.add_parser(
+        "kgroups", help="relative K-groups in a degree range",
+        description="Relative K-groups in a degree range.  The input is "
+        "checked against a size budget before anything is computed: f "
+        "times the sum of r*e over the printed degrees 2r-1 is at most "
+        f"{KGROUPS_BUDGET:,} (--e 1000 --r 1000 fits).  An input past it "
+        "exits 2.")
     common(sp)
     sp.add_argument("--f", type=int, default=1,
                     help="residue degree of the coefficient field")
@@ -265,15 +276,23 @@ def _validate(parser: argparse.ArgumentParser,
                 cycbar.check_size_budget(cfg.e, m)
             except cycbar.ComplexTooLargeError as exc:
                 parser.error(str(exc))
-    if cfg.command == "kgroups" and cfg.fmt == "table":
-        # the top order p^(f*r*(e-1)) is printed in decimal; 2^4 > 10, so
-        # an exponent of 4 * limit or more is too long without building it
-        k = cfg.f * (cfg.r or cfg.rmax) * (cfg.e - 1)
-        limit = sys.get_int_max_str_digits()
-        if limit and (k >= 4 * limit or cfg.p ** k >= 10 ** limit):
-            parser.error(f"--format table prints the order {cfg.p}^{k}, "
-                         f"which has more than {limit} digits; use "
-                         f"--format json")
+    if cfg.command == "kgroups":
+        r = cfg.r or cfg.rmax
+        if cfg.fmt == "table":
+            # the top order p^(f*r*(e-1)) is printed in decimal; 2^4 > 10,
+            # so an exponent of 4 * limit or more is too long without
+            # building it
+            k = cfg.f * r * (cfg.e - 1)
+            limit = sys.get_int_max_str_digits()
+            if limit and (k >= 4 * limit or cfg.p ** k >= 10 ** limit):
+                parser.error(f"--format table prints the order "
+                             f"{cfg.p}^{k}, which has more than {limit} "
+                             f"digits; use --format json")
+        size = cfg.f * cfg.e * (r if cfg.r is not None else r * (r + 1) // 2)
+        if size > KGROUPS_BUDGET:
+            parser.error(f"f times the sum of r*e over the printed degrees "
+                         f"is {size:,}, past the size budget of "
+                         f"{KGROUPS_BUDGET:,}")
 
 
 def main(argv=None) -> int:

@@ -16,9 +16,11 @@ integer_kernel_basis alone the Smith form also keeps the inverse of its
 column transform v, as sparse rows; rows rank.. of it are a left inverse
 of the kernel basis, so the coordinate map it returns reads the
 coordinates of kernel vectors off that inverse, with no second Smith form
-and no solve per vector.  fp_rref, and the kernel bases and solutions
-built on it, stay dense numpy row reductions; their pivots choose the
-mod-p homology generators.
+and no solve per vector.  kernel_invariants reads the kernel of a map of
+finite cyclic-group products off the cokernel of its dual map, so it
+needs one Smith form, of which it reads only the diagonal.  fp_rref, and
+the kernel bases and solutions built on it, stay dense numpy row
+reductions; their pivots choose the mod-p homology generators.
 """
 
 from __future__ import annotations
@@ -129,20 +131,12 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "entries", "_columns")
 
-    def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None,
-                 cols: int | None = None):
+    def __init__(self, entries: Sequence[Sequence[int]]):
         ents = tuple(tuple(map(int, row)) for row in entries)
-        if ents:
-            r, c = len(ents), len(ents[0])
-            if any(len(row) != c for row in ents):
-                raise ValueError("ragged rows")
-        else:
-            r, c = 0, 0 if cols is None else cols
-        if rows is not None and rows != r:
-            raise ValueError("row count mismatch")
-        if cols is not None and ents and cols != c:
-            raise ValueError("column count mismatch")
-        self.rows, self.cols, self.entries = r, c, ents
+        c = len(ents[0]) if ents else 0
+        if any(len(row) != c for row in ents):
+            raise ValueError("ragged rows")
+        self.rows, self.cols, self.entries = len(ents), c, ents
         self._columns = None
 
     @classmethod
@@ -166,17 +160,6 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
-        bt = list(zip(*other.entries)) if other.entries else []
-        out = [[sum(a * b for a, b in zip(row, col)) for col in bt]
-               for row in self.entries]
-        if self.rows and not bt:
-            out = [[] for _ in range(self.rows)]
-        m = IntMatrix(out, rows=self.rows, cols=other.cols)
-        return m
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """self @ vec, adding the nonzero entries of one column of self per
@@ -406,25 +389,6 @@ def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
                      IntMatrix._of_int_rows(zip(*vc), C, C), v_inverse)
 
 
-def _solve_integer(snf: SNFResult, w: Sequence[int]) -> list[int]:
-    """Exact solution c of g @ c = w, via the precomputed SNF of g."""
-    d, u, v = snf.d, snf.u, snf.v
-    y = u.apply(list(w))
-    diag = d.diagonal_entries()
-    z = [0] * d.cols
-    for i, yi in enumerate(y):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if yi != 0:
-                raise GhostInversionError("inconsistent integral system")
-            continue
-        q, r = divmod(yi, di)
-        if r:
-            raise GhostInversionError("non-exact division in integral solve")
-        z[i] = q
-    return v.apply(z)
-
-
 def integer_kernel_basis(m: IntMatrix) -> tuple[
         IntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
                             IntMatrix]]:
@@ -468,35 +432,42 @@ def integer_kernel_basis(m: IntMatrix) -> tuple[
 
 def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:
     """Exact integer solution of g @ c = w; raises if none exists."""
-    return _solve_integer(smith_normal_form(g), w)
-
-
-def lattice_coordinates(basis: IntMatrix,
-                        vectors: Sequence[Sequence[int]]) -> IntMatrix:
-    """Coordinates of each vector in the lattice spanned by the columns of
-    basis, one column per vector; raises if a vector lies outside it."""
-    snf = smith_normal_form(basis)
-    coords = [_solve_integer(snf, w) for w in vectors]
-    return IntMatrix._of_int_rows(
-        ([c[i] for c in coords] for i in range(basis.cols)), basis.cols,
-        len(coords))
+    snf = smith_normal_form(g)
+    y = snf.u.apply(list(w))
+    diag = snf.d.diagonal_entries()
+    z = [0] * g.cols
+    for i, yi in enumerate(y):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if yi != 0:
+                raise GhostInversionError("inconsistent integral system")
+            continue
+        q, r = divmod(yi, di)
+        if r:
+            raise GhostInversionError("non-exact division in integral solve")
+        z[i] = q
+    return snf.v.apply(z)
 
 
 def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
-                      target_moduli: Sequence[int] | None = None) -> GroupStructure:
+                      target_moduli: Sequence[int]) -> GroupStructure:
     """Invariant factors of the kernel of the map
 
-        (+) Z/moduli[j]  -->  (+) Z/target_moduli[i]
+        f: (+) Z/moduli[j]  -->  (+) Z/target_moduli[i]
 
     presented by the integer matrix `relations` (rows indexed by the target
-    coordinates, columns by the source generators).  When target_moduli is
-    omitted the map is an endomorphism of the source product.
+    coordinates, columns by the source generators).
+
+    A finite abelian group is isomorphic to its Pontryagin dual, and the
+    dual of ker f is the cokernel of the dual map.  Write a = moduli and
+    b = target_moduli.  The dual map sends the i-th dual generator of the
+    target to D[j][i] = relations[i][j] * a[j] / b[i] times the j-th of
+    the source, an exact quotient because f is well defined.  So ker f has
+    the invariant factors of Z^n / <columns of [diag(a) | D]>, which one
+    Smith form gives; diag(a) has full rank, so none of them is zero.
     """
     moduli = [int(x) for x in moduli]
-    if target_moduli is None:
-        target_moduli = list(moduli)
-    else:
-        target_moduli = [int(x) for x in target_moduli]
+    target_moduli = [int(x) for x in target_moduli]
     if any(x < 1 for x in moduli) or any(x < 1 for x in target_moduli):
         raise ValueError("moduli must be positive")
     n, mm = len(moduli), len(target_moduli)
@@ -504,35 +475,19 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
         raise ValueError(
             f"dimension mismatch: relations is {relations.rows}x{relations.cols}, "
             f"expected {mm}x{n}")
-    for i in range(mm):
-        bi = target_moduli[i]
-        for j in range(n):
-            if (relations[i, j] * moduli[j]) % bi:
+    dual = [[0] * j + [aj] + [0] * (n - j - 1 + mm)
+            for j, aj in enumerate(moduli)]
+    for i, bi in enumerate(target_moduli):
+        for j, aj in enumerate(moduli):
+            q, r = divmod(relations[i, j] * aj, bi)
+            if r:
                 raise ValueError(
                     f"relation entry ({i},{j}) does not define a map of "
                     f"cyclic groups")
-    if n == 0:
-        return GroupStructure()
-
-    # Lattice L = { x in Z^n : relations @ x = 0 mod target }: kernel of the
-    # stacked map [relations | -diag(target)] on Z^(n+mm), projected to the
-    # x-block.  The projection is injective because diag(target) is.
-    stacked = [list(relations.entries[i]) + [0] * mm for i in range(mm)]
-    for i in range(mm):
-        stacked[i][n + i] = -target_moduli[i]
-    snf = smith_normal_form(IntMatrix(stacked, rows=mm, cols=n + mm))
-    rank = snf.rank()
-    gens = [[snf.v[r, c] for c in range(rank, n + mm)] for r in range(n)]
-    k = n + mm - rank
-    if k != n:
-        raise GhostInversionError("kernel lattice has unexpected rank")
-    # Express each relation a_j * e_j of the source product in lattice
-    # coordinates; the quotient of Z^k by those columns is the kernel group.
-    relations_in_lattice = lattice_coordinates(
-        IntMatrix(gens, rows=n, cols=k),
-        [[moduli[j] if i == j else 0 for i in range(n)] for j in range(n)])
-    diag = smith_normal_form(relations_in_lattice).d.diagonal_entries()
-    if len([x for x in diag if x != 0]) != k:
+            dual[j][n + i] = q
+    diag = smith_normal_form(
+        IntMatrix._of_int_rows(dual, n, n + mm)).d.diagonal_entries()
+    if 0 in diag:
         raise GhostInversionError("kernel of a map of finite groups is finite")
     factors: list[int] = []
     for x in diag:

@@ -181,7 +181,7 @@ def first_outside_span(span, candidates, p: int):
 
 
 # -- Reference Smith normal form --------------------------------------------
-# A verbatim copy of exactalg.smith_normal_form and exactalg._solve_integer
+# A verbatim copy of exactalg.smith_normal_form and exactalg.integer_solve
 # before their unit-pivot exits and zero skipping, on plain lists of rows,
 # with the dense matrix-vector product they used.  The fast paths must give
 # the same (d, u, v) and the same solutions.

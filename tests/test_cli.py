@@ -323,6 +323,49 @@ class TestUsageErrors:
             main(["kgroups", "--p", "2", "--e", "2", "--r", str(k + 1)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, size", [
+        (["--e", "2000", "--r", "1000", "--format", "json"], "2,000,000"),
+        (["--e", "2", "--r", "1", "--f", str(10 ** 9), "--format", "json"],
+         "2,000,000,000"),
+        (["--e", "2", "--rmax", "1024", "--format", "json"], "1,049,600"),
+        (["--e", "1", "--rmax", str(10 ** 18)],
+         f"{10 ** 18 * (10 ** 18 + 1) // 2:,}"),
+    ])
+    def test_kgroups_past_the_size_budget(self, capsys, monkeypatch, argv,
+                                          size):
+        def compute_nothing(*args):
+            raise AssertionError("group computed")
+
+        monkeypatch.setattr(tcassemble, "group_in_degree", compute_nothing)
+        with pytest.raises(SystemExit) as exc:
+            main(["kgroups", "--p", "2", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ktrunc kgroups [-h]")
+        assert (f"sum of r*e over the printed degrees is {size}, past the "
+                f"size budget of 1,048,576") in captured.err
+
+    def test_kgroups_at_the_size_budget(self, capsys, monkeypatch):
+        # f * r * e = 2^20 is admitted, and so is --rmax 1023 at e = 2,
+        # whose sum of r*e is 1,047,552 (--rmax 1024 is refused above)
+        monkeypatch.setattr(tcassemble, "group_in_degree",
+                            lambda p, e, d, f: GroupStructure())
+        for argv in (["--e", "2", "--r", "1", "--f", str(1 << 19)],
+                     ["--e", "1", "--r", "1", "--f", str(1 << 20)],
+                     ["--e", "2", "--rmax", "1023"]):
+            code, _ = run_cli(capsys, "kgroups", "--p", "2", *argv,
+                              "--format", "json")
+            assert code == 0, argv
+
+    def test_kgroups_help_states_the_size_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kgroups", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("f times the sum of r*e over the printed degrees 2r-1 is at "
+                "most 1,048,576") in text
+
     @pytest.mark.parametrize("weights, message", [
         (["--m", "16"], "(6, 16) complex has 53,568 words, past the size "
                         "budget of 16,384"),

@@ -5,17 +5,16 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ktrunc import cycbar, exactalg
+from ktrunc import cycbar, exactalg, tcassemble
 from ktrunc.cycbar import _integer_complex, _integral_connes_scalar
 from ktrunc.exactalg import (
     GhostInversionError,
     GroupStructure,
     IntMatrix,
     SparseIntMatrix,
-    _solve_integer,
     fp_kernel_basis,
     fp_rank,
     fp_rref,
@@ -24,7 +23,6 @@ from ktrunc.exactalg import (
     integer_solve,
     is_prime,
     kernel_invariants,
-    lattice_coordinates,
     smith_normal_form,
     unit_pivot_reduction,
 )
@@ -111,7 +109,8 @@ class TestSmithNormalForm:
     def test_decomposition_and_invariants(self, rows):
         m = IntMatrix(rows)
         snf = smith_normal_form(m)
-        assert snf.u @ m @ snf.v == snf.d
+        assert dense_product(dense_product(snf.u.entries, rows),
+                             snf.v.entries) == [list(r) for r in snf.d.entries]
         assert abs(det([list(r) for r in snf.u.entries])) == 1
         assert abs(det([list(r) for r in snf.v.entries])) == 1
         diag = snf.d.diagonal_entries()
@@ -200,15 +199,15 @@ class TestFastPathsMatchReference:
                 want = reference_solve(d, u, v, w)
             except ReferenceSolveError:
                 with pytest.raises(GhostInversionError):
-                    _solve_integer(snf, w)
+                    integer_solve(g, w)
             else:
-                assert _solve_integer(snf, w) == want
+                assert integer_solve(g, w) == want
 
     @pytest.mark.parametrize("e, m", [(4, 8), (5, 9)])
     def test_bar_complex_boundaries(self, e, m, time_limit):
         _, boundary, _ = _integer_complex(e, m)
         for b in boundary:
-            self.assert_reference_snf(b.dense().tolist(), *b.shape)
+            self.assert_reference_snf(b.int_matrix())
 
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
@@ -231,17 +230,16 @@ class TestFastPathsMatchReference:
         assert [snf.v_inverse is not None for _, snf in seen] == [
             True, False, False, True, False, False]
         for g, snf in seen:
-            v = self.assert_reference_snf([list(r) for r in g.entries],
-                                          g.rows, g.cols)
+            v = self.assert_reference_snf(g)
             if snf.v_inverse is not None:
                 # the kept inverse is the inverse of the reference v
                 assert dense_product(snf.v_inverse.dense().tolist(),
                                      v) == identity(g.cols)
 
     @staticmethod
-    def assert_reference_snf(rows, R, C):
-        snf = smith_normal_form(IntMatrix(rows, rows=R, cols=C))
-        d, u, v = reference_snf(rows, R, C)
+    def assert_reference_snf(m: IntMatrix):
+        snf = smith_normal_form(m)
+        d, u, v = reference_snf(m.entries, m.rows, m.cols)
         assert [list(r) for r in snf.d.entries] == d
         assert [list(r) for r in snf.u.entries] == u
         assert [list(r) for r in snf.v.entries] == v
@@ -270,7 +268,8 @@ class TestColumnIndex:
             assert g.apply(vec) == dense_apply(rows, vec)
 
     def test_empty_shapes(self):
-        assert IntMatrix([], cols=3).apply([1, 2, 3]) == []
+        assert SparseIntMatrix(0, [()] * 3).int_matrix().apply(
+            [1, 2, 3]) == []
         assert IntMatrix([[], []]).apply([]) == [0, 0]
 
     @given(st.one_of(sparse_matrices(), int_matrices()))
@@ -280,8 +279,7 @@ class TestColumnIndex:
         # matrix skip the constructor's conversion, and change nothing
         snf = smith_normal_form(IntMatrix(rows))
         for m in (snf.d, snf.u, snf.v, sparse_matrix(rows).int_matrix()):
-            again = IntMatrix([list(r) for r in m.entries], rows=m.rows,
-                              cols=m.cols)
+            again = IntMatrix([list(r) for r in m.entries])
             assert m == again and hash(m) == hash(again)
             assert all(type(row) is tuple for row in m.entries)
             assert all(type(x) is int for row in m.entries for x in row)
@@ -311,8 +309,8 @@ class TestIntegerSolve:
     def test_kernel_basis_spans_kernel(self, rows):
         m = IntMatrix(rows)
         basis, _ = integer_kernel_basis(m)
-        prod = m @ basis
-        assert all(x == 0 for row in prod.entries for x in row)
+        prod = dense_product(rows, basis.entries)
+        assert all(x == 0 for row in prod for x in row)
         rank = smith_normal_form(m).rank()
         assert basis.cols == m.cols - rank
         # basis columns are primitive and independent: full rank over Z
@@ -344,30 +342,6 @@ def cyclic_maps(draw):
     return IntMatrix(rows), src, tgt
 
 
-class TestLatticeCoordinates:
-    @given(int_matrices(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_coordinates_reproduce_the_vectors(self, rows, data):
-        basis = IntMatrix(rows)
-        assume(smith_normal_form(basis).rank() == basis.cols)
-        coeffs = data.draw(st.lists(
-            st.lists(entries, min_size=basis.cols, max_size=basis.cols),
-            max_size=4), label="coefficients")
-        vectors = [basis.apply(c) for c in coeffs]
-        coords = lattice_coordinates(basis, vectors)
-        assert (coords.rows, coords.cols) == (basis.cols, len(vectors))
-        product = basis @ coords
-        assert [list(col) for col in zip(*product.entries)] == vectors
-        # a full-rank basis has unique coordinates
-        assert [list(col) for col in zip(*coords.entries)] == coeffs
-
-    def test_vector_outside_the_lattice_raises(self):
-        with pytest.raises(GhostInversionError):
-            lattice_coordinates(IntMatrix([[2]]), [[1]])
-        with pytest.raises(GhostInversionError):
-            lattice_coordinates(IntMatrix([[1], [1]]), [[2, 2], [1, 0]])
-
-
 @st.composite
 def deficient_matrices(draw, max_dim=6):
     """Matrices with entries in -3..3, some of whose columns are zero and
@@ -390,14 +364,30 @@ def deficient_matrices(draw, max_dim=6):
     return [list(row) for row in zip(*cols)]
 
 
+def reference_coordinates(basis: IntMatrix):
+    """The map from vectors to their coordinates in the lattice spanned by
+    the columns of basis, one column per vector: the reference Smith form
+    of the basis and one reference solve per vector."""
+    d, u, v = reference_snf(basis.entries, basis.rows, basis.cols)
+
+    def coordinates(vectors) -> IntMatrix:
+        coords = [reference_solve(d, u, v, w) for w in vectors]
+        return IntMatrix._of_int_rows(
+            ([c[i] for c in coords] for i in range(basis.cols)), basis.cols,
+            len(coords))
+
+    return coordinates
+
+
 class TestKernelCoordinates:
     """integer_kernel_basis reads kernel coordinates off the inverse of v
-    that its Smith form kept; lattice_coordinates, a Smith form of the
-    basis and one solve per vector, is the oracle."""
+    that its Smith form kept; a reference Smith form of the basis and one
+    reference solve per vector is the oracle."""
 
     @staticmethod
     def assert_coordinates(m: IntMatrix, vectors):
         basis, coordinates = integer_kernel_basis(m)
+        reference = reference_coordinates(basis)
         snf = smith_normal_form(m, _inverse=True)
         assert dense_product(snf.v_inverse.dense().tolist(),
                              [list(r) for r in snf.v.entries]) == \
@@ -408,14 +398,14 @@ class TestKernelCoordinates:
                     coordinates([enumerate(w)])
             else:
                 assert coordinates([enumerate(w)]) == \
-                    lattice_coordinates(basis, [w])
+                    reference([w])
         kernel = [w for w in vectors if not any(m.apply(w))]
         sparse = [[(i, x) for i, x in enumerate(w) if x] for w in kernel]
-        assert coordinates(sparse) == lattice_coordinates(basis, kernel)
+        assert coordinates(sparse) == reference(kernel)
 
     @given(deficient_matrices(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_lattice_coordinates(self, rows, data):
+    def test_matches_reference_coordinates(self, rows, data):
         m = IntMatrix(rows)
         basis, _ = integer_kernel_basis(m)
         small = st.integers(-3, 3)
@@ -455,17 +445,17 @@ class TestKernelInvariants:
 
     def test_identity_and_zero_maps(self):
         ident = IntMatrix([[1, 0], [0, 1]])
-        assert kernel_invariants(ident, [4, 9]).is_trivial()
+        assert kernel_invariants(ident, [4, 9], [4, 9]).is_trivial()
         zero = IntMatrix([[0, 0], [0, 0]])
-        assert kernel_invariants(zero, [4, 9]).factors == (4, 9)
+        assert kernel_invariants(zero, [4, 9], [4, 9]).factors == (4, 9)
 
     def test_multiplication_by_two_on_z4(self):
-        g = kernel_invariants(IntMatrix([[2]]), [4])
+        g = kernel_invariants(IntMatrix([[2]]), [4], [4])
         assert g.factors == (2,)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_invariants(IntMatrix([[1, 0]]), [4])
+            kernel_invariants(IntMatrix([[1, 0]]), [4], [4])
 
     def test_ill_defined_map_rejected(self):
         # 1: Z/2 -> Z/4 is not a group map since 2*1 != 0 in Z/4
@@ -474,7 +464,27 @@ class TestKernelInvariants:
 
     def test_nonpositive_modulus_rejected(self):
         with pytest.raises(ValueError):
-            kernel_invariants(IntMatrix([[1]]), [0])
+            kernel_invariants(IntMatrix([[1]]), [0], [0])
+
+    def test_one_smith_form_per_kernel(self, monkeypatch):
+        """One Smith form, n x (n + mm), of the dual map beside diag(a):
+        for a map between products of n and mm cyclic groups, and for the
+        equalizer kernel of a tower of n stages."""
+        shapes = []
+
+        def recording_snf(m, **kwargs):
+            shapes.append((m.rows, m.cols))
+            return smith_normal_form(m, **kwargs)
+
+        monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
+        zero = IntMatrix([[0, 0], [0, 0], [0, 0]])
+        assert kernel_invariants(zero, [4, 9], [2, 3, 5]).factors == (4, 9)
+        assert shapes == [(2, 5)]
+        model = tcassemble.build_equalizer_model(2, 4, 3, 1)
+        n = len(model.source_lengths)
+        shapes.clear()
+        tcassemble.equalizer_kernel.__wrapped__(model)
+        assert shapes == [(n, 2 * n)]
 
 
 small_primes = st.sampled_from([2, 3, 5, 7])

@@ -1,5 +1,6 @@
 """Every name a ktrunc module imports is used in that module, and every
-public function and class it defines is read outside the tests."""
+public function and class it defines, and every public method and property
+of those classes, is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -52,15 +53,29 @@ def loaded_names(source: str) -> set[str]:
     return names
 
 
+def public_definitions(source: str):
+    """(qualified name, name) of each public top-level function and class,
+    and of each public method and property of a public class; names that
+    start with an underscore, dunders among them, are not public."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and \
+                            not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
 def unread_public_names(modules: dict[str, str],
                         readers: list[str]) -> list[str]:
-    """Public top-level functions and classes of `modules` (name to source)
-    that no source in `readers` reads."""
+    """Public definitions of `modules` (name to source) that no source in
+    `readers` reads."""
     read = set().union(*map(loaded_names, readers))
-    return [f"{module}.{node.name}" for module, source in modules.items()
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in read]
+    return [f"{module}.{qualified}" for module, source in modules.items()
+            for qualified, name in public_definitions(source)
+            if name not in read]
 
 
 def test_every_public_name_is_read_outside_the_tests():
@@ -75,3 +90,21 @@ def test_an_unread_public_name_is_reported():
                     "class _Private: pass\nclass Shape: pass\n"}
     readers = ["import m\nm.used()\n", "from m import Shape\n"]
     assert unread_public_names(modules, readers) == ["m.unused"]
+
+
+def test_an_unread_public_method_or_property_is_reported():
+    modules = {"m": "class Shape:\n"
+                    "    def __init__(self): pass\n"
+                    "    def __eq__(self, other): pass\n"
+                    "    def _helper(self): pass\n"
+                    "    def area(self): pass\n"
+                    "    def scaled(self): pass\n"
+                    "    @property\n"
+                    "    def size(self): pass\n"
+                    "    @property\n"
+                    "    def width(self): pass\n"
+                    "class _Private:\n"
+                    "    def unread(self): pass\n"}
+    readers = ["from m import Shape\nShape().area()\nprint(Shape().size)\n"]
+    assert unread_public_names(modules, readers) == [
+        "m.Shape.scaled", "m.Shape.width"]
