@@ -19,6 +19,15 @@ matrices, and only the ones they use.  The integral scalar presents each
 homology group in the kernel basis of the boundary out of its degree,
 through the coordinate map integer_kernel_basis keeps with that basis, so
 the presentation is read off the sparse boundary columns into the degree.
+Each of its Smith forms keeps only the transforms read from it: the
+boundary's keeps v and the inverse of v (the kernel basis and its
+coordinates), the presentation's keeps u (one row of it is the homology
+functional), and the functional's own, inverted by integer_solve, keeps
+u and v.  A (z, w) page row-reduces the boundaries into each of its two
+degrees once, as fp_rref of the transposed boundary; its generator is the
+first kernel basis column whose remainder against that reduction is
+nonzero, and its scalar is the ratio of the remainders of B gen_lo and
+gen_hi in the upper degree.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
 checks every weight it is asked for before it builds anything.  A
@@ -36,8 +45,8 @@ from itertools import accumulate
 import numpy as np
 
 from .exactalg import (IntMatrix, SparseIntMatrix, fp_kernel_basis, fp_rank,
-                       fp_rref, fp_solve, integer_kernel_basis,
-                       integer_solve, smith_normal_form, unit_pivot_reduction)
+                       fp_rref, integer_kernel_basis, integer_solve,
+                       smith_normal_form, unit_pivot_reduction)
 
 Word = tuple[int, ...]
 
@@ -56,9 +65,9 @@ HOMOLOGY_CACHE_SIZE = 256
 # 14 has at most 2^14 words for every e.  The integral Connes scalar runs
 # dense Smith forms on the four degrees around it.  Timings of `hh` on 2
 # CPUs with Python 3.11: (e, m) = (7, 14), 15,234 words and no scalar,
-# 1.5 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 5 s and
-# 235 MB; (4, 15), widest 2,570, 5 s and 242 MB; (3, 19), widest 3,718,
-# 69 s and 616 MB.
+# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 3.2 s and
+# 132 MB; (4, 15), widest 2,570, 2.9 s and 134 MB; (3, 19), widest 3,718
+# and past the budget, 73 s and 514 MB for its homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000
@@ -320,7 +329,7 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
     """
     kernel, coordinates = integer_kernel_basis(out_mat.int_matrix())
     cycle_coords = coordinates(enumerate(w) for w in cycles).entries
-    snf_pres = smith_normal_form(coordinates(in_mat.columns))
+    snf_pres = smith_normal_form(coordinates(in_mat.columns), _keep=("u",))
     diag = snf_pres.d.diagonal_entries()
     rank = sum(1 for x in diag if x)
     if kernel.cols - rank != 1 or any(x > 1 for x in diag):
@@ -354,19 +363,36 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     return scalar
 
 
-def _homology_generator(c: NormalizedComplex, n: int) -> np.ndarray | None:
-    """First kernel basis vector of d_n outside the span of the boundaries.
+def _image_reduction(c: NormalizedComplex, n: int
+                     ) -> tuple[np.ndarray, list[int]]:
+    """(rows, pivots): the row-reduced echelon basis mod p of the boundaries
+    in degree n, from fp_rref of the transpose of the boundary into it."""
+    rref, pivots = fp_rref(_boundary_in(c.boundary, n).dense().T, c.p)
+    return rref[:len(pivots)], pivots
 
-    In the echelon form of [image | kernel] the first pivot past the image
-    columns marks that vector: every kernel column before it lies in the
-    span of the image.
-    """
-    kernel = fp_kernel_basis(c.boundary[n].dense(), c.p)
-    image = _boundary_in(c.boundary, n).dense()
-    _, pivots = fp_rref(np.hstack([image, kernel]), c.p)
-    for col in pivots:
-        if col >= image.shape[1]:
-            return kernel[:, col - image.shape[1]]
+
+def _remainder(image: tuple[np.ndarray, list[int]], vec: np.ndarray,
+               p: int) -> np.ndarray:
+    """vec mod p minus the combination of the echelon rows that matches it
+    on their pivots: zero exactly when vec is a boundary mod p, and linear
+    in vec."""
+    rows, pivots = image
+    vec = vec % p
+    return (vec - vec[pivots] @ rows) % p
+
+
+def _homology_generator(c: NormalizedComplex, n: int,
+                        image: tuple[np.ndarray, list[int]] | None = None
+                        ) -> np.ndarray | None:
+    """First kernel basis vector of d_n outside the span of the boundaries:
+    the first column of fp_kernel_basis whose remainder against the image
+    reduction (_image_reduction(c, n), computed when not given) is
+    nonzero."""
+    if image is None:
+        image = _image_reduction(c, n)
+    for col in fp_kernel_basis(c.boundary[n].dense(), c.p).T:
+        if _remainder(image, col, c.p).any():
+            return col
     return None
 
 
@@ -403,21 +429,23 @@ def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
             scalar_int = _integral_connes_scalar(e, m)
             scalar = scalar_int % p
         else:
+            image = _image_reduction(c, hi)
             gen_lo = _homology_generator(c, lo)
-            gen_hi = _homology_generator(c, hi)
+            gen_hi = _homology_generator(c, hi, image)
             if gen_lo is None or gen_hi is None:
                 raise AssertionError(
                     "rank-one homology must have a generator")
-            img = (c.connes[lo].dense() @ gen_lo) % p
-            # express the image in H_hi: solve against the generator and
-            # the boundaries from one degree up
-            cols = np.hstack([gen_hi.reshape(-1, 1),
-                              _boundary_in(c.boundary, hi).dense()])
-            sol = fp_solve(cols, img, p)
-            if sol is None:
+            # B gen_lo = s gen_hi + a boundary, and the remainder against
+            # the boundaries is linear and kills them, so the remainders
+            # of B gen_lo and gen_hi differ by the factor s
+            img = _remainder(
+                image, np.array(c.connes[lo].apply(gen_lo.tolist())), p)
+            rem_hi = _remainder(image, gen_hi, p)
+            k = int(np.flatnonzero(rem_hi)[0])
+            scalar = int(img[k]) * pow(int(rem_hi[k]), p - 2, p) % p
+            if ((img - scalar * rem_hi) % p).any():
                 raise AssertionError(
                     "Connes image of a cycle must be a cycle")
-            scalar = int(sol[0]) % p
     return HomologySummary(ranks, scalar, scalar_int)
 
 

@@ -1,6 +1,6 @@
 """Exact linear algebra substrate: integer matrices, Smith normal form with
 unimodular transforms, kernels of maps between finite cyclic-group products,
-and ranks, kernels and solutions over F_p.
+and ranks and kernels over F_p.
 
 All integer work is arbitrary precision and all mod-p work reduces into
 [0, p) before touching int64 arrays, so nothing here ever rounds.
@@ -11,16 +11,19 @@ column, and unit_pivot_reduction eliminates each one once over Z along its
 +-1 entries: a unit pivot is a unit mod every prime, so its rank mod any p
 is the number of pivots plus the fp_rank of the small residual, and
 fp_rank eliminates sparse rows kept as dicts.  smith_normal_form and
-IntMatrix.apply skip zeros without changing a single transform.  For
-integer_kernel_basis alone the Smith form also keeps the inverse of its
-column transform v, as sparse rows; rows rank.. of it are a left inverse
-of the kernel basis, so the coordinate map it returns reads the
-coordinates of kernel vectors off that inverse, with no second Smith form
-and no solve per vector.  kernel_invariants reads the kernel of a map of
-finite cyclic-group products off the cokernel of its dual map, so it
-needs one Smith form, of which it reads only the diagonal.  fp_rref, and
-the kernel bases and solutions built on it, stay dense numpy row
-reductions; their pivots choose the mod-p homology generators.
+IntMatrix.apply skip zeros without changing a single transform, and the
+Smith form builds only the transforms its caller reads.
+integer_kernel_basis keeps the column transform v and its inverse, as
+sparse rows, and no u: rows rank.. of the inverse are a left inverse of
+the kernel basis, so the coordinate map it returns reads the coordinates
+of kernel vectors off that inverse, with no second Smith form and no
+solve per vector.  kernel_invariants reads the kernel of a map of finite
+cyclic-group products off the cokernel of its dual map, so it needs one
+Smith form, of which it reads only the diagonal: it keeps no transform.
+cycbar's presentation of a homology group keeps u alone, and
+integer_solve and the default keep u and v.  fp_rref, and the kernel
+bases built on it, stay dense numpy row reductions; their pivots choose
+the mod-p homology generators.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -238,19 +241,20 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """u @ m @ v == d.  v_inverse is v's inverse, stored by columns, when
-    the Smith form was asked to keep it (integer_kernel_basis), else None."""
+    """u @ m @ v == d.  A transform is None when the Smith form was not
+    asked to keep it; v_inverse is v's inverse, stored by columns."""
 
     d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    u: IntMatrix | None
+    v: IntMatrix | None
     v_inverse: SparseIntMatrix | None = None
 
     def rank(self) -> int:
         return sum(1 for x in self.d.diagonal_entries() if x != 0)
 
 
-def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
+def smith_normal_form(m: IntMatrix, *,
+                      _keep: Collection[str] = ("u", "v")) -> SNFResult:
     """Diagonalize m over Z: returns (d, u, v) with u @ m @ v == d,
     u and v unimodular, and d_1 | d_2 | ... on the nonnegative diagonal.
 
@@ -265,16 +269,24 @@ def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
     of v) once; and since the row sweep leaves column t of a zero except
     at the pivot, a column operation changes one entry of a.
 
-    With _inverse (integer_kernel_basis alone sets it) the inverse of v is
-    kept too, as sparse rows: col_j -= q * col_t on v is row_t += q * row_j
-    on its inverse, and a column swap swaps two rows.  Step t adds only
-    into row t, so the rows past t stay nearly as sparse as the identity.
+    _keep names the transforms the caller reads, among u, v and
+    v_inverse (default u and v); the others come back as None.  Pivot
+    choice reads only a, so d and every kept transform are the same
+    whatever is dropped.  A dropped transform is carried as empty rows, on
+    which every operation does nothing.
+
+    v_inverse is kept as sparse rows: col_j -= q * col_t on v is
+    row_t += q * row_j on its inverse, and a column swap swaps two rows.
+    Step t adds only into row t, so the rows past t stay nearly as sparse
+    as the identity.
     """
     R, C = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    vc = [[1 if i == j else 0 for i in range(C)] for j in range(C)]
-    vi = [{j: 1} for j in range(C)] if _inverse else None
+    u = [[1 if i == j else 0 for j in range(R)] if "u" in _keep else []
+         for i in range(R)]
+    vc = [[1 if i == j else 0 for i in range(C)] if "v" in _keep else []
+          for j in range(C)]
+    vi = [{j: 1} if "v_inverse" in _keep else {} for j in range(C)]
 
     def nonzeros(row):
         return [(k, x) for k, x in enumerate(row) if x]
@@ -287,8 +299,7 @@ def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
         for row in a[t:]:
             row[i], row[j] = row[j], row[i]
         vc[i], vc[j] = vc[j], vc[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -344,14 +355,13 @@ def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
                     vj = vc[j]
                     for k, x in pivot_v:
                         vj[k] -= q * x
-                    if vi is not None:  # row_t += q * row_j
-                        vt = vi[t]
-                        for k, x in vi[j].items():
-                            y = vt.get(k, 0) + q * x
-                            if y:
-                                vt[k] = y
-                            else:
-                                del vt[k]
+                    vt = vi[t]  # row_t += q * row_j
+                    for k, x in vi[j].items():
+                        y = vt.get(k, 0) + q * x
+                        if y:
+                            vt[k] = y
+                        else:
+                            del vt[k]
             rem = [j for j, _ in pivot_a[1:] if at[j]]
             if rem:
                 j = min(rem, key=lambda k: (abs(at[k]), k))
@@ -377,16 +387,17 @@ def smith_normal_form(m: IntMatrix, *, _inverse: bool = False) -> SNFResult:
             u[t] = [x + y for x, y in zip(u[t], u[bad])]
         t += 1
 
+    u_kept = IntMatrix._of_int_rows(u, R, R) if "u" in _keep else None
+    v_kept = IntMatrix._of_int_rows(zip(*vc), C, C) if "v" in _keep else None
     v_inverse = None
-    if vi is not None:
+    if "v_inverse" in _keep:
         columns = [[] for _ in range(C)]
         for i, row in enumerate(vi):
             for j, x in row.items():
                 columns[j].append((i, x))
         v_inverse = SparseIntMatrix(C, map(tuple, columns))
-    return SNFResult(IntMatrix._of_int_rows(a, R, C),
-                     IntMatrix._of_int_rows(u, R, R),
-                     IntMatrix._of_int_rows(zip(*vc), C, C), v_inverse)
+    return SNFResult(IntMatrix._of_int_rows(a, R, C), u_kept, v_kept,
+                     v_inverse)
 
 
 def integer_kernel_basis(m: IntMatrix) -> tuple[
@@ -403,7 +414,7 @@ def integer_kernel_basis(m: IntMatrix) -> tuple[
     v^-1 @ w do not vanish lies outside the kernel, and coordinates raises
     GhostInversionError for it.
     """
-    snf = smith_normal_form(m, _inverse=True)
+    snf = smith_normal_form(m, _keep=("v", "v_inverse"))
     rank = snf.rank()
     basis = IntMatrix._of_int_rows((row[rank:] for row in snf.v.entries),
                                    m.cols, m.cols - rank)
@@ -485,8 +496,8 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
                     f"relation entry ({i},{j}) does not define a map of "
                     f"cyclic groups")
             dual[j][n + i] = q
-    diag = smith_normal_form(
-        IntMatrix._of_int_rows(dual, n, n + mm)).d.diagonal_entries()
+    diag = smith_normal_form(IntMatrix._of_int_rows(dual, n, n + mm),
+                             _keep=()).d.diagonal_entries()
     if 0 in diag:
         raise GhostInversionError("kernel of a map of finite groups is finite")
     factors: list[int] = []
@@ -530,12 +541,15 @@ def fp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # row r is zero left of c: the earlier pivot columns are cleared
+        # from it, and the other earlier columns are zero from row r down
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        a[r, c:] = (a[r, c:] * inv) % p
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            a[others, c:] = (a[others, c:]
+                             - np.outer(a[others, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -631,25 +645,9 @@ def fp_kernel_basis(mat, p: int) -> np.ndarray:
     """Columns form a deterministic basis of the right kernel mod p."""
     a, pivots = fp_rref(mat, p)
     cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-int(a[r, fc])) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots, :] = (-a[:len(pivots), free]) % p
     return basis
-
-def fp_solve(mat, rhs, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over F_p (free variables at 0), or None."""
-    a = _as_mod_array(mat, p)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch in solve")
-    aug, pivots = fp_rref(np.hstack([a, b]), p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r, -1]
-    return x
-

@@ -151,23 +151,31 @@ def dense_entries_matrix(src, dst, term_fn) -> np.ndarray:
     return mat
 
 
-def rank_mod_p(vectors, p: int) -> int:
-    """Rank over F_p of a list of equal-length vectors, by plain Gaussian
-    elimination on a copy."""
+def rref_mod_p(vectors, p: int):
+    """(rows, pivot columns): the reduced row echelon form over F_p of a
+    list of equal-length vectors, by plain Gauss-Jordan elimination on a
+    copy."""
     rows = [[x % p for x in v] for v in vectors]
-    rank = 0
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c]:
-                f = rows[i][c] * inv % p
+                f = rows[i][c]
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank_mod_p(vectors, p: int) -> int:
+    """Rank over F_p of a list of equal-length vectors."""
+    return len(rref_mod_p(vectors, p)[1])
 
 
 def first_outside_span(span, candidates, p: int):
@@ -178,6 +186,15 @@ def first_outside_span(span, candidates, p: int):
         if rank_mod_p(list(span) + [vec], p) > base:
             return k
     return None
+
+
+def span_multiples(span, target, vec, p: int) -> list[int]:
+    """Every s in F_p with target - s * vec in the F_p-span of `span`, by
+    one rank comparison per s."""
+    base = rank_mod_p(span, p)
+    return [s for s in range(p)
+            if rank_mod_p(list(span) + [[t - s * x for t, x in
+                                         zip(target, vec)]], p) == base]
 
 
 # -- Reference Smith normal form --------------------------------------------

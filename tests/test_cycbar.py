@@ -7,6 +7,7 @@ is triangulated between the bar route, the two-periodic small complex,
 and the closed-form rank table.
 """
 
+import csv
 import os
 import re
 import subprocess
@@ -30,9 +31,15 @@ from ktrunc.cycbar import (
 from ktrunc.exactalg import fp_kernel_basis, fp_rank
 from ktrunc.ssengine import build_e2
 from oracle_utils import (dense_entries_matrix, first_outside_span,
-                          rank_mod_p, word_count)
+                          rank_mod_p, span_multiples, word_count)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# (e, m, lambda) for every weight class `hh` admits with e not dividing m,
+# written by scripts/lambda_table.py
+LAMBDA_TABLE = Path(__file__).resolve().parent / "data" / "lambda_table.csv"
+# The (z, w) pages, e | m and p | e, with e <= 5, m <= 12 and p in {2, 3, 5}
+ZW_PAGES = [(e, m, p) for e in range(2, 6) for m in range(e, 13, e)
+            for p in (2, 3, 5) if e % p == 0]
 GRID = [(e, m) for e in (2, 3, 4, 5) for m in range(1, 9)]
 
 
@@ -332,6 +339,29 @@ class TestHomology:
                         e, m)
         assert cycbar._integral_connes_scalar(5, 13) == -13
 
+    def test_integral_connes_scalar_matches_the_committed_table(self):
+        # The table pins lambda, sign included, on every weight class `hh`
+        # admits.  Tier-1 recomputes the classes whose widest scalar
+        # degree holds at most 200 words; scripts/lambda_table.py --check
+        # recomputes all of them.
+        with LAMBDA_TABLE.open(newline="") as f:
+            rows = [(int(r["e"]), int(r["m"]), int(r["lambda"]))
+                    for r in csv.DictReader(f)]
+        assert len(rows) == 330
+        assert {(e, m) for e, m, want in rows if want == -m} == {
+            (4, 6), (3, 11), (4, 9), (7, 9), (8, 9), (5, 12), (7, 13),
+            (8, 13), (9, 13), (10, 13), (11, 13), (5, 13), (3, 16),
+            (3, 17), (4, 14), (6, 14)}
+        checked = 0
+        for e, m, want in rows:
+            assert want in (m, -m), (e, m)
+            lo = 2 * d_function(e, m)
+            if max(cycbar.words_per_degree(e, m)[max(0, lo - 1):lo + 3]) \
+                    <= 200:
+                assert cycbar._integral_connes_scalar(e, m) == want, (e, m)
+                checked += 1
+        assert checked == 291
+
     def test_page_scalar_is_the_homology_scalar(self):
         # the grid holds (y, z) pages and (z, w) pages, the latter from
         # e | m with p | e
@@ -367,6 +397,33 @@ class TestHomology:
                                 e, m, p, n)
         # both page shapes: lower class in even and in odd degree
         assert {degs[0] % 2 for degs in shapes if degs} == {0, 1}
+
+    def test_remainder_kills_the_boundaries_and_not_the_generator(self):
+        for e, m, p in ZW_PAGES:
+            c = generate_complex(e, m, p)
+            degs = sorted(reduced_homology(c).ranks)
+            assert len(degs) == 2 and degs[0] % 2 == 1, (e, m, p)
+            for n in degs:
+                image = cycbar._image_reduction(c, n)
+                boundary = cycbar._boundary_in(c.boundary, n).dense() % p
+                for col in boundary.T:
+                    assert not cycbar._remainder(image, col, p).any(), (
+                        e, m, p, n)
+                gen = cycbar._homology_generator(c, n, image)
+                assert cycbar._remainder(image, gen, p).any(), (e, m, p, n)
+
+    def test_page_scalar_matches_the_span_oracle(self):
+        for e, m, p in ZW_PAGES:
+            c = generate_complex(e, m, p)
+            s = reduced_homology(c)
+            lo, hi = sorted(s.ranks)
+            gen_lo = cycbar._homology_generator(c, lo)
+            gen_hi = cycbar._homology_generator(c, hi)
+            img = c.connes[lo].dense() @ gen_lo
+            boundaries = cycbar._boundary_in(c.boundary, hi).dense().T
+            assert span_multiples(boundaries.tolist(), img.tolist(),
+                                  gen_hi.tolist(), p) == [s.connes_scalar], (
+                e, m, p)
 
     def test_small_complex_standalone(self):
         assert small_complex_hh(2, 1, 2) == {0: 1, 1: 1}

@@ -2,6 +2,7 @@
 gcd-of-minors invariant factors, and exhaustive kernel enumeration."""
 
 import signal
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ktrunc.exactalg import (
     fp_kernel_basis,
     fp_rank,
     fp_rref,
-    fp_solve,
     integer_kernel_basis,
     integer_solve,
     is_prime,
@@ -35,6 +35,7 @@ from oracle_utils import (
     rank_mod_p,
     reference_snf,
     reference_solve,
+    rref_mod_p,
 )
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -212,9 +213,11 @@ class TestFastPathsMatchReference:
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
         through the Smith form: for each of the two degrees, the boundary
-        out of it (keeping the inverse of v, which gives the kernel
-        coordinates), the presentation of its homology and the functional
-        phi that integer_solve inverts."""
+        out of it (keeping v and its inverse, which gives the kernel
+        coordinates), the presentation of its homology (keeping u, whose
+        row phi it reads) and the functional phi that integer_solve
+        inverts (keeping u and v).  d is the reference one, and so is each
+        transform kept."""
         seen = []
 
         def recording_snf(m, **kwargs):
@@ -227,10 +230,17 @@ class TestFastPathsMatchReference:
         _integral_connes_scalar.__wrapped__(3, 7)
         assert [(g.rows, g.cols) for g, _ in seen] == [
             (4, 14), (10, 16), (1, 10), (14, 16), (7, 7), (1, 7)]
-        assert [snf.v_inverse is not None for _, snf in seen] == [
-            True, False, False, True, False, False]
+        kept = [(snf.u is not None, snf.v is not None,
+                 snf.v_inverse is not None) for _, snf in seen]
+        assert kept == [(False, True, True), (True, False, False),
+                        (True, True, False)] * 2
         for g, snf in seen:
-            v = self.assert_reference_snf(g)
+            d, u, v = reference_snf(g.entries, g.rows, g.cols)
+            assert [list(r) for r in snf.d.entries] == d
+            if snf.u is not None:
+                assert [list(r) for r in snf.u.entries] == u
+            if snf.v is not None:
+                assert [list(r) for r in snf.v.entries] == v
             if snf.v_inverse is not None:
                 # the kept inverse is the inverse of the reference v
                 assert dense_product(snf.v_inverse.dense().tolist(),
@@ -244,6 +254,32 @@ class TestFastPathsMatchReference:
         assert [list(r) for r in snf.u.entries] == u
         assert [list(r) for r in snf.v.entries] == v
         return v
+
+
+class TestTransformSelection:
+    """A Smith form that keeps only some transforms gives the same d and the
+    same kept transforms as one that keeps all three, and None for the
+    rest."""
+
+    @given(st.one_of(sparse_matrices(), int_matrices()))
+    @settings(max_examples=100, deadline=None)
+    def test_every_selection_matches_the_full_form(self, rows):
+        m = IntMatrix(rows)
+        full = smith_normal_form(m, _keep=("u", "v", "v_inverse"))
+        for size in range(4):
+            for keep in combinations(("u", "v", "v_inverse"), size):
+                snf = smith_normal_form(m, _keep=keep)
+                assert snf.d == full.d
+                for name in ("u", "v"):
+                    want = getattr(full, name) if name in keep else None
+                    assert getattr(snf, name) == want, (keep, name)
+                if "v_inverse" in keep:
+                    assert snf.v_inverse.columns == full.v_inverse.columns
+                else:
+                    assert snf.v_inverse is None
+        default = smith_normal_form(m)
+        assert (default.d, default.u, default.v, default.v_inverse) == (
+            full.d, full.u, full.v, None)
 
 
 class TestColumnIndex:
@@ -388,7 +424,7 @@ class TestKernelCoordinates:
     def assert_coordinates(m: IntMatrix, vectors):
         basis, coordinates = integer_kernel_basis(m)
         reference = reference_coordinates(basis)
-        snf = smith_normal_form(m, _inverse=True)
+        snf = smith_normal_form(m, _keep=("v", "v_inverse"))
         assert dense_product(snf.v_inverse.dense().tolist(),
                              [list(r) for r in snf.v.entries]) == \
             identity(m.cols)
@@ -499,30 +535,16 @@ class TestModP:
         assert not ((a @ basis) % p).any()
         assert fp_rank(sparse_rows(a.tolist()), p) + basis.shape[1] == \
             a.shape[1]
-        # rref is idempotent
+        # rref is idempotent, and it is the reduced row echelon form,
+        # which is unique
         r1, piv1 = fp_rref(a, p)
         r2, piv2 = fp_rref(r1, p)
         assert piv1 == piv2 and (r1 == r2).all()
-
-    @given(int_matrices(), small_primes, st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_solve_roundtrip(self, rows, p, data):
-        a = np.array(rows, dtype=np.int64)
-        x = data.draw(
-            st.lists(entries, min_size=a.shape[1], max_size=a.shape[1]),
-            label="solution",
-        )
-        rhs = (a @ np.array(x, dtype=np.int64)) % p
-        sol = fp_solve(a, rhs, p)
-        assert sol is not None
-        assert not ((a @ sol - rhs) % p).any()
-
-    def test_solve_detects_inconsistency(self):
-        a = np.array([[1], [1]], dtype=np.int64)
-        assert fp_solve(a, [0, 1], 2) is None
-        # exhaustive check over F_2 that no solution exists
-        for x in (0, 1):
-            assert ((a @ np.array([x])) % 2).tolist() != [0, 1]
+        assert (r1.tolist(), piv1) == rref_mod_p(rows, p)
+        # the kernel basis is the one that is the identity on the free
+        # columns, which the kernel fixes
+        free = [c for c in range(a.shape[1]) if c not in piv1]
+        assert basis[free].tolist() == identity(len(free))
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
