@@ -20,7 +20,12 @@ from .exactalg import is_prime
 
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
-# Near the bound, --e 1000 --r 1000 takes about 14 s on a 2-core x86_64 VM.
+# It bounds size, not time: each weight costs more the deeper its tower,
+# which grows with v_p(e).  At the bound, on a 2-core x86_64 VM, --format
+# json takes about 44 s for --p 2 --e 1048576 --r 1, the slowest shape
+# measured (v_2(e) = 20); 33 s for --e 131072 --r 8 and for --e 16384
+# --r 64; 16 s for --e 1000 --r 1000; 12-13 s for --e 2 --r 524288 and
+# --e 2 --rmax 1023.  Memory stays under 50 MB.
 KGROUPS_BUDGET = 1 << 20
 
 

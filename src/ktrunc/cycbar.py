@@ -13,13 +13,14 @@ stored sparse, by the nonzero entries of each column (SparseIntMatrix);
 all three mixed-complex identities are verified on those stored columns.
 That one copy serves every p.  Each boundary is reduced once over Z along
 its +-1 entries, so its rank mod any p is the number of unit pivots plus
-the rank of a residual of a few rows.  Only the integral Connes scalar
-(its Smith forms) and the mod-p generators of the (z, w) pages read dense
-matrices, and only the ones they use.  The integral scalar presents each
-homology group in the kernel basis of the boundary out of its degree,
-through the coordinate map integer_kernel_basis keeps with that basis, so
-the presentation is read off the sparse boundary columns into the degree.
-Each of its Smith forms keeps only the transforms read from it: the
+the rank of a residual of a few rows.  Only the mod-p generators of the
+(z, w) pages read dense matrices, and only the ones they use; the Smith
+forms of the integral Connes scalar keep the rows and columns they work on
+sparse.  The integral scalar presents each homology group in the kernel
+basis of the boundary out of its degree, through the coordinate map
+integer_kernel_basis keeps with that basis, so the presentation is read
+off the sparse boundary columns into the degree.  Each of its Smith forms
+keeps only the transforms read from it: the
 boundary's keeps v and the inverse of v (the kernel basis and its
 coordinates), the presentation's keeps u (one row of it is the homology
 functional), and the functional's own, inverted by integer_solve, keeps
@@ -63,10 +64,10 @@ HOMOLOGY_CACHE_SIZE = 256
 # Size budget of `hh`, checked on word counts before anything is built.
 # The weight bounds the recursion depth of _interior_parts.  Every weight up to
 # 14 has at most 2^14 words for every e.  The integral Connes scalar runs
-# dense Smith forms on the four degrees around it.  Timings of `hh` on 2
+# Smith forms on the four degrees around it.  Timings of `hh` on 2
 # CPUs with Python 3.11: (e, m) = (7, 14), 15,234 words and no scalar,
-# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 3.2 s and
-# 132 MB; (4, 15), widest 2,570, 2.9 s and 134 MB; (3, 19), widest 3,718
+# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 2.3 s and
+# 95 MB; (4, 15), widest 2,570, 1.7 s and 90 MB; (3, 19), widest 3,718
 # and past the budget, 73 s and 514 MB for its homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
@@ -133,9 +134,9 @@ def words_per_degree(e: int, m: int) -> list[int]:
 
 
 def check_size_budget(e: int, m: int) -> None:
-    """Raise ComplexTooLargeError when the weight-m complex, or the dense
-    Smith forms of its integral Connes scalar (e not dividing m), would be
-    past the budget."""
+    """Raise ComplexTooLargeError when the weight-m complex, or the Smith
+    forms of its integral Connes scalar (e not dividing m), would be past
+    the budget."""
     if m > WEIGHT_BUDGET:
         raise ComplexTooLargeError(
             f"weight {m} is past the size budget of {WEIGHT_BUDGET}")
@@ -330,13 +331,12 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
     kernel, coordinates = integer_kernel_basis(out_mat.int_matrix())
     cycle_coords = coordinates(enumerate(w) for w in cycles).entries
     snf_pres = smith_normal_form(coordinates(in_mat.columns), _keep=("u",))
-    diag = snf_pres.d.diagonal_entries()
-    rank = sum(1 for x in diag if x)
-    if kernel.cols - rank != 1 or any(x > 1 for x in diag):
+    rank = snf_pres.rank()
+    if kernel.shape[1] - rank != 1 or any(x > 1 for x in snf_pres.d):
         raise AssertionError(
-            f"integral homology is not free of rank one: diag {diag}, "
-            f"kernel rank {kernel.cols}")
-    phi = snf_pres.u.entries[rank]
+            f"integral homology is not free of rank one: diag {snf_pres.d}, "
+            f"kernel rank {kernel.shape[1]}")
+    phi = [dict(col).get(rank, 0) for col in snf_pres.u.columns]  # row rank
     classes = [sum(f * row[j] for f, row in zip(phi, cycle_coords))
                for j in range(len(cycles))]
     generator = kernel.apply(integer_solve(IntMatrix([phi]), [1]))

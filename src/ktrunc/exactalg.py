@@ -10,20 +10,22 @@ The chain-complex matrices that reach this module are sparse and mostly
 column, and unit_pivot_reduction eliminates each one once over Z along its
 +-1 entries: a unit pivot is a unit mod every prime, so its rank mod any p
 is the number of pivots plus the fp_rank of the small residual, and
-fp_rank eliminates sparse rows kept as dicts.  smith_normal_form and
-IntMatrix.apply skip zeros without changing a single transform, and the
-Smith form builds only the transforms its caller reads.
-integer_kernel_basis keeps the column transform v and its inverse, as
-sparse rows, and no u: rows rank.. of the inverse are a left inverse of
-the kernel basis, so the coordinate map it returns reads the coordinates
-of kernel vectors off that inverse, with no second Smith form and no
-solve per vector.  kernel_invariants reads the kernel of a map of finite
-cyclic-group products off the cokernel of its dual map, so it needs one
-Smith form, of which it reads only the diagonal: it keeps no transform.
-cycbar's presentation of a homology group keeps u alone, and
-integer_solve and the default keep u and v.  fp_rref, and the kernel
-bases built on it, stay dense numpy row reductions; their pivots choose
-the mod-p homology generators.
+fp_rank eliminates sparse rows kept as dicts.  smith_normal_form keeps its
+matrix and every transform the same way, as dicts of nonzero entries, and
+one update rule, dst += q * src, serves them all; it returns d as its
+diagonal and each transform it was asked to keep as a SparseIntMatrix.
+integer_kernel_basis keeps the column transform v and its inverse, and no
+u: rows rank.. of the inverse are a left inverse of the kernel basis, so
+the coordinate map it returns reads the coordinates of kernel vectors off
+that inverse, with no second Smith form and no solve per vector.
+kernel_invariants reads the kernel of a map of finite cyclic-group
+products off the cokernel of its dual map, so it needs one Smith form, of
+which it reads only the diagonal: it keeps no transform.  cycbar's
+presentation of a homology group keeps u alone, and integer_solve and the
+default keep u and v.  IntMatrix is the dense input of the Smith form and
+of kernel_invariants.  fp_rref, and the kernel bases built on it, stay
+dense numpy row reductions; their pivots choose the mod-p homology
+generators.
 """
 
 from __future__ import annotations
@@ -126,13 +128,10 @@ class GroupStructure:
 
 
 class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries.
+    """Dense integer matrix with arbitrary-precision entries: what
+    smith_normal_form and kernel_invariants take."""
 
-    The first apply() indexes the nonzero entries of each column; the
-    index is a cache, so equality and hashing read only the entries.
-    """
-
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
         ents = tuple(tuple(map(int, row)) for row in entries)
@@ -140,7 +139,6 @@ class IntMatrix:
         if any(len(row) != c for row in ents):
             raise ValueError("ragged rows")
         self.rows, self.cols, self.entries = len(ents), c, ents
-        self._columns = None
 
     @classmethod
     def _of_int_rows(cls, rows: Iterable[Sequence[int]], r: int,
@@ -149,7 +147,6 @@ class IntMatrix:
         becomes a tuple, and no entry is converted or checked again."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.entries = r, c, tuple(map(tuple, rows))
-        m._columns = None
         return m
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -163,25 +160,6 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """self @ vec, adding the nonzero entries of one column of self per
-        nonzero entry of vec."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in apply")
-        if self._columns is None:
-            cols = zip(*self.entries) if self.rows else [()] * self.cols
-            self._columns = [[(i, a) for i, a in enumerate(col) if a]
-                             for col in cols]
-        out = [0] * self.rows
-        for k, x in enumerate(vec):
-            if x:
-                for i, a in self._columns[k]:
-                    out[i] += a * x
-        return out
-
-    def diagonal_entries(self) -> list[int]:
-        return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
@@ -241,55 +219,72 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """u @ m @ v == d.  A transform is None when the Smith form was not
-    asked to keep it; v_inverse is v's inverse, stored by columns."""
+    """u @ m @ v == diag(d), d the diagonal of length min(rows, cols).  A
+    transform is None when the Smith form was not asked to keep it; u, v
+    and v's inverse v_inverse are stored by columns."""
 
-    d: IntMatrix
-    u: IntMatrix | None
-    v: IntMatrix | None
+    d: tuple[int, ...]
+    u: SparseIntMatrix | None
+    v: SparseIntMatrix | None
     v_inverse: SparseIntMatrix | None = None
 
     def rank(self) -> int:
-        return sum(1 for x in self.d.diagonal_entries() if x != 0)
+        return sum(1 for x in self.d if x != 0)
+
+
+def _add_multiple(dst: dict[int, int], src: Mapping[int, int],
+                  q: int) -> None:
+    """dst += q * src, on vectors kept as {index: nonzero int}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _from_rows(rows: Sequence[Mapping[int, int]],
+               cols: int) -> SparseIntMatrix:
+    """The matrix with the given sparse rows, stored by columns."""
+    columns = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j].append((i, x))
+    return SparseIntMatrix(len(rows), map(tuple, columns))
 
 
 def smith_normal_form(m: IntMatrix, *,
                       _keep: Collection[str] = ("u", "v")) -> SNFResult:
-    """Diagonalize m over Z: returns (d, u, v) with u @ m @ v == d,
+    """Diagonalize m over Z: returns (d, u, v) with u @ m @ v == diag(d),
     u and v unimodular, and d_1 | d_2 | ... on the nonnegative diagonal.
 
     Pivot choice is the entry of smallest absolute value, ties broken by
     lowest row index then lowest column index, so the reduction is
-    deterministic.  The pivot search stops at the first entry of absolute
-    value 1, and a unit pivot skips the divisibility sweep.  Boundary
-    matrices are sparse and mostly +-1, so every operation touches only
-    nonzero entries: v is kept as a list of its columns until the end,
-    which makes its column operations row operations; each sweep collects
-    the nonzero entries of the pivot row of a and u (or the pivot column
-    of v) once; and since the row sweep leaves column t of a zero except
-    at the pivot, a column operation changes one entry of a.
+    deterministic.  The pivot search stops at the first row holding an
+    entry of absolute value 1, and a unit pivot skips the divisibility
+    sweep.
+
+    Boundary matrices are sparse and mostly +-1, so a, the rows of u, the
+    columns of v and the rows of v's inverse are all kept as dicts of
+    their nonzero entries, and every operation is a swap or one
+    _add_multiple.  v is kept by columns, so its column operations are
+    vector additions; col_j -= q * col_t on v is row_t += q * row_j on its
+    inverse, and a column swap swaps two rows of it.  Rows of a past t are
+    zero in the columns before t, and since the row sweep leaves column t
+    of a zero except at the pivot, a column operation changes one entry
+    of a.
 
     _keep names the transforms the caller reads, among u, v and
     v_inverse (default u and v); the others come back as None.  Pivot
     choice reads only a, so d and every kept transform are the same
-    whatever is dropped.  A dropped transform is carried as empty rows, on
-    which every operation does nothing.
-
-    v_inverse is kept as sparse rows: col_j -= q * col_t on v is
-    row_t += q * row_j on its inverse, and a column swap swaps two rows.
-    Step t adds only into row t, so the rows past t stay nearly as sparse
-    as the identity.
+    whatever is dropped.  A dropped transform is carried as empty vectors,
+    on which every operation does nothing.
     """
     R, C = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(R)] if "u" in _keep else []
-         for i in range(R)]
-    vc = [[1 if i == j else 0 for i in range(C)] if "v" in _keep else []
-          for j in range(C)]
+    a = [{k: x for k, x in enumerate(row) if x} for row in m.entries]
+    u = [{i: 1} if "u" in _keep else {} for i in range(R)]
+    vc = [{j: 1} if "v" in _keep else {} for j in range(C)]
     vi = [{j: 1} if "v_inverse" in _keep else {} for j in range(C)]
-
-    def nonzeros(row):
-        return [(k, x) for k, x in enumerate(row) if x]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -297,30 +292,24 @@ def smith_normal_form(m: IntMatrix, *,
 
     def col_swap(i, j):  # rows above t are zero in columns t and beyond
         for row in a[t:]:
-            row[i], row[j] = row[j], row[i]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
         vc[i], vc[j] = vc[j], vc[i]
         vi[i], vi[j] = vi[j], vi[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(R, C):
         best = None
-        pi = pj = -1
         for i in range(t, R):
-            row = a[i]
-            for j in range(t, C):
-                x = row[j]
-                if x:
-                    x = -x if x < 0 else x
-                    if best is None or x < best:
-                        best, pi, pj = x, i, j
-                        if x == 1:
-                            break
-            if best == 1:
-                break
+            if a[i]:  # (|x|, j) smallest in row i
+                x, j = min(zip(map(abs, a[i].values()), a[i]))
+                if best is None or x < best:
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
         if best is None:
             break
         if pi != t:
@@ -328,102 +317,77 @@ def smith_normal_form(m: IntMatrix, *,
         if pj != t:
             col_swap(t, pj)
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = {k: -x for k, x in a[t].items()}
+            u[t] = {k: -x for k, x in u[t].items()}
         while True:
-            piv = a[t][t]
-            pivot_a, pivot_u = nonzeros(a[t]), nonzeros(u[t])
+            at = a[t]
+            piv = at[t]
             for i in range(t + 1, R):
-                q = a[i][t] // piv
+                q = a[i].get(t, 0) // piv
                 if q:  # row_i -= q * row_t
-                    ai, ui = a[i], u[i]
-                    for k, x in pivot_a:
-                        ai[k] -= q * x
-                    for k, x in pivot_u:
-                        ui[k] -= q * x
-            rem = [i for i in range(t + 1, R) if a[i][t]]
+                    _add_multiple(a[i], at, -q)
+                    _add_multiple(u[i], u[t], -q)
+            # what the sweeps leave lies in [0, piv), so a swapped-in
+            # pivot is positive
+            rem = [i for i in range(t + 1, R) if t in a[i]]
             if rem:
-                i = min(rem, key=lambda k: (abs(a[k][t]), k))
-                row_swap(t, i)
-                if a[t][t] < 0:
-                    row_negate(t)
+                row_swap(t, min(rem, key=lambda k: (a[k][t], k)))
                 continue
-            at, pivot_v = a[t], nonzeros(vc[t])
-            for j, aj in pivot_a[1:]:  # pivot_a[0] is the pivot
+            for j, aj in list(at.items()):
                 q = aj // piv
-                if q:  # col_j -= q * col_t
-                    at[j] -= q * piv
-                    vj = vc[j]
-                    for k, x in pivot_v:
-                        vj[k] -= q * x
-                    vt = vi[t]  # row_t += q * row_j
-                    for k, x in vi[j].items():
-                        y = vt.get(k, 0) + q * x
-                        if y:
-                            vt[k] = y
-                        else:
-                            del vt[k]
-            rem = [j for j, _ in pivot_a[1:] if at[j]]
+                if q and j != t:  # col_j -= q * col_t, which is piv at row t
+                    _add_multiple(at, {j: piv}, -q)
+                    _add_multiple(vc[j], vc[t], -q)
+                    _add_multiple(vi[t], vi[j], q)  # row_t += q * row_j
+            rem = [j for j in at if j != t]
             if rem:
-                j = min(rem, key=lambda k: (abs(at[k]), k))
-                col_swap(t, j)
-                if a[t][t] < 0:
-                    row_negate(t)
+                col_swap(t, min(rem, key=lambda k: (at[k], k)))
                 continue
             if piv == 1:
                 break
-            bad = None
-            for i in range(t + 1, R):
-                row = a[i]
-                for j in range(t + 1, C):
-                    if row[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, R)
+                        if any(x % piv for x in a[i].values())), None)
             if bad is None:
                 break
             # pull the offending row up; the pivot will shrink
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            _add_multiple(at, a[bad], 1)
+            _add_multiple(u[t], u[bad], 1)
         t += 1
 
-    u_kept = IntMatrix._of_int_rows(u, R, R) if "u" in _keep else None
-    v_kept = IntMatrix._of_int_rows(zip(*vc), C, C) if "v" in _keep else None
-    v_inverse = None
-    if "v_inverse" in _keep:
-        columns = [[] for _ in range(C)]
-        for i, row in enumerate(vi):
-            for j, x in row.items():
-                columns[j].append((i, x))
-        v_inverse = SparseIntMatrix(C, map(tuple, columns))
-    return SNFResult(IntMatrix._of_int_rows(a, R, C), u_kept, v_kept,
-                     v_inverse)
+    return SNFResult(
+        tuple(a[i].get(i, 0) for i in range(min(R, C))),
+        _from_rows(u, R) if "u" in _keep else None,
+        SparseIntMatrix(C, [tuple(sorted(col.items())) for col in vc])
+        if "v" in _keep else None,
+        _from_rows(vi, C) if "v_inverse" in _keep else None)
 
 
 def integer_kernel_basis(m: IntMatrix) -> tuple[
-        IntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
-                            IntMatrix]]:
+        SparseIntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
+                                  IntMatrix]]:
     """(basis, coordinates): the columns of basis form a basis of the
     integer kernel lattice of m, and coordinates(vectors) gives the
     coordinates of kernel vectors in it, one column per vector.
 
-    With u @ m @ v == d of rank r, the basis is columns r.. of v, and the
-    coordinates of w are rows r.. of v^-1 @ w, read off the inverse the
-    Smith form kept (no second Smith form, no solve per vector).  Each
-    vector is given sparse, as (index, value) pairs; one whose rows ..r of
-    v^-1 @ w do not vanish lies outside the kernel, and coordinates raises
-    GhostInversionError for it.
+    With u @ m @ v == diag(d) of rank r, the basis is columns r.. of v,
+    stored by columns as the Smith form returns it, and the coordinates of
+    w are rows r.. of v^-1 @ w, read off the inverse the Smith form kept
+    (no second Smith form, no solve per vector).  Each vector is given
+    sparse, as (index, value) pairs; one whose rows ..r of v^-1 @ w do not
+    vanish lies outside the kernel, and coordinates raises
+    GhostInversionError for it.  The coordinates come back dense, as the
+    IntMatrix a Smith form takes.
     """
     snf = smith_normal_form(m, _keep=("v", "v_inverse"))
     rank = snf.rank()
-    basis = IntMatrix._of_int_rows((row[rank:] for row in snf.v.entries),
-                                   m.cols, m.cols - rank)
+    basis = SparseIntMatrix(m.cols, snf.v.columns[rank:])
+    size = basis.shape[1]
     inverse = snf.v_inverse.columns
 
     def coordinates(vectors: Iterable[Iterable[tuple[int, int]]]
                     ) -> IntMatrix:
         vectors = list(vectors)
-        out = [[0] * len(vectors) for _ in range(basis.cols)]
+        out = [[0] * len(vectors) for _ in range(size)]
         for j, vec in enumerate(vectors):
             low = {}  # rows ..rank of v^-1 @ vec, zero exactly on the kernel
             for i, x in vec:
@@ -436,7 +400,7 @@ def integer_kernel_basis(m: IntMatrix) -> tuple[
             if any(low.values()):
                 raise GhostInversionError(
                     "vector outside the integer kernel")
-        return IntMatrix._of_int_rows(out, basis.cols, len(vectors))
+        return IntMatrix._of_int_rows(out, size, len(vectors))
 
     return basis, coordinates
 
@@ -445,10 +409,9 @@ def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:
     """Exact integer solution of g @ c = w; raises if none exists."""
     snf = smith_normal_form(g)
     y = snf.u.apply(list(w))
-    diag = snf.d.diagonal_entries()
     z = [0] * g.cols
     for i, yi in enumerate(y):
-        di = diag[i] if i < len(diag) else 0
+        di = snf.d[i] if i < len(snf.d) else 0
         if di == 0:
             if yi != 0:
                 raise GhostInversionError("inconsistent integral system")
@@ -497,7 +460,7 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
                     f"cyclic groups")
             dual[j][n + i] = q
     diag = smith_normal_form(IntMatrix._of_int_rows(dual, n, n + mm),
-                             _keep=()).d.diagonal_entries()
+                             _keep=()).d
     if 0 in diag:
         raise GhostInversionError("kernel of a map of finite groups is finite")
     factors: list[int] = []

@@ -231,13 +231,12 @@ class TestSparseStorage:
                         assert units + fp_rank(residual, p) == rank_mod_p(
                             rows, p), (e, m, n, p)
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                        reason="reads the peak RSS from /proc")
-    def test_weight_fourteen_complex_stays_small(self):
-        # e = 7, m = 14: 15,234 words, all homology zero mod 2.  With dense
-        # boundaries this peaked at 551 MB; with sparse ones, under 80 MB.
+    @staticmethod
+    def peak_rss_mb(statement: str) -> float:
+        """The peak resident size, VmHWM, of a fresh interpreter that
+        imports cycbar and runs statement."""
         code = ("from ktrunc import cycbar\n"
-                "cycbar._homology_summary(7, 14, 2)\n"
+                f"{statement}\n"
                 "for line in open('/proc/self/status'):\n"
                 "    if line.startswith('VmHWM:'):\n"
                 "        print(int(line.split()[1]))\n")
@@ -245,7 +244,22 @@ class TestSparseStorage:
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)},
                               timeout=300)
-        assert int(proc.stdout) / 1024 < 150
+        return int(proc.stdout) / 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_weight_fourteen_complex_stays_small(self):
+        # e = 7, m = 14: 15,234 words, all homology zero mod 2.  With dense
+        # boundaries this peaked at 551 MB; with sparse ones, under 80 MB.
+        assert self.peak_rss_mb("cycbar._homology_summary(7, 14, 2)") < 150
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_integral_scalar_smith_forms_stay_sparse(self):
+        # e = 4, m = 15: the Smith forms behind the scalar peaked at 133 MB
+        # with dense transforms, and at 89 MB with dict rows and columns.
+        assert self.peak_rss_mb(
+            "cycbar._integral_connes_scalar(4, 15)") < 110
 
 
 class TestSizeBudget:
@@ -339,28 +353,41 @@ class TestHomology:
                         e, m)
         assert cycbar._integral_connes_scalar(5, 13) == -13
 
+    @staticmethod
+    def lambda_table() -> list[tuple[int, int, int]]:
+        with LAMBDA_TABLE.open(newline="") as f:
+            return [(int(r["e"]), int(r["m"]), int(r["lambda"]))
+                    for r in csv.DictReader(f)]
+
     def test_integral_connes_scalar_matches_the_committed_table(self):
         # The table pins lambda, sign included, on every weight class `hh`
         # admits.  Tier-1 recomputes the classes whose widest scalar
         # degree holds at most 200 words; scripts/lambda_table.py --check
         # recomputes all of them.
-        with LAMBDA_TABLE.open(newline="") as f:
-            rows = [(int(r["e"]), int(r["m"]), int(r["lambda"]))
-                    for r in csv.DictReader(f)]
-        assert len(rows) == 330
+        rows = self.lambda_table()
         assert {(e, m) for e, m, want in rows if want == -m} == {
             (4, 6), (3, 11), (4, 9), (7, 9), (8, 9), (5, 12), (7, 13),
             (8, 13), (9, 13), (10, 13), (11, 13), (5, 13), (3, 16),
             (3, 17), (4, 14), (6, 14)}
         checked = 0
         for e, m, want in rows:
-            assert want in (m, -m), (e, m)
             lo = 2 * d_function(e, m)
             if max(cycbar.words_per_degree(e, m)[max(0, lo - 1):lo + 3]) \
                     <= 200:
                 assert cycbar._integral_connes_scalar(e, m) == want, (e, m)
                 checked += 1
         assert checked == 291
+
+    def test_criterion_2_on_every_admitted_weight(self):
+        # criterion 2 (the scalar is +-m) over the whole space `hh`
+        # admits, read off the committed table of lambda, which
+        # test_integral_connes_scalar_matches_the_committed_table and
+        # scripts/lambda_table.py --check hold to the code
+        rows = self.lambda_table()
+        assert len(rows) == 330
+        assert len({(e, m) for e, m, _ in rows}) == 330
+        for e, m, lam in rows:
+            assert m % e and abs(lam) == m, (e, m, lam)
 
     def test_page_scalar_is_the_homology_scalar(self):
         # the grid holds (y, z) pages and (z, w) pages, the latter from
