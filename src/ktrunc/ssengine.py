@@ -7,9 +7,10 @@ bidegree (0,2)) by one or two named classes whose vertical degrees come
 from the homology of the weight-m cyclic bar complex.  In hfp mode the
 t-exponent is restricted to b >= 0.  Differentials are recorded as
 patterns "d^rho(source) = unit * t^ts x^xs target", applied t- and
-x-linearly; the engine enumerates classes per total degree, applies the
-kill logic, and checks the survivor counts against the closed forms.
-The patterns themselves are inputs, not derived here.
+x-linearly.  Once per page the engine validates them and lists the ones
+touching each generator; per total degree it yields plain tuples and
+builds a PageClass only for survivors, whose counts are checked against
+the closed forms.  The patterns themselves are inputs, not derived here.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ class DifferentialPattern:
     unit: int = 1
 
     def validate(self, page: BigradedPage) -> None:
-        src = page.generator(self.source)
-        tgt = page.generator(self.target)
+        try:
+            src, tgt = page.generator(self.source), page.generator(self.target)
+        except KeyError as err:
+            raise PatternMismatchError(
+                f"d^{self.page} pattern names generator {err}, not among the "
+                f"page's {[g.name for g in page.generators]}") from None
         shift = (-2 * self.t_shift,
                  tgt.vertical - src.vertical + 2 * self.x_shift)
         if shift != (-self.page, self.page - 1):
@@ -93,7 +98,11 @@ class PageClass:
     generator: str
 
     def __str__(self) -> str:
-        return f"t^{self.b} x^{self.a} {self.generator}"
+        return _label(self.b, self.a, self.generator)
+
+
+def _label(b: int, a: int, generator: str) -> str:
+    return f"t^{b} x^{a} {generator}"
 
 
 def build_e2(e: int, m: int, p: int, mode: str) -> BigradedPage:
@@ -174,77 +183,68 @@ def standard_patterns(page: BigradedPage) -> tuple[DifferentialPattern, ...]:
     raise PageShapeError(f"unrecognized generator set {names}")
 
 
-def _kill_reason(mode: str, patterns, gen: str, b: int, a: int) -> str | None:
+def _page_families(page: BigradedPage, patterns):
+    """Validate the patterns; return the enumeration width and, per
+    generator, the (pattern, is_source) pairs touching it in list order."""
     for pat in patterns:
-        if pat.source == gen:
-            # dies as the source of a nonzero differential, provided the
-            # target class lies on the page
-            if mode == "tate" or b + pat.t_shift >= 0:
-                return f"d^{pat.page}"
-        if pat.target == gen:
-            sa, sb = a - pat.x_shift, b - pat.t_shift
-            if sa >= 0 and (mode == "tate" or sb >= 0):
-                return f"d^{pat.page}"
-    return None
+        pat.validate(page)
+    width = (max((pat.t_shift for pat in patterns), default=0)
+             + max((pat.x_shift for pat in patterns), default=0) + 2)
+    return width, [(gen, [(pat, pat.source == gen.name) for pat in patterns
+                          if gen.name in (pat.source, pat.target)])
+                   for gen in page.generators]
 
 
-def _classes_in_degree(page: BigradedPage, patterns, total: int):
-    """(cls, kill_reason) pairs in one total degree, survivors bounded.
-
-    For each generator g, classes t^b x^a g with -2b + vertical + 2a =
-    total form one a-indexed family; survivors all have a below
-    a_min + max t_shift + max x_shift, so enumeration stops just past
-    that with a guard slot that must not survive.
-    """
-    max_ts = max((pat.t_shift for pat in patterns), default=0)
-    max_xs = max((pat.x_shift for pat in patterns), default=0)
-    out = []
-    for gen in page.generators:
+def _classes_in_degree(mode: str, width: int, families, total: int):
+    """Plain (b, a, generator, killer) tuples in one total degree; killer
+    is the first pattern in list order that kills the class, or None.
+    Classes t^b x^a g with -2b + vertical + 2a = total form one family per
+    generator; survivors have a < a_min + width - 2, so enumeration stops
+    just past that at a guard slot."""
+    tate = mode == "tate"
+    for gen, touching in families:
         if (total - gen.vertical) % 2:
             continue
-        if not any(pat.source == gen.name or pat.target == gen.name
-                   for pat in patterns):
+        if not touching:
             raise UnboundedPageError(
                 f"generator {gen.name} is not covered by any pattern; its "
                 f"classes in total degree {total} never die")
-        a_min = 0
-        if page.mode == "hfp":
-            a_min = max(0, (total - gen.vertical) // 2)
-        cap = a_min + max_ts + max_xs + 2
-        for a in range(a_min, cap + 1):
+        a_min = 0 if tate else max(0, (total - gen.vertical) // 2)
+        for a in range(a_min, a_min + width + 1):
             b = (gen.vertical + 2 * a - total) // 2
-            cls = PageClass(b, a, gen.name)
-            reason = _kill_reason(page.mode, patterns, gen.name, b, a)
-            if reason is None and a == cap:
+            for killer, is_source in touching:
+                # it dies as source or target when the other end is on the page
+                if (tate or b + killer.t_shift >= 0) if is_source else (
+                        a >= killer.x_shift and (tate or b >= killer.t_shift)):
+                    break
+            else:
+                killer = None
+            # validated shifts are nonnegative, so a validated pattern
+            # kills the cap slot: this stays as a safety check
+            if killer is None and a == a_min + width:
                 raise UnboundedPageError(
-                    f"survivor {cls} at the enumeration cap in total "
-                    f"degree {total}")
-            out.append((cls, reason))
-    return out
+                    f"survivor {_label(b, a, gen.name)} at the enumeration "
+                    f"cap in total degree {total}")
+            yield b, a, gen.name, killer
 
 
 def run_to_einfty(page: BigradedPage, patterns,
                   total_degrees) -> dict[int, tuple[PageClass, ...]]:
     """Surviving classes per total degree after applying the patterns."""
-    for pat in patterns:
-        pat.validate(page)
-    result = {}
-    for total in total_degrees:
-        pairs = _classes_in_degree(page, patterns, total)
-        result[total] = tuple(cls for cls, reason in pairs if reason is None)
-    return result
+    width, families = _page_families(page, patterns)
+    return {total: tuple(PageClass(b, a, g) for b, a, g, killer in
+                         _classes_in_degree(page.mode, width, families, total)
+                         if killer is None) for total in total_degrees}
 
 
 def dump_page(page: BigradedPage, patterns, total_degrees) -> list[str]:
     """One line per enumerated class: killed-by page or survivor mark."""
-    for pat in patterns:
-        pat.validate(page)
-    lines = []
-    for total in total_degrees:
-        for cls, reason in _classes_in_degree(page, patterns, total):
-            state = f"killed-by: {reason}" if reason else "survives"
-            lines.append(f"{total}: {cls} {state}")
-    return lines
+    width, families = _page_families(page, patterns)
+    return [f"{total}: {_label(b, a, g)} "
+            + (f"killed-by: d^{killer.page}" if killer else "survives")
+            for total in total_degrees
+            for b, a, g, killer in _classes_in_degree(page.mode, width,
+                                                      families, total)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,12 @@ from ktrunc.wittsplit import ENUM_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+# stdout digests of whole page dumps, so that no change to the kill logic
+# moves a byte of them; the other dump tests check substrings only
+PAGE_DUMPS = [
+    line.split("  ", 1)
+    for line in (ROOT / "tests" / "data" / "page_dumps.sha256")
+    .read_text().splitlines() if not line.startswith("#")]
 
 
 def run_cli(capsys, *args):
@@ -108,6 +115,13 @@ class TestHH:
         assert lines[1] == "page e=2 m=1 p=2 mode=tate"
         assert any("killed-by: d^2" in ln for ln in lines[2:])
         assert all(ln.startswith("  ") for ln in lines[2:])
+
+    @pytest.mark.parametrize("digest, command", PAGE_DUMPS,
+                             ids=[command for _, command in PAGE_DUMPS])
+    def test_page_dump_bytes(self, capsys, digest, command):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_page_dump_hfp_has_survivors(self, capsys):
         _, out = run_cli(

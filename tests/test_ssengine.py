@@ -19,8 +19,11 @@ from ktrunc.ssengine import (
     run_to_einfty,
     standard_patterns,
 )
+from oracle_utils import page_dump_lines
 
 DEGREES = range(-6, 8)
+ORACLE_DEGREES = range(-20, 21)
+MODES = ("tate", "hfp")
 
 
 def survivor_counts(p, e, m, mode):
@@ -117,9 +120,13 @@ class TestPatterns:
 
     def test_run_validates_patterns(self):
         page = build_e2(2, 1, 2, "tate")
-        bad = DifferentialPattern(3, "y", "z", 1, 0)
-        with pytest.raises(PatternMismatchError):
-            run_to_einfty(page, [bad], [1])
+        for bad, match in (
+                (DifferentialPattern(3, "y", "z", 1, 0), "bidegree"),
+                # a generator the page does not have
+                (DifferentialPattern(2, "w", "z", 1, 0),
+                 r"generator 'w', not among the page's \['y', 'z'\]")):
+            with pytest.raises(PatternMismatchError, match=match):
+                run_to_einfty(page, [bad], [1])
 
 
 class TestKillLogic:
@@ -188,6 +195,57 @@ class TestKillLogic:
             "1: t^2 x^2 z killed-by: d^2",
             "1: t^3 x^3 z killed-by: d^2",
         ]
+
+
+def assert_matches_oracle(page, patterns):
+    want = list(page_dump_lines(page, patterns, ORACLE_DEGREES))
+    assert dump_page(page, patterns, ORACLE_DEGREES) == want
+    survivors = run_to_einfty(page, patterns, ORACLE_DEGREES)
+    assert [f"{t}: {cls} survives" for t in ORACLE_DEGREES
+            for cls in survivors[t]] == [
+        line for line in want if line.endswith(" survives")]
+    return want
+
+
+class TestKillRuleOracle:
+    """run_to_einfty and dump_page against the class-by-class kill rule of
+    oracle_utils, on synthetic pages: no bar complex is built."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_y_z_pages(self, mode):
+        # m = 2^v against p = 2: d^(2v+2)(y) = t (tx)^v z, the Connes d^2
+        # when v = 0
+        for v in range(4):
+            for d in range(5):
+                yz = (Generator("y", 2 * d), Generator("z", 2 * d + 1))
+                page = BigradedPage(mode, 2, 3, 2 ** v, yz,
+                                    1 if v == 0 else 0)
+                patterns = standard_patterns(page)
+                assert patterns[0].page == 2 * v + 2
+                assert_matches_oracle(page, patterns)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_z_w_pages(self, mode):
+        # e = 2^u against p = 2: d^(2u)(w) = (tx)^u z
+        for u in range(1, 4):
+            for d in range(5):
+                zw = (Generator("z", 2 * d + 1), Generator("w", 2 * d + 2))
+                page = BigradedPage(mode, 2, 2 ** u, 2 ** u, zw, None)
+                patterns = standard_patterns(page)
+                assert patterns[0].page == 2 * u
+                assert_matches_oracle(page, patterns)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_listed_pattern_is_reported(self, mode):
+        # d^2 and d^4 both leave y for z: each class reports the first
+        # pattern in list order that kills it
+        page = BigradedPage(mode, 2, 3, 1, (Generator("y", 0),
+                                            Generator("z", 1)), 1)
+        d2 = DifferentialPattern(2, "y", "z", 1, 0)
+        d4 = DifferentialPattern(4, "y", "z", 2, 1)
+        for patterns, first in (([d2, d4], "d^2"), ([d4, d2], "d^4")):
+            lines = assert_matches_oracle(page, patterns)
+            assert f"0: t^0 x^0 y killed-by: {first}" in lines
 
 
 class TestClosedForm:
