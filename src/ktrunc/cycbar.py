@@ -14,21 +14,21 @@ all three mixed-complex identities are verified on those stored columns.
 That one copy serves every p.  Each boundary is reduced once over Z along
 its +-1 entries, so its rank mod any p is the number of unit pivots plus
 the rank of a residual of a few rows.  Only the mod-p generators of the
-(z, w) pages read dense matrices, and only the ones they use; the Smith
-forms of the integral Connes scalar keep the rows and columns they work on
-sparse.  The integral scalar presents each homology group in the kernel
-basis of the boundary out of its degree, through the coordinate map
-integer_kernel_basis keeps with that basis, so the presentation is read
-off the sparse boundary columns into the degree.  Each of its Smith forms
-keeps only the transforms read from it: the
-boundary's keeps v and the inverse of v (the kernel basis and its
-coordinates), the presentation's keeps u (one row of it is the homology
-functional), and the functional's own, inverted by integer_solve, keeps
-u and v.  A (z, w) page row-reduces the boundaries into each of its two
-degrees once, as fp_rref of the transposed boundary; its generator is the
-first kernel basis column whose remainder against that reduction is
-nonzero, and its scalar is the ratio of the remainders of B gen_lo and
-gen_hi in the upper degree.
+(z, w) pages read dense matrices, and only the ones they use; the
+integral Connes scalar stays sparse throughout.  It presents each
+homology group in the kernel basis of the boundary out of its degree:
+the stored boundary goes to integer_kernel_basis as it is, and the
+coordinate map kept with that basis turns the boundary columns into the
+degree into the columns of the presentation, a SparseIntMatrix with no
+dense copy.  Each of its Smith forms keeps only the transforms read from
+it: the boundary's keeps v and the inverse of v (the kernel basis and
+its coordinates), the presentation's keeps u (one row of it is the
+homology functional), and the functional's own, inverted by
+integer_solve, keeps u and v.  A (z, w) page row-reduces the boundaries
+into each of its two degrees once, as fp_rref of the transposed
+boundary; its generator is the first kernel basis column whose remainder
+against that reduction is nonzero, and its scalar is the ratio of the
+remainders of B gen_lo and gen_hi in the upper degree.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
 checks every weight it is asked for before it builds anything.  A
@@ -45,9 +45,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exactalg import (IntMatrix, SparseIntMatrix, fp_kernel_basis, fp_rank,
-                       fp_rref, integer_kernel_basis, integer_solve,
-                       smith_normal_form, unit_pivot_reduction)
+from .exactalg import (SparseIntMatrix, fp_kernel_basis, fp_rank, fp_rref,
+                       integer_kernel_basis, integer_solve, smith_normal_form,
+                       unit_pivot_reduction)
 
 Word = tuple[int, ...]
 
@@ -66,8 +66,8 @@ HOMOLOGY_CACHE_SIZE = 256
 # 14 has at most 2^14 words for every e.  The integral Connes scalar runs
 # Smith forms on the four degrees around it.  Timings of `hh` on 2
 # CPUs with Python 3.11: (e, m) = (7, 14), 15,234 words and no scalar,
-# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 2.3 s and
-# 95 MB; (4, 15), widest 2,570, 1.7 s and 90 MB; (3, 19), widest 3,718
+# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 1.6 s and
+# 70 MB; (4, 15), widest 2,570, 1.3 s and 56 MB; (3, 19), widest 3,718
 # and past the budget, 73 s and 514 MB for its homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
@@ -328,8 +328,8 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
     cycle is phi of its kernel coordinates times that generator, modulo
     boundaries.
     """
-    kernel, coordinates = integer_kernel_basis(out_mat.int_matrix())
-    cycle_coords = coordinates(enumerate(w) for w in cycles).entries
+    kernel, coordinates = integer_kernel_basis(out_mat)
+    cycle_coords = coordinates(enumerate(w) for w in cycles).columns
     snf_pres = smith_normal_form(coordinates(in_mat.columns), _keep=("u",))
     rank = snf_pres.rank()
     if kernel.shape[1] - rank != 1 or any(x > 1 for x in snf_pres.d):
@@ -337,9 +337,9 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
             f"integral homology is not free of rank one: diag {snf_pres.d}, "
             f"kernel rank {kernel.shape[1]}")
     phi = [dict(col).get(rank, 0) for col in snf_pres.u.columns]  # row rank
-    classes = [sum(f * row[j] for f, row in zip(phi, cycle_coords))
-               for j in range(len(cycles))]
-    generator = kernel.apply(integer_solve(IntMatrix([phi]), [1]))
+    classes = [sum(phi[k] * x for k, x in col) for col in cycle_coords]
+    generator = kernel.apply(integer_solve(
+        SparseIntMatrix(1, [((0, f),) if f else () for f in phi]), [1]))
     return generator, classes
 
 

@@ -22,10 +22,13 @@ kernel_invariants reads the kernel of a map of finite cyclic-group
 products off the cokernel of its dual map, so it needs one Smith form, of
 which it reads only the diagonal: it keeps no transform.  cycbar's
 presentation of a homology group keeps u alone, and integer_solve and the
-default keep u and v.  IntMatrix is the dense input of the Smith form and
-of kernel_invariants.  fp_rref, and the kernel bases built on it, stay
-dense numpy row reductions; their pivots choose the mod-p homology
-generators.
+default keep u and v.  SparseIntMatrix is the one integer matrix type:
+smith_normal_form, integer_kernel_basis, integer_solve and
+kernel_invariants take it, the Smith form reading its starting rows off
+the stored columns, and the transforms, the kernel basis and its
+coordinates come back as one.  fp_rref, and the kernel bases built on
+it, stay dense numpy row reductions; their pivots choose the mod-p
+homology generators.
 """
 
 from __future__ import annotations
@@ -127,44 +130,6 @@ class GroupStructure:
         return " x ".join(f"Z/{f}" for f in self.factors)
 
 
-class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries: what
-    smith_normal_form and kernel_invariants take."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        ents = tuple(tuple(map(int, row)) for row in entries)
-        c = len(ents[0]) if ents else 0
-        if any(len(row) != c for row in ents):
-            raise ValueError("ragged rows")
-        self.rows, self.cols, self.entries = len(ents), c, ents
-
-    @classmethod
-    def _of_int_rows(cls, rows: Iterable[Sequence[int]], r: int,
-                     c: int) -> "IntMatrix":
-        """The r x c matrix of rows that already hold Python ints: each row
-        becomes a tuple, and no entry is converted or checked again."""
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.entries = r, c, tuple(map(tuple, rows))
-        return m
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == \
-               (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
 class SparseIntMatrix:
     """Integer matrix stored by the nonzero entries of each column.
 
@@ -184,26 +149,15 @@ class SparseIntMatrix:
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def _entries(self):
-        return ((i, j, x) for j, col in enumerate(self.columns)
-                for i, x in col)
-
     def dense(self) -> np.ndarray:
         """The int64 array with the same entries."""
         out = np.zeros(self.shape, dtype=np.int64)
-        entries = list(self._entries())
+        entries = [(i, j, x) for j, col in enumerate(self.columns)
+                   for i, x in col]
         if entries:
             rows, cols, values = zip(*entries)
             out[rows, cols] = values
         return out
-
-    def int_matrix(self) -> IntMatrix:
-        """The dense IntMatrix with the same entries."""
-        rows, cols = self.shape
-        out = [[0] * cols for _ in range(rows)]
-        for i, j, x in self._entries():
-            out[i][j] = x
-        return IntMatrix._of_int_rows(out, rows, cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """self @ vec, one stored column per nonzero entry of vec."""
@@ -243,6 +197,16 @@ def _add_multiple(dst: dict[int, int], src: Mapping[int, int],
             del dst[k]
 
 
+def _rows(m: SparseIntMatrix) -> list[dict[int, int]]:
+    """The rows of m, each a dict of its nonzero entries in column order:
+    the inverse of _from_rows."""
+    rows = [{} for _ in range(m.shape[0])]
+    for j, col in enumerate(m.columns):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
+
+
 def _from_rows(rows: Sequence[Mapping[int, int]],
                cols: int) -> SparseIntMatrix:
     """The matrix with the given sparse rows, stored by columns."""
@@ -253,7 +217,7 @@ def _from_rows(rows: Sequence[Mapping[int, int]],
     return SparseIntMatrix(len(rows), map(tuple, columns))
 
 
-def smith_normal_form(m: IntMatrix, *,
+def smith_normal_form(m: SparseIntMatrix, *,
                       _keep: Collection[str] = ("u", "v")) -> SNFResult:
     """Diagonalize m over Z: returns (d, u, v) with u @ m @ v == diag(d),
     u and v unimodular, and d_1 | d_2 | ... on the nonnegative diagonal.
@@ -267,9 +231,12 @@ def smith_normal_form(m: IntMatrix, *,
     Boundary matrices are sparse and mostly +-1, so a, the rows of u, the
     columns of v and the rows of v's inverse are all kept as dicts of
     their nonzero entries, and every operation is a swap or one
-    _add_multiple.  v is kept by columns, so its column operations are
-    vector additions; col_j -= q * col_t on v is row_t += q * row_j on its
-    inverse, and a column swap swaps two rows of it.  Rows of a past t are
+    _add_multiple.  a starts as the rows of m, read off its stored
+    columns, so m must store no zero (as SparseIntMatrix promises): a
+    stored zero would be taken as a pivot of absolute value 0.  v is kept
+    by columns, so its column operations are vector additions;
+    col_j -= q * col_t on v is row_t += q * row_j on its inverse, and a
+    column swap swaps two rows of it.  Rows of a past t are
     zero in the columns before t, and since the row sweep leaves column t
     of a zero except at the pivot, a column operation changes one entry
     of a.
@@ -280,8 +247,8 @@ def smith_normal_form(m: IntMatrix, *,
     whatever is dropped.  A dropped transform is carried as empty vectors,
     on which every operation does nothing.
     """
-    R, C = m.rows, m.cols
-    a = [{k: x for k, x in enumerate(row) if x} for row in m.entries]
+    R, C = m.shape
+    a = _rows(m)
     u = [{i: 1} if "u" in _keep else {} for i in range(R)]
     vc = [{j: 1} if "v" in _keep else {} for j in range(C)]
     vi = [{j: 1} if "v_inverse" in _keep else {} for j in range(C)]
@@ -362,9 +329,9 @@ def smith_normal_form(m: IntMatrix, *,
         _from_rows(vi, C) if "v_inverse" in _keep else None)
 
 
-def integer_kernel_basis(m: IntMatrix) -> tuple[
+def integer_kernel_basis(m: SparseIntMatrix) -> tuple[
         SparseIntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
-                                  IntMatrix]]:
+                                  SparseIntMatrix]]:
     """(basis, coordinates): the columns of basis form a basis of the
     integer kernel lattice of m, and coordinates(vectors) gives the
     coordinates of kernel vectors in it, one column per vector.
@@ -375,41 +342,40 @@ def integer_kernel_basis(m: IntMatrix) -> tuple[
     (no second Smith form, no solve per vector).  Each vector is given
     sparse, as (index, value) pairs; one whose rows ..r of v^-1 @ w do not
     vanish lies outside the kernel, and coordinates raises
-    GhostInversionError for it.  The coordinates come back dense, as the
-    IntMatrix a Smith form takes.
+    GhostInversionError for it.
     """
     snf = smith_normal_form(m, _keep=("v", "v_inverse"))
     rank = snf.rank()
-    basis = SparseIntMatrix(m.cols, snf.v.columns[rank:])
-    size = basis.shape[1]
+    basis = SparseIntMatrix(m.shape[1], snf.v.columns[rank:])
     inverse = snf.v_inverse.columns
 
     def coordinates(vectors: Iterable[Iterable[tuple[int, int]]]
-                    ) -> IntMatrix:
-        vectors = list(vectors)
-        out = [[0] * len(vectors) for _ in range(size)]
-        for j, vec in enumerate(vectors):
-            low = {}  # rows ..rank of v^-1 @ vec, zero exactly on the kernel
+                    ) -> SparseIntMatrix:
+        columns = []
+        for vec in vectors:
+            low, high = {}, {}  # rows ..rank and rank.. of v^-1 @ vec
             for i, x in vec:
                 if x:
                     for k, a in inverse[i]:
                         if k < rank:
                             low[k] = low.get(k, 0) + a * x
                         else:
-                            out[k - rank][j] += a * x
-            if any(low.values()):
+                            high[k - rank] = high.get(k - rank, 0) + a * x
+            if any(low.values()):  # zero exactly on the kernel
                 raise GhostInversionError(
                     "vector outside the integer kernel")
-        return IntMatrix._of_int_rows(out, size, len(vectors))
+            columns.append(tuple(sorted((k, y) for k, y in high.items()
+                                        if y)))
+        return SparseIntMatrix(basis.shape[1], columns)
 
     return basis, coordinates
 
 
-def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:
+def integer_solve(g: SparseIntMatrix, w: Sequence[int]) -> list[int]:
     """Exact integer solution of g @ c = w; raises if none exists."""
     snf = smith_normal_form(g)
     y = snf.u.apply(list(w))
-    z = [0] * g.cols
+    z = [0] * g.shape[1]
     for i, yi in enumerate(y):
         di = snf.d[i] if i < len(snf.d) else 0
         if di == 0:
@@ -423,7 +389,7 @@ def integer_solve(g: IntMatrix, w: Sequence[int]) -> list[int]:
     return snf.v.apply(z)
 
 
-def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
+def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
                       target_moduli: Sequence[int]) -> GroupStructure:
     """Invariant factors of the kernel of the map
 
@@ -439,28 +405,29 @@ def kernel_invariants(relations: IntMatrix, moduli: Sequence[int],
     the source, an exact quotient because f is well defined.  So ker f has
     the invariant factors of Z^n / <columns of [diag(a) | D]>, which one
     Smith form gives; diag(a) has full rank, so none of them is zero.
+    Column i of D is row i of relations, scaled.
     """
     moduli = [int(x) for x in moduli]
     target_moduli = [int(x) for x in target_moduli]
     if any(x < 1 for x in moduli) or any(x < 1 for x in target_moduli):
         raise ValueError("moduli must be positive")
     n, mm = len(moduli), len(target_moduli)
-    if relations.cols != n or relations.rows != mm:
-        raise ValueError(
-            f"dimension mismatch: relations is {relations.rows}x{relations.cols}, "
-            f"expected {mm}x{n}")
-    dual = [[0] * j + [aj] + [0] * (n - j - 1 + mm)
-            for j, aj in enumerate(moduli)]
-    for i, bi in enumerate(target_moduli):
-        for j, aj in enumerate(moduli):
-            q, r = divmod(relations[i, j] * aj, bi)
+    if relations.shape != (mm, n):
+        rows, cols = relations.shape
+        raise ValueError(f"dimension mismatch: relations is {rows}x{cols}, "
+                         f"expected {mm}x{n}")
+    dual = [((j, aj),) for j, aj in enumerate(moduli)]
+    for i, (bi, row) in enumerate(zip(target_moduli, _rows(relations))):
+        column = []
+        for j, x in row.items():
+            q, r = divmod(x * moduli[j], bi)
             if r:
                 raise ValueError(
                     f"relation entry ({i},{j}) does not define a map of "
                     f"cyclic groups")
-            dual[j][n + i] = q
-    diag = smith_normal_form(IntMatrix._of_int_rows(dual, n, n + mm),
-                             _keep=()).d
+            column.append((j, q))
+        dual.append(tuple(column))
+    diag = smith_normal_form(SparseIntMatrix(n, dual), _keep=()).d
     if 0 in diag:
         raise GhostInversionError("kernel of a map of finite groups is finite")
     factors: list[int] = []
@@ -588,10 +555,7 @@ def unit_pivot_reduction(mat: SparseIntMatrix
     since a +-1 pivot is a unit mod every prime.  The residual is the rows
     left nonzero, each a dict from column to Python int, and none holds a
     +-1 entry."""
-    rows: list[dict[int, int]] = [{} for _ in range(mat.shape[0])]
-    for j, col in enumerate(mat.columns):
-        for i, x in col:
-            rows[i][j] = x
+    rows = _rows(mat)
     units = _eliminate(rows, 0)
     return units, tuple(row for row in rows if row)
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactalg import (GroupStructure, IntMatrix, is_prime, kernel_invariants,
-                       p_valuation)
+from .exactalg import (GroupStructure, SparseIntMatrix, is_prime,
+                       kernel_invariants, p_valuation)
 from .ssengine import closed_form
 from .wittsplit import h_function, s_function
 
@@ -118,16 +118,15 @@ def equalizer_kernel(model: EqualizerModel) -> GroupStructure:
     """
     p = model.p
     n = len(model.source_lengths)
-    rows = []
-    for v in range(n):
-        row = [0] * n
-        row[v] = 1
-        if v >= 1:
-            gap = max(0, model.target_lengths[v] - model.source_lengths[v - 1])
-            row[v - 1] = -model.units[v] * p ** gap
-        rows.append(row)
+    columns = []
+    for v in range(n):  # column v: can into row v, -phi into row v + 1
+        column = [(v, 1)]
+        if v + 1 < n:
+            gap = max(0, model.target_lengths[v + 1] - model.source_lengths[v])
+            column.append((v + 1, -model.units[v + 1] * p ** gap))
+        columns.append(tuple(column))
     return kernel_invariants(
-        IntMatrix(rows),
+        SparseIntMatrix(n, columns),
         [p ** c for c in model.source_lengths],
         [p ** t for t in model.target_lengths])
 

@@ -324,6 +324,32 @@ def reference_solve(d, u, v, w):
     return dense_apply(v, z)
 
 
+def dense_rows(mat):
+    """A matrix stored by columns, read through its shape and its columns
+    of (row, value) pairs, as lists of rows."""
+    rows, cols = mat.shape
+    out = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(mat.columns):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
+def reference_coordinates(basis):
+    """The map from vectors to their coordinates in the lattice spanned by
+    the columns of basis (a matrix stored by columns), as lists of rows
+    with one column per vector: the reference Smith form of the basis and
+    one reference solve per vector."""
+    R, C = basis.shape
+    d, u, v = reference_snf(dense_rows(basis), R, C)
+
+    def coordinates(vectors):
+        coords = [reference_solve(d, u, v, w) for w in vectors]
+        return [[c[i] for c in coords] for i in range(C)]
+
+    return coordinates
+
+
 # -- Reference multiply-by-p map -------------------------------------------
 # The multiply-by-p map as wittsplit._mul_p_map built it one element at a
 # time, before its column blocks: p-1 additions of coordinate tuples per

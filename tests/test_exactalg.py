@@ -14,7 +14,6 @@ from ktrunc.cycbar import _integer_complex, _integral_connes_scalar
 from ktrunc.exactalg import (
     GhostInversionError,
     GroupStructure,
-    IntMatrix,
     SparseIntMatrix,
     fp_kernel_basis,
     fp_rank,
@@ -28,11 +27,13 @@ from ktrunc.exactalg import (
 )
 from oracle_utils import (
     ReferenceSolveError,
-    det,
     dense_apply,
+    dense_rows,
+    det,
     kernel_by_enumeration,
     minor_gcd_invariants,
     rank_mod_p,
+    reference_coordinates,
     reference_snf,
     reference_solve,
     rref_mod_p,
@@ -66,11 +67,6 @@ def diagonal_matrix(d, rows, cols):
     """The rows x cols matrix with diagonal d, as lists of rows."""
     return [[d[i] if i == j else 0 for j in range(cols)]
             for i in range(rows)]
-
-
-def dense_rows(mat: SparseIntMatrix):
-    """A matrix stored by columns, as lists of rows."""
-    return [list(r) for r in mat.int_matrix().entries]
 
 
 def stored(mat):
@@ -125,16 +121,16 @@ class TestSmithNormalForm:
     @given(int_matrices())
     @settings(max_examples=150, deadline=None)
     def test_decomposition_and_invariants(self, rows):
-        m = IntMatrix(rows)
+        m = sparse_matrix(rows)
         snf = smith_normal_form(m)
         u, v = dense_rows(snf.u), dense_rows(snf.v)
         # u @ m @ v is diagonal: its off-diagonal entries all vanish
         assert dense_product(dense_product(u, rows), v) == \
-            diagonal_matrix(snf.d, m.rows, m.cols)
+            diagonal_matrix(snf.d, *m.shape)
         assert abs(det(u)) == 1
         assert abs(det(v)) == 1
         diag = list(snf.d)
-        assert len(diag) == min(m.rows, m.cols)
+        assert len(diag) == min(m.shape)
         assert all(x >= 0 for x in diag)
         nz = [x for x in diag if x != 0]
         assert diag[: len(nz)] == nz, "zeros must come last"
@@ -143,7 +139,7 @@ class TestSmithNormalForm:
         assert nz == minor_gcd_invariants(rows)
 
     def test_deterministic(self):
-        m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        m = sparse_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         first = smith_normal_form(m)
         second = smith_normal_form(m)
         assert first.d == second.d
@@ -153,11 +149,11 @@ class TestSmithNormalForm:
     def test_known_diagonal(self):
         # invariant factors cross-checked by gcds of minors
         rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        diag = smith_normal_form(IntMatrix(rows)).d
+        diag = smith_normal_form(sparse_matrix(rows)).d
         assert list(diag) == minor_gcd_invariants(rows)
 
     def test_empty_and_zero(self):
-        zero = IntMatrix([[0, 0, 0], [0, 0, 0]])
+        zero = sparse_matrix([[0, 0, 0], [0, 0, 0]])
         z = smith_normal_form(zero)
         assert z.rank() == 0
         assert z.d == (0, 0)
@@ -200,17 +196,18 @@ class TestFastPathsMatchReference:
     @settings(max_examples=200, deadline=None)
     def test_transforms_and_solutions_are_the_reference_ones(self, rows,
                                                               data):
-        g = IntMatrix(rows)
+        g = sparse_matrix(rows)
+        R, C = g.shape
         snf = smith_normal_form(g)
-        d, u, v = reference_snf(rows, g.rows, g.cols)
-        assert diagonal_matrix(snf.d, g.rows, g.cols) == d
+        d, u, v = reference_snf(rows, R, C)
+        assert diagonal_matrix(snf.d, R, C) == d
         assert dense_rows(snf.u) == u
         assert dense_rows(snf.v) == v
         small = st.sampled_from([0, 0, 1, -1, 2, -5])
-        c = data.draw(st.lists(small, min_size=g.cols, max_size=g.cols),
+        c = data.draw(st.lists(small, min_size=C, max_size=C),
                       label="solution")
-        assert sparse_matrix(rows).apply(c) == dense_apply(rows, c)
-        other = data.draw(st.lists(small, min_size=g.rows, max_size=g.rows),
+        assert g.apply(c) == dense_apply(rows, c)
+        other = data.draw(st.lists(small, min_size=R, max_size=R),
                           label="right-hand side")
         for w in (dense_apply(rows, c), other):
             try:
@@ -225,7 +222,7 @@ class TestFastPathsMatchReference:
     def test_bar_complex_boundaries(self, e, m, time_limit):
         _, boundary, _ = _integer_complex(e, m)
         for b in boundary:
-            self.assert_reference_snf(b.int_matrix())
+            self.assert_reference_snf(b)
 
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
@@ -245,29 +242,29 @@ class TestFastPathsMatchReference:
         monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
         monkeypatch.setattr(cycbar, "smith_normal_form", recording_snf)
         _integral_connes_scalar.__wrapped__(3, 7)
-        assert [(g.rows, g.cols) for g, _ in seen] == [
+        assert [g.shape for g, _ in seen] == [
             (4, 14), (10, 16), (1, 10), (14, 16), (7, 7), (1, 7)]
         kept = [(snf.u is not None, snf.v is not None,
                  snf.v_inverse is not None) for _, snf in seen]
         assert kept == [(False, True, True), (True, False, False),
                         (True, True, False)] * 2
         for g, snf in seen:
-            d, u, v = reference_snf(g.entries, g.rows, g.cols)
-            assert diagonal_matrix(snf.d, g.rows, g.cols) == d
+            d, u, v = reference_snf(dense_rows(g), *g.shape)
+            assert diagonal_matrix(snf.d, *g.shape) == d
             if snf.u is not None:
                 assert dense_rows(snf.u) == u
             if snf.v is not None:
                 assert dense_rows(snf.v) == v
             if snf.v_inverse is not None:
                 # the kept inverse is the inverse of the reference v
-                assert dense_product(snf.v_inverse.dense().tolist(),
-                                     v) == identity(g.cols)
+                assert dense_product(dense_rows(snf.v_inverse),
+                                     v) == identity(g.shape[1])
 
     @staticmethod
-    def assert_reference_snf(m: IntMatrix):
+    def assert_reference_snf(m: SparseIntMatrix):
         snf = smith_normal_form(m)
-        d, u, v = reference_snf(m.entries, m.rows, m.cols)
-        assert diagonal_matrix(snf.d, m.rows, m.cols) == d
+        d, u, v = reference_snf(dense_rows(m), *m.shape)
+        assert diagonal_matrix(snf.d, *m.shape) == d
         assert dense_rows(snf.u) == u
         assert dense_rows(snf.v) == v
         return v
@@ -281,7 +278,7 @@ class TestTransformSelection:
     @given(st.one_of(sparse_matrices(), int_matrices()))
     @settings(max_examples=100, deadline=None)
     def test_every_selection_matches_the_full_form(self, rows):
-        m = IntMatrix(rows)
+        m = sparse_matrix(rows)
         full = smith_normal_form(m, _keep=("u", "v", "v_inverse"))
         for size in range(4):
             for keep in combinations(("u", "v", "v_inverse"), size):
@@ -299,42 +296,21 @@ class TestTransformSelection:
 
 class TestColumnIndex:
     """SparseIntMatrix indexes a matrix by the nonzero entries of each
-    column; its product with a vector and its dense IntMatrix view, whose
-    equality and hashing read the entries."""
-
-    def test_equal_matrices_hash_alike(self):
-        rows = [[0, 2, 0], [-1, 0, 3]]
-        first, second = IntMatrix(rows), IntMatrix(rows)
-        assert first == second and hash(first) == hash(second)
-        assert {first: "x"}[second] == "x"
-        assert first != IntMatrix([[0, 2, 0], [-1, 0, 4]])
+    column, and its product with a vector reads only those."""
 
     def test_empty_shapes(self):
         assert SparseIntMatrix(0, [()] * 3).apply([1, 2, 3]) == []
         assert SparseIntMatrix(2, ()).apply([]) == [0, 0]
-
-    @given(st.one_of(sparse_matrices(), int_matrices()))
-    @settings(max_examples=50, deadline=None)
-    def test_unconverted_matrices_equal_the_converted_ones(self, rows):
-        # the dense views of the Smith form's u and v and of a sparse
-        # matrix skip the constructor's conversion, and change nothing
-        snf = smith_normal_form(IntMatrix(rows))
-        for m in (snf.u.int_matrix(), snf.v.int_matrix(),
-                  sparse_matrix(rows).int_matrix()):
-            again = IntMatrix([list(r) for r in m.entries])
-            assert m == again and hash(m) == hash(again)
-            assert all(type(row) is tuple for row in m.entries)
-            assert all(type(x) is int for row in m.entries for x in row)
-        assert sparse_matrix(rows).int_matrix() == IntMatrix(rows)
 
 
 class TestIntegerSolve:
     @given(int_matrices(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_on_solvable_systems(self, rows, data):
-        g = IntMatrix(rows)
+        g = sparse_matrix(rows)
         c = data.draw(
-            st.lists(entries, min_size=g.cols, max_size=g.cols), label="solution"
+            st.lists(entries, min_size=g.shape[1], max_size=g.shape[1]),
+            label="solution"
         )
         w = dense_apply(rows, c)
         sol = integer_solve(g, w)
@@ -342,22 +318,21 @@ class TestIntegerSolve:
 
     def test_inconsistent_raises(self):
         with pytest.raises(GhostInversionError):
-            integer_solve(IntMatrix([[2]]), [1])
+            integer_solve(sparse_matrix([[2]]), [1])
         with pytest.raises(GhostInversionError):
-            integer_solve(IntMatrix([[0]]), [5])
+            integer_solve(sparse_matrix([[0]]), [5])
 
     @given(int_matrices())
     @settings(max_examples=100, deadline=None)
     def test_kernel_basis_spans_kernel(self, rows):
-        m = IntMatrix(rows)
+        m = sparse_matrix(rows)
         basis, _ = integer_kernel_basis(m)
         prod = dense_product(rows, dense_rows(basis))
         assert all(x == 0 for row in prod for x in row)
         rank = smith_normal_form(m).rank()
-        assert basis.shape[1] == m.cols - rank
+        assert basis.shape[1] == m.shape[1] - rank
         # basis columns are primitive and independent: full rank over Z
-        assert smith_normal_form(basis.int_matrix()).rank() == \
-            basis.shape[1]
+        assert smith_normal_form(basis).rank() == basis.shape[1]
 
 
 prime_powers = st.sampled_from([1, 2, 4, 8, 3, 9, 5])
@@ -382,7 +357,7 @@ def cyclic_maps(draw):
             step = b // math.gcd(b, a)  # smallest legal entry
             row.append(step * draw(st.integers(-3, 3)))
         rows.append(row)
-    return IntMatrix(rows), src, tgt
+    return sparse_matrix(rows), src, tgt
 
 
 @st.composite
@@ -407,48 +382,34 @@ def deficient_matrices(draw, max_dim=6):
     return [list(row) for row in zip(*cols)]
 
 
-def reference_coordinates(basis: IntMatrix):
-    """The map from vectors to their coordinates in the lattice spanned by
-    the columns of basis, one column per vector: the reference Smith form
-    of the basis and one reference solve per vector."""
-    d, u, v = reference_snf(basis.entries, basis.rows, basis.cols)
-
-    def coordinates(vectors) -> IntMatrix:
-        coords = [reference_solve(d, u, v, w) for w in vectors]
-        return IntMatrix._of_int_rows(
-            ([c[i] for c in coords] for i in range(basis.cols)), basis.cols,
-            len(coords))
-
-    return coordinates
-
-
 class TestKernelCoordinates:
     """integer_kernel_basis reads kernel coordinates off the inverse of v
     that its Smith form kept; a reference Smith form of the basis and one
     reference solve per vector is the oracle."""
 
     @staticmethod
-    def assert_coordinates(m: IntMatrix, vectors):
+    def assert_coordinates(m: SparseIntMatrix, vectors):
         basis, coordinates = integer_kernel_basis(m)
-        reference = reference_coordinates(basis.int_matrix())
+        reference = reference_coordinates(basis)
         snf = smith_normal_form(m, _keep=("v", "v_inverse"))
-        assert dense_product(snf.v_inverse.dense().tolist(),
-                             dense_rows(snf.v)) == identity(m.cols)
+        assert dense_product(dense_rows(snf.v_inverse),
+                             dense_rows(snf.v)) == identity(m.shape[1])
+        rows = dense_rows(m)
         for w in vectors:
-            if any(dense_apply(m.entries, w)):
+            if any(dense_apply(rows, w)):
                 with pytest.raises(GhostInversionError):
                     coordinates([enumerate(w)])
             else:
-                assert coordinates([enumerate(w)]) == \
+                assert dense_rows(coordinates([enumerate(w)])) == \
                     reference([w])
-        kernel = [w for w in vectors if not any(dense_apply(m.entries, w))]
+        kernel = [w for w in vectors if not any(dense_apply(rows, w))]
         sparse = [[(i, x) for i, x in enumerate(w) if x] for w in kernel]
-        assert coordinates(sparse) == reference(kernel)
+        assert dense_rows(coordinates(sparse)) == reference(kernel)
 
     @given(deficient_matrices(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_coordinates(self, rows, data):
-        m = IntMatrix(rows)
+        m = sparse_matrix(rows)
         basis, _ = integer_kernel_basis(m)
         small = st.integers(-3, 3)
         coeffs = data.draw(st.lists(
@@ -456,7 +417,7 @@ class TestKernelCoordinates:
                      max_size=basis.shape[1]),
             max_size=3), label="kernel coefficients")
         others = data.draw(st.lists(
-            st.lists(small, min_size=m.cols, max_size=m.cols),
+            st.lists(small, min_size=m.shape[1], max_size=m.shape[1]),
             max_size=2), label="other vectors")
         self.assert_coordinates(m, [basis.apply(c) for c in coeffs] + others)
 
@@ -472,7 +433,75 @@ class TestKernelCoordinates:
                               if n + 1 < len(boundary) else [])
                     units = [[int(i == j) for i in range(b.shape[1])]
                              for j, col in enumerate(b.columns) if col]
-                    self.assert_coordinates(b.int_matrix(), cycles + units)
+                    self.assert_coordinates(b, cycles + units)
+
+
+def assert_stores_no_zero(mat: SparseIntMatrix):
+    """Every stored entry is a nonzero int in a row of mat, one per row of
+    its column: what the Smith form's row dicts need, since a stored zero
+    would become a pivot of absolute value 0."""
+    rows = mat.shape[0]
+    for col in mat.columns:
+        assert all(type(x) is int and x != 0 and 0 <= i < rows
+                   for i, x in col), col
+        assert len({i for i, _ in col}) == len(col), col
+
+
+class TestNoStoredZeros:
+    """Every producer of a SparseIntMatrix stores no zero and no row out of
+    range: the Smith form transforms, the kernel basis and its coordinate
+    map, the bar complex and the equalizer relations."""
+
+    @given(st.one_of(sparse_matrices(), deficient_matrices(),
+                     int_matrices()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_smith_transforms_and_kernel_coordinates(self, rows, data):
+        m = sparse_matrix(rows)
+        snf = smith_normal_form(m, _keep=("u", "v", "v_inverse"))
+        basis, coordinates = integer_kernel_basis(m)
+        small = st.integers(-3, 3)
+        coeffs = data.draw(st.lists(
+            st.lists(small, min_size=basis.shape[1],
+                     max_size=basis.shape[1]),
+            max_size=3), label="kernel coefficients")
+        for mat in (snf.u, snf.v, snf.v_inverse, basis,
+                    coordinates(enumerate(basis.apply(c)) for c in coeffs)):
+            assert_stores_no_zero(mat)
+
+    def test_bar_complex_and_equalizer_relations(self, monkeypatch):
+        """The boundaries and Connes maps for e <= 5, m <= 9 and the
+        presentation of each homology group in its kernel basis; the
+        relations of every tower of the table p in {2, 3, 5}, e <= 8,
+        r <= 16; and a kernel vector one of whose coordinates sums to
+        zero."""
+        _, coordinates = integer_kernel_basis(sparse_matrix([[2, 2, -3]]))
+        assert coordinates([enumerate([-2, 2, 0])]).columns == (((0, 2),),)
+        for e in range(2, 6):
+            for m in range(1, 10):
+                _, boundary, connes = _integer_complex(e, m)
+                for mat in boundary + connes:
+                    assert_stores_no_zero(mat)
+                for n, b in enumerate(boundary):
+                    _, coordinates = integer_kernel_basis(b)
+                    assert_stores_no_zero(coordinates(
+                        cycbar._boundary_in(boundary, n).columns))
+        relations = []
+
+        def recording_kernel_invariants(mat, *args):
+            relations.append(mat)
+            return kernel_invariants(mat, *args)
+
+        monkeypatch.setattr(tcassemble, "kernel_invariants",
+                            recording_kernel_invariants)
+        models = {tcassemble.build_equalizer_model(p, e, r, m_prime)
+                  for p in (2, 3, 5) for e in range(2, 9)
+                  for r in range(1, 17) for m_prime in range(1, r * e + 1)
+                  if m_prime % p}
+        for model in models:
+            tcassemble.equalizer_kernel.__wrapped__(model)
+        assert len(relations) == len(models)
+        for mat in relations:
+            assert_stores_no_zero(mat)
 
 
 class TestKernelInvariants:
@@ -481,33 +510,31 @@ class TestKernelInvariants:
     def test_matches_exhaustive_enumeration(self, case):
         relations, src, tgt = case
         got = kernel_invariants(relations, src, tgt)
-        want = kernel_by_enumeration(
-            [list(r) for r in relations.entries], src, tgt
-        )
+        want = kernel_by_enumeration(dense_rows(relations), src, tgt)
         assert list(got.factors) == want
 
     def test_identity_and_zero_maps(self):
-        ident = IntMatrix([[1, 0], [0, 1]])
+        ident = sparse_matrix([[1, 0], [0, 1]])
         assert kernel_invariants(ident, [4, 9], [4, 9]).is_trivial()
-        zero = IntMatrix([[0, 0], [0, 0]])
+        zero = sparse_matrix([[0, 0], [0, 0]])
         assert kernel_invariants(zero, [4, 9], [4, 9]).factors == (4, 9)
 
     def test_multiplication_by_two_on_z4(self):
-        g = kernel_invariants(IntMatrix([[2]]), [4], [4])
+        g = kernel_invariants(sparse_matrix([[2]]), [4], [4])
         assert g.factors == (2,)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_invariants(IntMatrix([[1, 0]]), [4], [4])
+            kernel_invariants(sparse_matrix([[1, 0]]), [4], [4])
 
     def test_ill_defined_map_rejected(self):
         # 1: Z/2 -> Z/4 is not a group map since 2*1 != 0 in Z/4
         with pytest.raises(ValueError, match="does not define"):
-            kernel_invariants(IntMatrix([[1]]), [2], [4])
+            kernel_invariants(sparse_matrix([[1]]), [2], [4])
 
     def test_nonpositive_modulus_rejected(self):
         with pytest.raises(ValueError):
-            kernel_invariants(IntMatrix([[1]]), [0], [0])
+            kernel_invariants(sparse_matrix([[1]]), [0], [0])
 
     def test_one_smith_form_per_kernel(self, monkeypatch):
         """One Smith form, n x (n + mm), of the dual map beside diag(a):
@@ -516,11 +543,11 @@ class TestKernelInvariants:
         shapes = []
 
         def recording_snf(m, **kwargs):
-            shapes.append((m.rows, m.cols))
+            shapes.append(m.shape)
             return smith_normal_form(m, **kwargs)
 
         monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
-        zero = IntMatrix([[0, 0], [0, 0], [0, 0]])
+        zero = sparse_matrix([[0, 0], [0, 0], [0, 0]])
         assert kernel_invariants(zero, [4, 9], [2, 3, 5]).factors == (4, 9)
         assert shapes == [(2, 5)]
         model = tcassemble.build_equalizer_model(2, 4, 3, 1)
