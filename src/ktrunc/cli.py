@@ -288,7 +288,8 @@ def _validate(parser: argparse.ArgumentParser,
             # so an exponent of 4 * limit or more is too long without
             # building it
             k = cfg.f * r * (cfg.e - 1)
-            limit = sys.get_int_max_str_digits()
+            # the limit arrived in Python 3.10.7; before it there is none
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if limit and (k >= 4 * limit or cfg.p ** k >= 10 ** limit):
                 parser.error(f"--format table prints the order "
                              f"{cfg.p}^{k}, which has more than {limit} "

@@ -23,12 +23,14 @@ degree into the columns of the presentation, a SparseIntMatrix with no
 dense copy.  Each of its Smith forms keeps only the transforms read from
 it: the boundary's keeps v and the inverse of v (the kernel basis and
 its coordinates), the presentation's keeps u (one row of it is the
-homology functional), and the functional's own, inverted by
-integer_solve, keeps u and v.  A (z, w) page row-reduces the boundaries
-into each of its two degrees once, as fp_rref of the transposed
-boundary; its generator is the first kernel basis column whose remainder
-against that reduction is nonzero, and its scalar is the ratio of the
-remainders of B gen_lo and gen_hi in the upper degree.
+homology functional), and in the lower degree the functional's own,
+inverted by integer_solve for the generator, keeps u and v; the upper
+degree needs no generator, only its functional.  A (z, w) page
+row-reduces the boundaries into each of its two degrees once, as fp_rref
+of the transposed boundary; its generator is the first kernel basis
+column whose remainder against that reduction is nonzero, and its scalar
+is the ratio of the remainders of B gen_lo and gen_hi in the upper
+degree.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
 checks every weight it is asked for before it builds anything.  A
@@ -42,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -313,23 +316,20 @@ def _boundary_in(boundary: tuple[SparseIntMatrix, ...],
     return SparseIntMatrix(boundary[n].shape[1], ())
 
 
-def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
-                         cycles: tuple[list[int], ...] = ()
-                         ) -> tuple[list[int], list[int]]:
-    """Generator of an integral homology group that must be exactly Z, and
-    the class of each given cycle as a multiple of it.
+def _homology_functional(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix
+                         ) -> tuple[SparseIntMatrix, Callable, list[int]]:
+    """(kernel, coordinates, phi) for an integral homology group that must
+    be exactly Z.
 
     ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis, whose
     coordinates integer_kernel_basis reads off the Smith form of out_mat;
     the Smith form u @ pres @ v = d of the presentation must show one free
     coordinate and no torsion.  Row `rank` of u is then a functional phi
-    whose kernel is exactly the image, so it maps the homology
-    isomorphically onto Z: any chain phi sends to 1 is a generator, and a
-    cycle is phi of its kernel coordinates times that generator, modulo
-    boundaries.
+    on kernel coordinates whose kernel is exactly the image, so it maps
+    the homology isomorphically onto Z: a cycle's class is phi of its
+    coordinates times the generator, the cycles phi sends to 1.
     """
     kernel, coordinates = integer_kernel_basis(out_mat)
-    cycle_coords = coordinates(enumerate(w) for w in cycles).columns
     snf_pres = smith_normal_form(coordinates(in_mat.columns), _keep=("u",))
     rank = snf_pres.rank()
     if kernel.shape[1] - rank != 1 or any(x > 1 for x in snf_pres.d):
@@ -337,10 +337,7 @@ def _free_part_generator(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
             f"integral homology is not free of rank one: diag {snf_pres.d}, "
             f"kernel rank {kernel.shape[1]}")
     phi = [dict(col).get(rank, 0) for col in snf_pres.u.columns]  # row rank
-    classes = [sum(phi[k] * x for k, x in col) for col in cycle_coords]
-    generator = kernel.apply(integer_solve(
-        SparseIntMatrix(1, [((0, f),) if f else () for f in phi]), [1]))
-    return generator, classes
+    return kernel, coordinates, phi
 
 
 @lru_cache(maxsize=CONNES_SCALAR_CACHE_SIZE)
@@ -348,19 +345,22 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     """The Connes scalar on integral generators, canonical up to sign.
 
     Only defined when e does not divide m, where the integral homology
-    is Z in degrees 2d and 2d+1.  It is phi_hi(B gen_lo): phi_hi kills
-    every boundary and sends gen_hi to 1, so the value is exact, sign
-    included.
+    is Z in degrees 2d and 2d+1.  It is phi_hi(B gen_lo), where gen_lo
+    solves phi_lo(c) = 1: phi_hi kills every boundary and sends gen_hi
+    to 1, so the value is exact, sign included.
     """
     if m % e == 0:
         raise ValueError("integral normalization needs e not dividing m")
     _, boundary, connes = _integer_complex(e, m)
     lo = 2 * d_function(e, m)
-    gen_lo, _ = _free_part_generator(boundary[lo], _boundary_in(boundary, lo))
-    image = connes[lo].apply(gen_lo)
-    _, (scalar,) = _free_part_generator(
-        boundary[lo + 1], _boundary_in(boundary, lo + 1), (image,))
-    return scalar
+    kernel, _, phi_lo = _homology_functional(boundary[lo],
+                                             _boundary_in(boundary, lo))
+    gen_lo = kernel.apply(integer_solve(
+        SparseIntMatrix(1, [((0, f),) if f else () for f in phi_lo]), [1]))
+    _, coordinates, phi_hi = _homology_functional(
+        boundary[lo + 1], _boundary_in(boundary, lo + 1))
+    (image,) = coordinates([enumerate(connes[lo].apply(gen_lo))]).columns
+    return sum(phi_hi[k] * x for k, x in image)
 
 
 def _image_reduction(c: NormalizedComplex, n: int

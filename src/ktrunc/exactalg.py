@@ -110,9 +110,6 @@ class GroupStructure:
     def order(self) -> int:
         return math.prod(self.factors)
 
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupStructure):
             return NotImplemented

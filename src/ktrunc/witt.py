@@ -1,14 +1,16 @@
-"""Big Witt vectors over Z and F_p on arbitrary (divisor-closed) truncation
-sets, with the Frobenius and Verschiebung operators.
+"""Big Witt vectors over Z on arbitrary (divisor-closed) truncation sets,
+with the Frobenius and Verschiebung operators.
 
-Everything routes through the ghost map.  Over Z the ghost map
+Everything routes through the ghost map
 
-    w_n(a) = sum_{d | n} d * a_d^(n/d)
+    w_n(a) = sum_{d | n} d * a_d^(n/d),
 
-is injective with an exact-division inverse; sums and products are computed
-ghost-componentwise and pulled back.  Over F_p we lift coordinates to Z,
-compute there, and reduce, which is well defined because the ghost
-polynomials have integer coefficients.
+which is injective with an exact-division inverse; sums and products are
+computed ghost-componentwise and pulled back.  Witt vectors over F_p appear
+only in route A's enumeration, which adds coordinate columns through
+_add_coords(ts, x, y, p): lifting to Z, adding and reducing mod p is well
+defined because the ghost polynomials have integer coefficients, and that
+is the one place in this module that reduces mod p.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import GhostInversionError, is_prime, p_valuation
+from .exactalg import GhostInversionError, p_valuation
 
 
 # Bound on memoized divisor lists: the test suite and every benchmark grid
@@ -107,20 +109,14 @@ class TruncationSet:
 
 @dataclass(frozen=True)
 class WittVector:
-    """Witt coordinates on a truncation set; p = None means over Z."""
+    """Integer Witt coordinates on a truncation set."""
 
     truncation: TruncationSet
     coords: tuple[int, ...]
-    p: int | None = None
 
     def __post_init__(self):
         if len(self.coords) != len(self.truncation):
             raise ValueError("coordinate count does not match truncation set")
-        if self.p is not None:
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if any(not 0 <= c < self.p for c in self.coords):
-                raise ValueError("coordinates not reduced mod p")
 
     def coord(self, n: int) -> int:
         return self.coords[self.truncation.position(n)]
@@ -159,24 +155,12 @@ def _coords_from_ghost(ts: TruncationSet, ghost: Sequence[int]) -> tuple[int, ..
 
 
 def ghost(a: WittVector) -> tuple[int, ...]:
-    if a.p is not None:
-        raise ValueError("ghost coordinates only make sense over Z")
     return _ghost_coords(a.truncation, a.coords)
-
-
-def _lift(a: WittVector) -> WittVector:
-    return WittVector(a.truncation, a.coords, None)
-
-
-def _reduce(a: WittVector, p: int) -> WittVector:
-    return WittVector(a.truncation, tuple(c % p for c in a.coords), p)
 
 
 def _check_compatible(a: WittVector, b: WittVector) -> None:
     if a.truncation is not b.truncation and a.truncation != b.truncation:
         raise ValueError("truncation sets differ")
-    if a.p != b.p:
-        raise ValueError("base rings differ")
 
 
 def _add_coords(ts: TruncationSet, x: Sequence[int], y: Sequence[int],
@@ -189,71 +173,53 @@ def _add_coords(ts: TruncationSet, x: Sequence[int], y: Sequence[int],
     return coords
 
 
+def _from_ghost(ts: TruncationSet, values: Iterable[int]) -> WittVector:
+    """The Witt vector on ts with the given ghost coordinates."""
+    return WittVector(ts, _coords_from_ghost(ts, tuple(values)))
+
+
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
     _check_compatible(a, b)
-    return WittVector(a.truncation, _add_coords(a.truncation, a.coords,
-                                                b.coords, a.p), a.p)
+    return WittVector(a.truncation,
+                      _add_coords(a.truncation, a.coords, b.coords, None))
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     _check_compatible(a, b)
-    ts = a.truncation
-    gx = _ghost_coords(ts, a.coords)
-    gy = _ghost_coords(ts, b.coords)
-    coords = _coords_from_ghost(ts, tuple(x * y for x, y in zip(gx, gy)))
-    if a.p is not None:
-        coords = tuple(c % a.p for c in coords)
-    return WittVector(ts, coords, a.p)
+    return _from_ghost(a.truncation,
+                       (x * y for x, y in zip(ghost(a), ghost(b))))
 
 
 def witt_scalar(k: int, a: WittVector) -> WittVector:
-    """k * a for an integer k (the image of k under Z -> W(R))."""
-    ts = a.truncation
-    g = _ghost_coords(ts, a.coords)
-    coords = _coords_from_ghost(ts, tuple(k * x for x in g))
-    if a.p is not None:
-        coords = tuple(c % a.p for c in coords)
-    return WittVector(ts, coords, a.p)
+    """k * a for an integer k (the image of k under Z -> W(Z))."""
+    return _from_ghost(a.truncation, (k * x for x in ghost(a)))
 
 
 def restrict(a: WittVector, ts: TruncationSet) -> WittVector:
     """Forget coordinates outside ts (which must be a subset)."""
-    coords = tuple(a.coord(n) for n in ts.elements)
-    return WittVector(ts, coords, a.p)
+    return WittVector(ts, tuple(a.coord(n) for n in ts.elements))
 
 
-def verschiebung(e: int, a: WittVector,
-                 target: TruncationSet | None = None) -> WittVector:
-    """V_e: pushes coordinate n to coordinate e*n, zero elsewhere.
-
-    The natural target is e * S for S the source set; passing an explicit
-    target restricts (or zero-extends within e*S membership) to it.
-    """
-    if target is None:
-        # e*S need not be divisor-closed, so take its divisor closure
-        closure: set[int] = set()
-        for n in a.truncation.elements:
-            closure.update(_divisors(e * n))
-        target = TruncationSet(closure)
-    coords = []
-    for n in target.elements:
-        if n % e == 0 and (n // e) in a.truncation:
-            coords.append(a.coord(n // e))
-        else:
-            coords.append(0)
-    return WittVector(target, tuple(coords), a.p)
+def verschiebung(e: int, a: WittVector) -> WittVector:
+    """V_e: pushes coordinate n to coordinate e*n, zero elsewhere, on the
+    divisor closure of e*S for S the source set (e*S itself need not be
+    divisor-closed)."""
+    closure: set[int] = set()
+    for n in a.truncation.elements:
+        closure.update(_divisors(e * n))
+    target = TruncationSet(closure)
+    coords = tuple(a.coord(n // e) if n % e == 0 and n // e in a.truncation
+                   else 0 for n in target.elements)
+    return WittVector(target, coords)
 
 
 def frobenius(d: int, a: WittVector) -> WittVector:
     """F_d: ghost(F_d a)_n = ghost(a)_(d*n), landing on the quotient set."""
     ts = a.truncation
+    g = ghost(a)
     target = ts.quotient(d)
-    if a.p is None:
-        g = _ghost_coords(ts, a.coords)
-        gq = tuple(g[ts.position(d * n)] for n in target.elements)
-        return WittVector(target, _coords_from_ghost(target, gq))
-    lifted = frobenius(d, _lift(a))
-    return _reduce(lifted, a.p)
+    return _from_ghost(target,
+                       (g[ts.position(d * n)] for n in target.elements))
 
 
 def typical_part(d: int, p: int, a: WittVector) -> WittVector:

@@ -161,8 +161,9 @@ def test_criterion_8_three_route_agreement(capsys):
         capsys, 8,
         ok,
         f"routes A/B/C agree on {len(cases)} (p, e, r) cases (A ran on "
-        f"{brute_ran}, skipped above the enumeration bound), even degrees "
-        f"trivial, in {elapsed:.1f}s (limit 300s), {len(failures)} failures",
+        f"{brute_ran}, skipped above the enumeration bound) in degree "
+        f"2r-1 (even-degree vanishing is an input of group_in_degree), in "
+        f"{elapsed:.1f}s (limit 300s), {len(failures)} failures",
     )
     assert not failures, failures[:5]
     assert (len(cases), brute_ran) == (48, 28)

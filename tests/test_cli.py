@@ -239,6 +239,20 @@ class TestVerify:
         assert lines[-1] == "2/2 checks passed"
         assert "A=Z/2" in lines[0]  # brute route ran at this size
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("table",
+         "4d175c6c3b04f21da5cf7b28f6232889db120c51a33f9bc7d068a00f999faa70"),
+        ("json",
+         "94f9e8ca1d961725e2001ac939f39b1e0e36aa8b708d8eedc60c5a9801e0aa4e"),
+    ], ids=["table", "json"])
+    def test_all_suites_bytes(self, capsys, fmt, digest):
+        # every check of every suite, pinned to the bytes it printed when
+        # each check still took its grid as a parameter
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "0",
+                            "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_output(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--suite", "routes", "--p", "2", "--e", "2",
@@ -336,6 +350,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["kgroups", "--p", "2", "--e", "2", "--r", str(k + 1)])
         assert exc.value.code == 2
+
+    def test_kgroups_table_without_a_digit_limit(self, capsys, monkeypatch):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits and no
+        # limit on printing an int: the table prints as usual
+        _, want = run_cli(capsys, "kgroups", "--p", "3", "--e", "4",
+                          "--r", "3")
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out = run_cli(capsys, "kgroups", "--p", "3", "--e", "4",
+                            "--r", "3")
+        assert code == 0
+        assert out == want == (
+            "relative K-groups  p=3 e=4 f=1\n"
+            "K_5    Z/3 x Z/3 x Z/3 x Z/3 x Z/9 x Z/27  order 19683\n")
 
     @pytest.mark.parametrize("argv, size", [
         (["--e", "2000", "--r", "1000", "--format", "json"], "2,000,000"),

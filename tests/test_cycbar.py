@@ -389,6 +389,31 @@ class TestHomology:
         for e, m, lam in rows:
             assert m % e and abs(lam) == m, (e, m, lam)
 
+    def test_small_complex_on_every_admitted_weight(self):
+        # The closed form and the small complex agree on every weight
+        # class `hh` admits: the pairs 2 <= e <= m + 1 within the budget
+        # (for e > m + 1 the complex is the one at e = m + 1).  Word
+        # counts grow with e and with m, so each loop stops at the first
+        # count past the budget, as in scripts/lambda_table.py.
+        pairs = []
+        e = 2
+        while sum(cycbar.words_per_degree(e, e - 1)) <= cycbar.WORD_BUDGET:
+            for m in range(e - 1, cycbar.WEIGHT_BUDGET + 1):
+                if sum(cycbar.words_per_degree(e, m)) > cycbar.WORD_BUDGET:
+                    break
+                try:
+                    cycbar.check_size_budget(e, m)
+                except cycbar.ComplexTooLargeError:
+                    continue
+                pairs.append((e, m))
+            e += 1
+        assert len(pairs) == 608
+        assert sum(1 for e, m in pairs if m % e) == 330
+        for e, m in pairs:
+            for p in (2, 3, 5, 7):
+                assert small_complex_hh(e, m, p) == \
+                    predicted_homology(e, m, p), (e, m, p)
+
     def test_page_scalar_is_the_homology_scalar(self):
         # the grid holds (y, z) pages and (z, w) pages, the latter from
         # e | m with p | e
