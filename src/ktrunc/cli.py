@@ -16,7 +16,7 @@ import sys
 
 from . import checks, cycbar, ssengine, tcassemble, wittsplit
 from .checks import PAGE_DEGREES
-from .exactalg import is_prime
+from .exactalg import P_LIMIT, is_prime
 
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
@@ -238,7 +238,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         "and, when e does not divide m, at most "
         f"{cycbar.SCALAR_DEGREE_BUDGET:,} words in each of the four "
         "degrees around the integral Connes scalar.  A weight past it "
-        "exits 2 before any weight is computed.")
+        "exits 2 before any weight is computed, and so does a --p above "
+        f"{P_LIMIT:,}, the largest modulus of the mod-p ranks.")
     common(sp)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int, help="single weight")
@@ -275,6 +276,9 @@ def _validate(parser: argparse.ArgumentParser,
         parser.error(f"--enum-bound must be at most {wittsplit.ENUM_CAP}")
     if cfg.command == "hh" and cfg.e is not None and cfg.e < 2:
         parser.error("--e must be at least 2 for homology")
+    if cfg.command == "hh" and cfg.p > P_LIMIT:
+        parser.error(f"--p must be at most {P_LIMIT:,} for homology, "
+                     f"got {cfg.p}")
     if cfg.command == "hh":
         for m in _hh_weights(cfg):
             try:

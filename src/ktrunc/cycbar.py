@@ -67,11 +67,14 @@ HOMOLOGY_CACHE_SIZE = 256
 # Size budget of `hh`, checked on word counts before anything is built.
 # The weight bounds the recursion depth of _interior_parts.  Every weight up to
 # 14 has at most 2^14 words for every e.  The integral Connes scalar runs
-# Smith forms on the four degrees around it.  Timings of `hh` on 2
-# CPUs with Python 3.11: (e, m) = (7, 14), 15,234 words and no scalar,
-# 1.6 s and 55 MB; (6, 14), widest scalar degree 2,471 words, 1.6 s and
-# 70 MB; (4, 15), widest 2,570, 1.3 s and 56 MB; (3, 19), widest 3,718
-# and past the budget, 73 s and 514 MB for its homology summary.
+# Smith forms on the four degrees around it.  Worst case over all 608
+# admitted (e, m), each run as a fresh `hh --m` process at p = 2 and at
+# every prime factor of e (wall time and the child's ru_maxrss; Python
+# 3.11 on 2 shared x86_64 CPUs; the slowest runs repeated 3 times):
+# (3, 18) at p = 3, 8,362 words on a (z, w) page whose generators are
+# found mod p, 3.8-5.0 s and 179 MB.  Every other run took at most 2.9 s
+# ((6, 14) at p = 3) and 72 MB.  Past the budget, (3, 19), widest scalar
+# degree 3,718, takes 73 s and 514 MB for its homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000

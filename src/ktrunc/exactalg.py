@@ -440,7 +440,7 @@ def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
 # sparse elimination behind fp_rank also runs over Z, along +-1 pivots only
 # (unit_pivot_reduction), and keeps Python ints there.
 
-_P_LIMIT = 1 << 20
+P_LIMIT = 1 << 20
 
 
 def _as_mod_array(mat, p: int) -> np.ndarray:
@@ -448,7 +448,7 @@ def _as_mod_array(mat, p: int) -> np.ndarray:
 
 
 def _check_modulus(p: int) -> None:
-    if not is_prime(p) or p > _P_LIMIT:
+    if not is_prime(p) or p > P_LIMIT:
         raise ValueError(f"p = {p} out of range for mod-p reduction")
 
 

@@ -3,14 +3,16 @@ sequences attached to a weight component, their differentials, and the
 closed-form answers they converge to.
 
 A page is generated over F_p[t^{+-1}, x] (t of bidegree (-2,0), x of
-bidegree (0,2)) by one or two named classes whose vertical degrees come
-from the homology of the weight-m cyclic bar complex.  In hfp mode the
-t-exponent is restricted to b >= 0.  Differentials are recorded as
-patterns "d^rho(source) = unit * t^ts x^xs target", applied t- and
-x-linearly.  Once per page the engine validates them and lists the ones
-touching each generator; per total degree it yields plain tuples and
-builds a PageClass only for survivors, whose counts are checked against
-the closed forms.  The patterns themselves are inputs, not derived here.
+bidegree (0,2)) by two named classes, or none, whose vertical degrees
+come from the homology of the weight-m cyclic bar complex.  In hfp mode
+the t-exponent is restricted to b >= 0.  Each page has exactly one
+differential, recorded as a pattern "d^rho(source) = unit * t^ts x^xs
+target" applied t- and x-linearly: standard_patterns derives it from the
+page's shape, the weight and the Connes scalar.  The engine validates it
+once per page and decides each class by one rule: it dies when the other
+end of the differential through it lies on the page.  It builds a
+PageClass only for survivors, whose counts are checked against the
+closed forms.
 """
 
 from __future__ import annotations
@@ -61,16 +63,15 @@ class BigradedPage:
 
 @dataclass(frozen=True)
 class DifferentialPattern:
-    """d^page sends t^b x^a source to unit * t^(b+t_shift) x^(a+x_shift)
-    target, for every b and every a >= 0.  Bidegree bookkeeping requires
-    the shift to be (-page, page - 1)."""
+    """d^page sends t^b x^a source to a unit times t^(b+t_shift)
+    x^(a+x_shift) target, for every b and every a >= 0.  Bidegree
+    bookkeeping requires the shift to be (-page, page - 1)."""
 
     page: int
     source: str
     target: str
     t_shift: int
     x_shift: int
-    unit: int = 1
 
     def validate(self, page: BigradedPage) -> None:
         try:
@@ -85,8 +86,6 @@ class DifferentialPattern:
             raise PatternMismatchError(
                 f"d^{self.page} pattern shifts bidegree by {shift}, "
                 f"expected ({-self.page}, {self.page - 1})")
-        if self.unit % page.p == 0:
-            raise PatternMismatchError("pattern unit vanishes mod p")
         if self.t_shift < 0 or self.x_shift < 0:
             raise PatternMismatchError("pattern shifts must be nonnegative")
 
@@ -129,122 +128,98 @@ def build_e2(e: int, m: int, p: int, mode: str) -> BigradedPage:
     return BigradedPage(mode, p, e, m, gens, summary.connes_scalar)
 
 
-def d2_from_connes(page: BigradedPage) -> DifferentialPattern | None:
-    """d^2 = t * (Connes operator): nonzero only on y-pages with p not
-    dividing the scalar."""
-    if page.d2_scalar is None or page.d2_scalar % page.p == 0:
-        return None
-    names = [g.name for g in page.generators]
-    if names != ["y", "z"]:
-        raise PatternMismatchError(
-            "nonzero Connes scalar on a page without a y generator")
-    pat = DifferentialPattern(2, "y", "z", 1, 0, unit=page.d2_scalar)
-    pat.validate(page)
-    return pat
-
-
-def standard_patterns(page: BigradedPage) -> tuple[DifferentialPattern, ...]:
-    """The one differential each page supports.
+def standard_patterns(page: BigradedPage) -> DifferentialPattern | None:
+    """The one differential a page supports, or None on an empty page.
 
     On a (y, z) page with m = p^v m' the differential is
-    d^(2v+2)(y) = t (tx)^v z, reducing to the Connes d^2 when v = 0.
-    On a (z, w) page with e = p^u e' it is d^(2u)(w) = (tx)^u z.
+    d^(2v+2)(y) = t (tx)^v z: the Connes d^2 = t B when v = 0, which needs
+    the scalar to be a unit mod p, and a longer one when p | m, where B
+    vanishes mod p.  On a (z, w) page with e = p^u e' it is
+    d^(2u)(w) = (tx)^u z.
     """
     names = [g.name for g in page.generators]
     if not names:
-        return ()
+        return None
+    connes = page.d2_scalar is not None and page.d2_scalar % page.p != 0
     if names == ["y", "z"]:
         v = p_valuation(page.m, page.p)
-        d2 = d2_from_connes(page)
-        if v == 0:
-            if d2 is None:
-                raise PatternMismatchError(
-                    f"weight {page.m} prime to {page.p} must have a nonzero "
-                    f"Connes d^2")
-            return (d2,)
-        if d2 is not None:
+        if v == 0 and not connes:
+            raise PatternMismatchError(
+                f"weight {page.m} prime to {page.p} must have a nonzero "
+                f"Connes d^2")
+        if v and connes:
             raise PatternMismatchError(
                 f"weight {page.m} divisible by {page.p} cannot have a "
                 f"nonzero Connes d^2")
-        pat = DifferentialPattern(2 * v + 2, "y", "z", v + 1, v)
-        pat.validate(page)
-        return (pat,)
+        return DifferentialPattern(2 * v + 2, "y", "z", v + 1, v)
     if names == ["z", "w"]:
-        if page.d2_scalar is not None and page.d2_scalar % page.p:
+        if connes:
             raise PatternMismatchError("(z, w) page with nonzero Connes d^2")
         u = p_valuation(page.e, page.p)
         if u == 0:
             raise PatternMismatchError(
                 "(z, w) page requires the truncation exponent to be "
                 "divisible by p")
-        pat = DifferentialPattern(2 * u, "w", "z", u, u)
-        pat.validate(page)
-        return (pat,)
+        return DifferentialPattern(2 * u, "w", "z", u, u)
     raise PageShapeError(f"unrecognized generator set {names}")
 
 
-def _page_families(page: BigradedPage, patterns):
-    """Validate the patterns; return the enumeration width and, per
-    generator, the (pattern, is_source) pairs touching it in list order."""
-    for pat in patterns:
-        pat.validate(page)
-    width = (max((pat.t_shift for pat in patterns), default=0)
-             + max((pat.x_shift for pat in patterns), default=0) + 2)
-    return width, [(gen, [(pat, pat.source == gen.name) for pat in patterns
-                          if gen.name in (pat.source, pat.target)])
-                   for gen in page.generators]
+def _classes(page: BigradedPage, pattern: DifferentialPattern | None,
+             total_degrees):
+    """Plain (total, b, a, generator, killed) tuples, one per enumerated
+    class.  Classes t^b x^a g with -2b + vertical + 2a = total form one
+    family per generator and total degree.  A class dies when the other
+    end of the differential through it lies on the page: t^(b+t_shift)
+    x^(a+x_shift) from the source, t^(b-t_shift) x^(a-x_shift) from the
+    target; survivors have a < a_min + t_shift + x_shift, so
+    enumeration stops just past that at a guard slot."""
+    if pattern is not None:
+        pattern.validate(page)
+    named = () if pattern is None else (pattern.source, pattern.target)
+    stray = [g.name for g in page.generators if g.name not in named]
+    if stray:
+        raise UnboundedPageError(f"the page has no differential on {stray}, "
+                                 f"so their classes never die")
+    if pattern is None:
+        return
+    width = pattern.t_shift + pattern.x_shift + 2
+    tate = page.mode == "tate"
+    for total in total_degrees:
+        for gen in page.generators:
+            if (total - gen.vertical) % 2:
+                continue
+            sign = 1 if gen.name == pattern.source else -1
+            a_min = 0 if tate else max(0, (total - gen.vertical) // 2)
+            for a in range(a_min, a_min + width + 1):
+                b = (gen.vertical + 2 * a - total) // 2
+                killed = (a + sign * pattern.x_shift >= 0
+                          and (tate or b + sign * pattern.t_shift >= 0))
+                # validated shifts are nonnegative, so the pattern kills
+                # the cap slot: this stays as a safety check
+                if not killed and a == a_min + width:
+                    raise UnboundedPageError(
+                        f"survivor {_label(b, a, gen.name)} at the "
+                        f"enumeration cap in total degree {total}")
+                yield total, b, a, gen.name, killed
 
 
-def _classes_in_degree(mode: str, width: int, families, total: int):
-    """Plain (b, a, generator, killer) tuples in one total degree; killer
-    is the first pattern in list order that kills the class, or None.
-    Classes t^b x^a g with -2b + vertical + 2a = total form one family per
-    generator; survivors have a < a_min + width - 2, so enumeration stops
-    just past that at a guard slot."""
-    tate = mode == "tate"
-    for gen, touching in families:
-        if (total - gen.vertical) % 2:
-            continue
-        if not touching:
-            raise UnboundedPageError(
-                f"generator {gen.name} is not covered by any pattern; its "
-                f"classes in total degree {total} never die")
-        a_min = 0 if tate else max(0, (total - gen.vertical) // 2)
-        for a in range(a_min, a_min + width + 1):
-            b = (gen.vertical + 2 * a - total) // 2
-            for killer, is_source in touching:
-                # it dies as source or target when the other end is on the page
-                if (tate or b + killer.t_shift >= 0) if is_source else (
-                        a >= killer.x_shift and (tate or b >= killer.t_shift)):
-                    break
-            else:
-                killer = None
-            # validated shifts are nonnegative, so a validated pattern
-            # kills the cap slot: this stays as a safety check
-            if killer is None and a == a_min + width:
-                raise UnboundedPageError(
-                    f"survivor {_label(b, a, gen.name)} at the enumeration "
-                    f"cap in total degree {total}")
-            yield b, a, gen.name, killer
-
-
-def run_to_einfty(page: BigradedPage, patterns,
+def run_to_einfty(page: BigradedPage, pattern: DifferentialPattern | None,
                   total_degrees) -> dict[int, tuple[PageClass, ...]]:
-    """Surviving classes per total degree after applying the patterns."""
-    width, families = _page_families(page, patterns)
-    return {total: tuple(PageClass(b, a, g) for b, a, g, killer in
-                         _classes_in_degree(page.mode, width, families, total)
-                         if killer is None) for total in total_degrees}
+    """Surviving classes per total degree after the page's differential."""
+    survivors = {total: [] for total in total_degrees}
+    for total, b, a, g, killed in _classes(page, pattern, survivors):
+        if not killed:
+            survivors[total].append(PageClass(b, a, g))
+    return {total: tuple(classes) for total, classes in survivors.items()}
 
 
-def dump_page(page: BigradedPage, patterns, total_degrees) -> list[str]:
+def dump_page(page: BigradedPage, pattern: DifferentialPattern | None,
+              total_degrees) -> list[str]:
     """One line per enumerated class: killed-by page or survivor mark."""
-    width, families = _page_families(page, patterns)
     return [f"{total}: {_label(b, a, g)} "
-            + (f"killed-by: d^{killer.page}" if killer else "survives")
-            for total in total_degrees
-            for b, a, g, killer in _classes_in_degree(page.mode, width,
-                                                      families, total)]
+            + (f"killed-by: d^{pattern.page}" if killed else "survives")
+            for total, b, a, g, killed in _classes(page, pattern,
+                                                    total_degrees)]
 
 
 @dataclass(frozen=True)

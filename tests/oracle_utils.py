@@ -372,27 +372,25 @@ def mul_p_codes(p: int, ts) -> list[int]:
 
 
 # -- Reference kill rule ------------------------------------------------------
-# The spectral engine's kill rule applied one class at a time: walk the
-# patterns in list order and stop at the first that kills the class, as its
-# source (when the target lies on the page) and then as its target.
+# The spectral engine's kill rule applied one class at a time: a class dies
+# under the page's one differential as its source when the target lies on
+# the page, and as its target when the source does.
 
-def _killing_page(mode: str, patterns, gen: str, b: int, a: int):
-    for pat in patterns:
-        if pat.source == gen and (mode == "tate" or b + pat.t_shift >= 0):
-            return pat.page
-        if (pat.target == gen and a - pat.x_shift >= 0
-                and (mode == "tate" or b - pat.t_shift >= 0)):
-            return pat.page
+def _killing_page(mode: str, pattern, gen: str, b: int, a: int):
+    if gen == pattern.source and (mode == "tate" or b + pattern.t_shift >= 0):
+        return pattern.page
+    if (gen == pattern.target and a - pattern.x_shift >= 0
+            and (mode == "tate" or b - pattern.t_shift >= 0)):
+        return pattern.page
     return None
 
 
-def page_dump_lines(page, patterns, total_degrees):
+def page_dump_lines(page, pattern, total_degrees):
     """Every dump line ssengine.dump_page should print: per total degree
     and generator g, the classes t^b x^a g with -2b + vertical + 2a =
     total for a from a_min (0, or the least a with b >= 0 in hfp mode)
-    through a_min + max t_shift + max x_shift + 2."""
-    width = (max((pat.t_shift for pat in patterns), default=0)
-             + max((pat.x_shift for pat in patterns), default=0) + 2)
+    through a_min + t_shift + x_shift + 2."""
+    width = pattern.t_shift + pattern.x_shift + 2
     for total in total_degrees:
         for gen in page.generators:
             if (total - gen.vertical) % 2:
@@ -402,6 +400,6 @@ def page_dump_lines(page, patterns, total_degrees):
                 a_min = max(0, (total - gen.vertical) // 2)
             for a in range(a_min, a_min + width + 1):
                 b = (gen.vertical + 2 * a - total) // 2
-                k = _killing_page(page.mode, patterns, gen.name, b, a)
+                k = _killing_page(page.mode, pattern, gen.name, b, a)
                 state = "survives" if k is None else f"killed-by: d^{k}"
                 yield f"{total}: t^{b} x^{a} {gen.name} {state}"

@@ -281,6 +281,17 @@ class TestUsageErrors:
             main(["hh", "--p", "2", "--e", "1", "--m", "1"])
         assert exc.value.code == 2
 
+    def test_hh_prime_past_the_mod_p_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hh", "--p", "1048583", "--e", "2", "--m", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p must be at most 1,048,576" in captured.err
+        # the largest prime below the limit still runs
+        assert run_cli(capsys, "hh", "--p", "1048573", "--e", "2",
+                       "--m", "3") == (0, "deg 2: 1, deg 3: 1, B = 3\n")
+
     @pytest.mark.parametrize("argv", [
         ["hh", "--p", "2", "--e", "2", "--m", "1", "--f", "2"],
         ["hh", "--p", "2", "--e", "2", "--m", "1", "--seed", "3"],
@@ -433,6 +444,7 @@ class TestUsageErrors:
         text = " ".join(capsys.readouterr().out.split())
         assert "a weight of at most 512, at most 16,384 words" in text
         assert "at most 3,000 words in each of the four degrees" in text
+        assert "a --p above 1,048,576" in text
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--enum-bound", "0"],

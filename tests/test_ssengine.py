@@ -14,7 +14,6 @@ from ktrunc.ssengine import (
     UnboundedPageError,
     build_e2,
     closed_form,
-    d2_from_connes,
     dump_page,
     run_to_einfty,
     standard_patterns,
@@ -28,8 +27,7 @@ MODES = ("tate", "hfp")
 
 def survivor_counts(p, e, m, mode):
     page = build_e2(e, m, p, mode)
-    patterns = standard_patterns(page)
-    surv = run_to_einfty(page, patterns, DEGREES)
+    surv = run_to_einfty(page, standard_patterns(page), DEGREES)
     return {t: len(classes) for t, classes in surv.items()}
 
 
@@ -58,7 +56,7 @@ class TestPageConstruction:
     def test_empty_shape(self):
         page = build_e2(3, 3, 2, "tate")
         assert page.generators == ()
-        assert standard_patterns(page) == ()
+        assert standard_patterns(page) is None
 
     def test_mode_checked(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -72,23 +70,16 @@ class TestPageConstruction:
 
 
 class TestPatterns:
-    def test_connes_d2(self):
-        pat = d2_from_connes(build_e2(2, 1, 2, "tate"))
-        assert pat == DifferentialPattern(2, "y", "z", 1, 0, unit=1)
-        assert d2_from_connes(build_e2(2, 2, 2, "tate")) is None
-        # weight divisible by p: scalar reduces to zero
-        assert d2_from_connes(build_e2(3, 2, 2, "tate")) is None
-
     def test_standard_pattern_families(self):
         # e does not divide m, v = 0: the Connes d^2
-        (pat,) = standard_patterns(build_e2(2, 1, 2, "tate"))
+        pat = standard_patterns(build_e2(2, 1, 2, "tate"))
         assert (pat.page, pat.t_shift, pat.x_shift) == (2, 1, 0)
         assert (pat.source, pat.target) == ("y", "z")
         # e does not divide m, v = 2: one long differential off y
-        (pat,) = standard_patterns(build_e2(3, 4, 2, "tate"))
+        pat = standard_patterns(build_e2(3, 4, 2, "tate"))
         assert (pat.page, pat.t_shift, pat.x_shift) == (6, 3, 2)
         # e divides m, u = 1: differential off w
-        (pat,) = standard_patterns(build_e2(2, 2, 2, "tate"))
+        pat = standard_patterns(build_e2(2, 2, 2, "tate"))
         assert (pat.page, pat.source, pat.target) == (2, "w", "z")
         assert (pat.t_shift, pat.x_shift) == (1, 1)
 
@@ -96,8 +87,6 @@ class TestPatterns:
         page = build_e2(2, 1, 2, "tate")
         with pytest.raises(PatternMismatchError, match="bidegree"):
             DifferentialPattern(2, "y", "z", 0, 1).validate(page)
-        with pytest.raises(PatternMismatchError, match="unit"):
-            DifferentialPattern(2, "y", "z", 1, 0, unit=2).validate(page)
         with pytest.raises(PatternMismatchError, match="nonnegative"):
             DifferentialPattern(-2, "y", "z", -1, -2).validate(page)
 
@@ -110,9 +99,11 @@ class TestPatterns:
         with pytest.raises(PatternMismatchError, match="cannot"):
             standard_patterns(BigradedPage("tate", 2, 3, 2, yz, 1))
         zw = (Generator("z", 1), Generator("w", 2))
-        # (z, w) shape needs p | e
+        # (z, w) shape needs p | e, and B vanishing mod p
         with pytest.raises(PatternMismatchError, match="divisible"):
             standard_patterns(BigradedPage("tate", 3, 2, 2, zw, None))
+        with pytest.raises(PatternMismatchError, match=r"\(z, w\) page"):
+            standard_patterns(BigradedPage("tate", 2, 2, 2, zw, 1))
         with pytest.raises(PageShapeError):
             standard_patterns(
                 BigradedPage("tate", 2, 2, 1, (Generator("q", 0),), None)
@@ -126,7 +117,7 @@ class TestPatterns:
                 (DifferentialPattern(2, "w", "z", 1, 0),
                  r"generator 'w', not among the page's \['y', 'z'\]")):
             with pytest.raises(PatternMismatchError, match=match):
-                run_to_einfty(page, [bad], [1])
+                run_to_einfty(page, bad, [1])
 
 
 class TestKillLogic:
@@ -167,20 +158,25 @@ class TestKillLogic:
                             )
                             assert counts[t] == want, (p, e, m, mode, t)
 
-    def test_survivors_do_not_depend_on_units(self):
-        page = build_e2(3, 2, 5, "hfp")
-        (pat,) = standard_patterns(page)
-        base = run_to_einfty(page, [pat], DEGREES)
-        for unit in (1, 2, 3, 4, 6):
-            twisted = DifferentialPattern(
-                pat.page, pat.source, pat.target, pat.t_shift, pat.x_shift,
-                unit=unit)
-            assert run_to_einfty(page, [twisted], DEGREES) == base
-
     def test_uncovered_generator_raises(self):
         page = BigradedPage("tate", 2, 2, 1, (Generator("q", 0),), None)
-        with pytest.raises(UnboundedPageError, match="not covered"):
-            run_to_einfty(page, (), [0])
+        with pytest.raises(UnboundedPageError,
+                           match=r"no differential on \['q'\]"):
+            run_to_einfty(page, None, [0])
+        # a generator the differential does not touch
+        page = BigradedPage("tate", 2, 3, 1, (Generator("y", 0),
+                                              Generator("z", 1),
+                                              Generator("q", 2)), 1)
+        with pytest.raises(UnboundedPageError,
+                           match=r"no differential on \['q'\]"):
+            dump_page(page, DifferentialPattern(2, "y", "z", 1, 0), [0])
+
+    def test_empty_page_has_nothing_to_kill(self):
+        for mode in MODES:
+            page = build_e2(3, 3, 2, mode)
+            assert run_to_einfty(page, None, DEGREES) == {
+                t: () for t in DEGREES}
+            assert dump_page(page, None, DEGREES) == []
 
     def test_dump_page_format(self):
         page = build_e2(2, 1, 2, "tate")
@@ -197,14 +193,13 @@ class TestKillLogic:
         ]
 
 
-def assert_matches_oracle(page, patterns):
-    want = list(page_dump_lines(page, patterns, ORACLE_DEGREES))
-    assert dump_page(page, patterns, ORACLE_DEGREES) == want
-    survivors = run_to_einfty(page, patterns, ORACLE_DEGREES)
+def assert_matches_oracle(page, pattern):
+    want = list(page_dump_lines(page, pattern, ORACLE_DEGREES))
+    assert dump_page(page, pattern, ORACLE_DEGREES) == want
+    survivors = run_to_einfty(page, pattern, ORACLE_DEGREES)
     assert [f"{t}: {cls} survives" for t in ORACLE_DEGREES
             for cls in survivors[t]] == [
         line for line in want if line.endswith(" survives")]
-    return want
 
 
 class TestKillRuleOracle:
@@ -220,9 +215,9 @@ class TestKillRuleOracle:
                 yz = (Generator("y", 2 * d), Generator("z", 2 * d + 1))
                 page = BigradedPage(mode, 2, 3, 2 ** v, yz,
                                     1 if v == 0 else 0)
-                patterns = standard_patterns(page)
-                assert patterns[0].page == 2 * v + 2
-                assert_matches_oracle(page, patterns)
+                pattern = standard_patterns(page)
+                assert pattern.page == 2 * v + 2
+                assert_matches_oracle(page, pattern)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_z_w_pages(self, mode):
@@ -231,21 +226,9 @@ class TestKillRuleOracle:
             for d in range(5):
                 zw = (Generator("z", 2 * d + 1), Generator("w", 2 * d + 2))
                 page = BigradedPage(mode, 2, 2 ** u, 2 ** u, zw, None)
-                patterns = standard_patterns(page)
-                assert patterns[0].page == 2 * u
-                assert_matches_oracle(page, patterns)
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_first_listed_pattern_is_reported(self, mode):
-        # d^2 and d^4 both leave y for z: each class reports the first
-        # pattern in list order that kills it
-        page = BigradedPage(mode, 2, 3, 1, (Generator("y", 0),
-                                            Generator("z", 1)), 1)
-        d2 = DifferentialPattern(2, "y", "z", 1, 0)
-        d4 = DifferentialPattern(4, "y", "z", 2, 1)
-        for patterns, first in (([d2, d4], "d^2"), ([d4, d2], "d^4")):
-            lines = assert_matches_oracle(page, patterns)
-            assert f"0: t^0 x^0 y killed-by: {first}" in lines
+                pattern = standard_patterns(page)
+                assert pattern.page == 2 * u
+                assert_matches_oracle(page, pattern)
 
 
 class TestClosedForm:
