@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ktrunc.exactalg import is_prime
+from ktrunc.exactalg import PRIME_TEST_LIMIT, is_prime
 from ktrunc.tcassemble import group_in_degree
 
 
@@ -49,8 +49,8 @@ def main() -> int:
     if args.emax < 2 or args.rmax < 1 or args.f < 1:
         parser.error("need emax >= 2, rmax >= 1, f >= 1")
     for p in args.primes:
-        if not is_prime(p):
-            parser.error(f"{p} is not prime")
+        if p >= PRIME_TEST_LIMIT or not is_prime(p):
+            parser.error(f"{p} is not a prime below {PRIME_TEST_LIMIT:,}")
     blocks = [render_block(p, args.emax, args.rmax, args.f)
               for p in args.primes]
     print("\n\n".join(blocks))

@@ -16,7 +16,7 @@ import sys
 
 from . import checks, cycbar, ssengine, tcassemble, wittsplit
 from .checks import PAGE_DEGREES
-from .exactalg import P_LIMIT, is_prime
+from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
@@ -208,7 +208,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
     def common(sp, need_p=True, need_e=True):
         sp.add_argument("--p", type=int, required=need_p,
-                        help="characteristic (prime)")
+                        help="characteristic, a prime below "
+                             f"{PRIME_TEST_LIMIT:,}")
         sp.add_argument("--e", type=int, required=need_e,
                         help="truncation exponent")
         sp.add_argument("--format", dest="fmt", choices=("table", "json"),
@@ -266,6 +267,9 @@ def _validate(parser: argparse.ArgumentParser,
               cfg: argparse.Namespace) -> None:
     """Usage errors argparse cannot express, reported by the subcommand's
     parser; a flag the subcommand does not define reads as None."""
+    if cfg.p is not None and cfg.p >= PRIME_TEST_LIMIT:
+        parser.error(f"--p must be below {PRIME_TEST_LIMIT:,}, where "
+                     f"primality is decided exactly, got {cfg.p}")
     if cfg.p is not None and not is_prime(cfg.p):
         parser.error(f"--p must be prime, got {cfg.p}")
     for name in ("e", "f", "r", "rmax", "m", "mmax", "enum_bound"):

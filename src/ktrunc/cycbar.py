@@ -13,24 +13,25 @@ stored sparse, by the nonzero entries of each column (SparseIntMatrix);
 all three mixed-complex identities are verified on those stored columns.
 That one copy serves every p.  Each boundary is reduced once over Z along
 its +-1 entries, so its rank mod any p is the number of unit pivots plus
-the rank of a residual of a few rows.  Only the mod-p generators of the
-(z, w) pages read dense matrices, and only the ones they use; the
-integral Connes scalar stays sparse throughout.  It presents each
-homology group in the kernel basis of the boundary out of its degree:
-the stored boundary goes to integer_kernel_basis as it is, and the
-coordinate map kept with that basis turns the boundary columns into the
-degree into the columns of the presentation, a SparseIntMatrix with no
-dense copy.  Each of its Smith forms keeps only the transforms read from
+the rank of a residual of a few rows.  Nothing here copies a matrix
+into a dense array: the mod-p generators of the (z, w) pages and the
+integral Connes scalar both read the stored columns.  The integral
+scalar presents each homology group in the kernel basis of the boundary
+out of its degree: the stored boundary goes to integer_kernel_basis as
+it is, and the coordinate map kept with that basis turns the boundary
+columns into the degree into the columns of the presentation, a
+SparseIntMatrix with no dense copy.  Each of its Smith forms keeps only the transforms read from
 it: the boundary's keeps v and the inverse of v (the kernel basis and
 its coordinates), the presentation's keeps u (one row of it is the
 homology functional), and in the lower degree the functional's own,
 inverted by integer_solve for the generator, keeps u and v; the upper
 degree needs no generator, only its functional.  A (z, w) page
 row-reduces the boundaries into each of its two degrees once, as fp_rref
-of the transposed boundary; its generator is the first kernel basis
-column whose remainder against that reduction is nonzero, and its scalar
-is the ratio of the remainders of B gen_lo and gen_hi in the upper
-degree.
+of the transposed boundary, on sparse rows mod p; its generator is the
+first fp_kernel_basis vector whose remainder against that reduction is
+nonzero, and its scalar is the ratio of the remainders of B gen_lo and
+gen_hi in the upper degree.  Each of these eliminations is handed the
+rank the boundary reductions already gave and stops when it is reached.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
 checks every weight it is asked for before it builds anything.  A
@@ -46,11 +47,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
-import numpy as np
-
-from .exactalg import (SparseIntMatrix, fp_kernel_basis, fp_rank, fp_rref,
-                       integer_kernel_basis, integer_solve, smith_normal_form,
-                       unit_pivot_reduction)
+from .exactalg import (SparseIntMatrix, _subtract_mod, fp_kernel_basis,
+                       fp_rank, fp_rref, integer_kernel_basis, integer_solve,
+                       smith_normal_form, unit_pivot_reduction)
 
 Word = tuple[int, ...]
 
@@ -69,12 +68,15 @@ HOMOLOGY_CACHE_SIZE = 256
 # 14 has at most 2^14 words for every e.  The integral Connes scalar runs
 # Smith forms on the four degrees around it.  Worst case over all 608
 # admitted (e, m), each run as a fresh `hh --m` process at p = 2 and at
-# every prime factor of e (wall time and the child's ru_maxrss; Python
-# 3.11 on 2 shared x86_64 CPUs; the slowest runs repeated 3 times):
-# (3, 18) at p = 3, 8,362 words on a (z, w) page whose generators are
-# found mod p, 3.8-5.0 s and 179 MB.  Every other run took at most 2.9 s
-# ((6, 14) at p = 3) and 72 MB.  Past the budget, (3, 19), widest scalar
-# degree 3,718, takes 73 s and 514 MB for its homology summary.
+# every prime factor of e (684 runs, 149 s in all; wall time and the
+# process's own peak RSS, VmHWM; Python 3.11 on 2 shared x86_64 Xeon
+# CPUs; the runs named here repeated 3 times): (6, 14), whose integral
+# scalar reads a 952 x 2,471 presentation, 1.2-1.9 s and 68 MB at p = 3.
+# The (z, w) pages, whose generators are found mod p on sparse rows, cost
+# less: (3, 18) at p = 3, 8,362 words, 0.6-0.7 s and 51 MB; (7, 14) at
+# p = 7, 0.8-1.2 s and 54 MB.  Every other run took at most 1.1 s and
+# 57 MB.  Past the budget, (3, 19), widest scalar degree 3,718, takes 73 s
+# and 514 MB for its homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000
@@ -366,36 +368,39 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     return sum(phi_hi[k] * x for k, x in image)
 
 
-def _image_reduction(c: NormalizedComplex, n: int
-                     ) -> tuple[np.ndarray, list[int]]:
-    """(rows, pivots): the row-reduced echelon basis mod p of the boundaries
-    in degree n, from fp_rref of the transpose of the boundary into it."""
-    rref, pivots = fp_rref(_boundary_in(c.boundary, n).dense().T, c.p)
-    return rref[:len(pivots)], pivots
+def _image_reduction(c: NormalizedComplex, n: int, rank: int
+                     ) -> dict[int, dict[int, int]]:
+    """The reduced row-echelon basis mod p of the boundaries in degree n,
+    as {pivot column: row}: fp_rref of the transpose of the boundary into
+    degree n, whose rank mod p is rank."""
+    rows, pivots = fp_rref(_boundary_in(c.boundary, n).transpose(), c.p,
+                           rank)
+    return dict(zip(pivots, rows))
 
 
-def _remainder(image: tuple[np.ndarray, list[int]], vec: np.ndarray,
-               p: int) -> np.ndarray:
+def _remainder(image: dict[int, dict[int, int]], vec: dict[int, int],
+               p: int) -> dict[int, int]:
     """vec mod p minus the combination of the echelon rows that matches it
-    on their pivots: zero exactly when vec is a boundary mod p, and linear
-    in vec."""
-    rows, pivots = image
-    vec = vec % p
-    return (vec - vec[pivots] @ rows) % p
+    on their pivots, as a dict of residues in [1, p): empty exactly when
+    vec is a boundary mod p, and linear in vec.  An echelon row holds no
+    other row's pivot, so subtracting it leaves vec's other pivot entries
+    as they were."""
+    rem = {j: x % p for j, x in vec.items() if x % p}
+    for c in [c for c in rem if c in image]:
+        _subtract_mod(rem, image[c], rem[c], p)
+    return rem
 
 
-def _homology_generator(c: NormalizedComplex, n: int,
-                        image: tuple[np.ndarray, list[int]] | None = None
-                        ) -> np.ndarray | None:
+def _homology_generator(c: NormalizedComplex, n: int, rank: int,
+                        image: dict[int, dict[int, int]]
+                        ) -> dict[int, int] | None:
     """First kernel basis vector of d_n outside the span of the boundaries:
-    the first column of fp_kernel_basis whose remainder against the image
-    reduction (_image_reduction(c, n), computed when not given) is
+    the first vector of fp_kernel_basis (rank being the rank of d_n mod p)
+    whose remainder against image, the _image_reduction of degree n, is
     nonzero."""
-    if image is None:
-        image = _image_reduction(c, n)
-    for col in fp_kernel_basis(c.boundary[n].dense(), c.p).T:
-        if _remainder(image, col, c.p).any():
-            return col
+    for vec in fp_kernel_basis(c.boundary[n], c.p, rank):
+        if _remainder(image, vec, c.p):
+            return vec
     return None
 
 
@@ -409,13 +414,18 @@ def reduced_homology(c: NormalizedComplex) -> HomologySummary:
     return _homology_summary(c.e, c.m, c.p)
 
 
+def _boundary_ranks(e: int, m: int, p: int) -> list[int]:
+    """rank d_n mod p for n = 0..m, then 0 for the map out of degree m+1,
+    each read off the boundary's one reduction over Z."""
+    return [units + fp_rank(residual, p)
+            for units, residual in _boundary_reductions(e, m)] + [0]
+
+
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
-    """The rank in degree n is dim C_n - rank d_n - rank d_(n+1), each
-    boundary rank read off its one reduction over Z."""
+    """The rank in degree n is dim C_n - rank d_n - rank d_(n+1)."""
     c = generate_complex(e, m, p)
-    rk = [units + fp_rank(residual, p)
-          for units, residual in _boundary_reductions(e, m)] + [0]
+    rk = _boundary_ranks(e, m, p)
     ranks: dict[int, int] = {}
     for n in range(m + 1):
         h = c.dim(n) - rk[n] - rk[n + 1]
@@ -432,21 +442,27 @@ def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
             scalar_int = _integral_connes_scalar(e, m)
             scalar = scalar_int % p
         else:
-            image = _image_reduction(c, hi)
-            gen_lo = _homology_generator(c, lo)
-            gen_hi = _homology_generator(c, hi, image)
+            image = _image_reduction(c, hi, rk[hi + 1])
+            gen_lo = _homology_generator(c, lo, rk[lo],
+                                         _image_reduction(c, lo, rk[hi]))
+            gen_hi = _homology_generator(c, hi, rk[hi], image)
             if gen_lo is None or gen_hi is None:
                 raise AssertionError(
                     "rank-one homology must have a generator")
             # B gen_lo = s gen_hi + a boundary, and the remainder against
             # the boundaries is linear and kills them, so the remainders
             # of B gen_lo and gen_hi differ by the factor s
-            img = _remainder(
-                image, np.array(c.connes[lo].apply(gen_lo.tolist())), p)
+            connes = c.connes[lo].columns
+            b_gen: dict[int, int] = {}
+            for j, x in gen_lo.items():
+                for i, a in connes[j]:
+                    b_gen[i] = b_gen.get(i, 0) + a * x
+            img = _remainder(image, b_gen, p)
             rem_hi = _remainder(image, gen_hi, p)
-            k = int(np.flatnonzero(rem_hi)[0])
-            scalar = int(img[k]) * pow(int(rem_hi[k]), p - 2, p) % p
-            if ((img - scalar * rem_hi) % p).any():
+            k = min(rem_hi)
+            scalar = img.get(k, 0) * pow(rem_hi[k], p - 2, p) % p
+            if any((img.get(j, 0) - scalar * rem_hi.get(j, 0)) % p
+                   for j in img.keys() | rem_hi.keys()):
                 raise AssertionError(
                     "Connes image of a cycle must be a cycle")
     return HomologySummary(ranks, scalar, scalar_int)

@@ -25,6 +25,10 @@ from .exactalg import GhostInversionError, p_valuation
 # Bound on memoized divisor lists: the test suite and every benchmark grid
 # ask for at most 28 distinct n.
 DIVISORS_CACHE_SIZE = 256
+# Bound on interned truncation sets: the whole test suite builds 35 in one
+# process, `verify --suite all` 25 and the witt_enum grid 12.  Past it the
+# oldest is dropped.
+TRUNCATION_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=DIVISORS_CACHE_SIZE)
@@ -45,7 +49,8 @@ class TruncationSet:
 
     Precomputes, for each member n, the list of (position-of-d, d, n/d)
     triples over divisors d of n in increasing order, which is the hot
-    data for ghost evaluation and its inverse.
+    data for ghost evaluation and its inverse.  Sets are interned in
+    _cache, keyed by their elements, up to TRUNCATION_CACHE_SIZE of them.
     """
 
     __slots__ = ("elements", "_index", "_ghost_terms")
@@ -72,6 +77,8 @@ class TruncationSet:
         self.elements = elems
         self._index = index
         self._ghost_terms = tuple(terms)
+        if len(cls._cache) >= TRUNCATION_CACHE_SIZE:
+            del cls._cache[next(iter(cls._cache))]  # the oldest
         cls._cache[elems] = self
         return self
 

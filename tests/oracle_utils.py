@@ -151,6 +151,24 @@ def dense_entries_matrix(src, dst, term_fn) -> np.ndarray:
     return mat
 
 
+def dense(mat) -> np.ndarray:
+    """The int64 array with the entries of a matrix stored by columns."""
+    out = np.zeros(mat.shape, dtype=np.int64)
+    for j, col in enumerate(mat.columns):
+        for i, x in col:
+            out[i, j] = x
+    return out
+
+
+def dense_vector(vec, n: int) -> list[int]:
+    """The length-n list with the entries of a vector kept as {index:
+    value}."""
+    out = [0] * n
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
 def rref_mod_p(vectors, p: int):
     """(rows, pivot columns): the reduced row echelon form over F_p of a
     list of equal-length vectors, by plain Gauss-Jordan elimination on a

@@ -11,7 +11,7 @@ import pytest
 
 from ktrunc import cycbar, tcassemble, wittsplit
 from ktrunc.cli import main
-from ktrunc.exactalg import GroupStructure
+from ktrunc.exactalg import PRIME_TEST_LIMIT, GroupStructure
 from ktrunc.wittsplit import ENUM_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,6 +280,41 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["hh", "--p", "2", "--e", "1", "--m", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["kgroups", "--e", "2", "--r", "1", "--format", "json"], 0,
+         '"groups": [{"degree": 1, "factors": [1000000000000000003]}]'),
+        (["hh", "--e", "2", "--m", "3"], 2,
+         "--p must be at most 1,048,576 for homology, got "
+         "1000000000000000003"),
+        (["verify", "--suite", "routes", "--e", "2", "--rmax", "1"], 0,
+         "A=skipped B=Z/1000000000000000003 C=Z/1000000000000000003"),
+    ], ids=["kgroups", "hh", "verify"])
+    def test_a_large_prime_is_read_in_time(self, capsys, argv, code, text):
+        # p = 10^18 + 3: deciding primality and prime powers costs no trial
+        # division up to sqrt(p), which here would not finish in minutes
+        try:
+            got = main([argv[0], "--p", str(10 ** 18 + 3), *argv[1:]])
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code
+        assert text in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["kgroups", "--e", "2", "--r", "1"],
+        ["hh", "--e", "2", "--m", "3"],
+        ["verify", "--suite", "routes", "--e", "2", "--rmax", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_prime_past_the_exact_primality_range(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--p", str(PRIME_TEST_LIMIT), *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ktrunc {argv[0]} [-h]")
+        assert ("--p must be below 3,317,044,064,679,887,385,961,981, where "
+                "primality is decided exactly") in captured.err
 
     def test_hh_prime_past_the_mod_p_limit(self, capsys):
         with pytest.raises(SystemExit) as exc:

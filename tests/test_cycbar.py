@@ -30,8 +30,9 @@ from ktrunc.cycbar import (
 )
 from ktrunc.exactalg import fp_kernel_basis, fp_rank
 from ktrunc.ssengine import build_e2
-from oracle_utils import (dense_entries_matrix, first_outside_span,
-                          rank_mod_p, span_multiples, word_count)
+from oracle_utils import (dense, dense_entries_matrix, dense_vector,
+                          first_outside_span, rank_mod_p, span_multiples,
+                          word_count)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # (e, m, lambda) for every weight class `hh` admits with e not dividing m,
@@ -41,6 +42,14 @@ LAMBDA_TABLE = Path(__file__).resolve().parent / "data" / "lambda_table.csv"
 ZW_PAGES = [(e, m, p) for e in range(2, 6) for m in range(e, 13, e)
             for p in (2, 3, 5) if e % p == 0]
 GRID = [(e, m) for e in (2, 3, 4, 5) for m in range(1, 9)]
+
+
+def generator(c, n):
+    """The mod-p homology generator of degree n, as _homology_summary finds
+    it, with the boundary ranks it reads."""
+    rk = cycbar._boundary_ranks(c.e, c.m, c.p)
+    return cycbar._homology_generator(
+        c, n, rk[n], cycbar._image_reduction(c, n, rk[n + 1]))
 
 
 class TestWords:
@@ -113,8 +122,8 @@ class TestComplexStructure:
         for e, m in GRID:
             for p in (2, 3):
                 c = generate_complex(e, m, p)
-                boundary = [b.dense() for b in c.boundary]
-                connes = [b.dense() for b in c.connes]
+                boundary = [dense(b) for b in c.boundary]
+                connes = [dense(b) for b in c.connes]
                 for n in range(1, m):
                     assert not ((boundary[n] @ boundary[n + 1]) % p).any()
                 for n in range(m - 1):
@@ -132,22 +141,22 @@ class TestComplexStructure:
         # the two surviving faces coincide, so the entry is 2 over Z for
         # every p and vanishes mod 2
         for p in (2, 3):
-            assert generate_complex(2, 2, p).boundary[2].dense().tolist() == [
+            assert dense(generate_complex(2, 2, p).boundary[2]).tolist() == [
                 [2]]
-        assert not (generate_complex(2, 2, 2).boundary[2].dense() % 2).any()
+        assert not (dense(generate_complex(2, 2, 2).boundary[2]) % 2).any()
 
     def test_connes_example_weight_one(self):
         # B(x) = (1, x), a single insertion
         c = generate_complex(2, 1, 2)
         assert c.basis[0] == ((1,),)
         assert c.basis[1] == ((0, 1),)
-        assert c.connes[0].dense().tolist() == [[1]]
+        assert dense(c.connes[0]).tolist() == [[1]]
 
     def test_connes_example_weight_two(self):
         # B(x, x): the two cyclic rotations coincide and the signs cancel
         # integrally, so the matrix is zero even before reduction
         c = generate_complex(2, 2, 5)
-        assert not c.connes[1].dense().any()
+        assert not dense(c.connes[1]).any()
 
     def test_connes_vanishes_on_basepoint_headed_words(self):
         for e, m in [(3, 4), (4, 5)]:
@@ -155,7 +164,7 @@ class TestComplexStructure:
             for n in range(m + 1):
                 for j, w in enumerate(c.basis[n]):
                     if w[0] == 0 and n < m:
-                        assert not c.connes[n].dense()[:, j].any(), (
+                        assert not dense(c.connes[n])[:, j].any(), (
                             e, m, w)
 
     def test_top_degree_connes_is_empty(self):
@@ -208,7 +217,7 @@ class TestSparseStorage:
                                       (connes[n], rotations)):
                         assert got.shape == want.shape, (e, m, n)
                         assert got.size == want.size, (e, m, n)
-                        assert (got.dense() == want).all(), (e, m, n)
+                        assert (dense(got) == want).all(), (e, m, n)
                         assert all(x for col in got.columns for _, x in col)
 
     def test_builder_result_has_the_shape_and_size_the_tracer_reads(self):
@@ -226,7 +235,7 @@ class TestSparseStorage:
                 reductions = cycbar._boundary_reductions(e, m)
                 for n, (b, (units, residual)) in enumerate(
                         zip(boundary, reductions)):
-                    rows = b.dense().tolist()
+                    rows = dense(b).tolist()
                     for p in (2, 3, 5, 7):
                         assert units + fp_rank(residual, p) == rank_mod_p(
                             rows, p), (e, m, n, p)
@@ -252,6 +261,14 @@ class TestSparseStorage:
         # e = 7, m = 14: 15,234 words, all homology zero mod 2.  With dense
         # boundaries this peaked at 551 MB; with sparse ones, under 80 MB.
         assert self.peak_rss_mb("cycbar._homology_summary(7, 14, 2)") < 150
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_weight_fourteen_zw_page_stays_small(self):
+        # e = 7, m = 14 at p = 7: a (z, w) page, whose generators are found
+        # mod p.  With dense numpy eliminations (and numpy imported) this
+        # peaked at 70 MB; with sparse rows mod p, at 41 MB, as at p = 2.
+        assert self.peak_rss_mb("cycbar._homology_summary(7, 14, 7)") < 55
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the peak RSS from /proc")
@@ -435,18 +452,18 @@ class TestHomology:
                 for p in (2, 3):
                     c = generate_complex(e, m, p)
                     shapes.add(tuple(reduced_homology(c).ranks))
+                    rk = cycbar._boundary_ranks(e, m, p)
                     for n in range(m + 1):
-                        kernel = fp_kernel_basis(c.boundary[n].dense(), p)
-                        image = (c.boundary[n + 1].dense() if n < m
-                                 else np.zeros((c.dim(n), 0), dtype=np.int64))
-                        k = first_outside_span(image.T.tolist(),
-                                               kernel.T.tolist(), p)
-                        gen = cycbar._homology_generator(c, n)
+                        kernel = fp_kernel_basis(c.boundary[n], p, rk[n])
+                        image = dense(cycbar._boundary_in(c.boundary, n))
+                        k = first_outside_span(
+                            image.T.tolist(),
+                            [dense_vector(v, c.dim(n)) for v in kernel], p)
+                        gen = generator(c, n)
                         if k is None:
                             assert gen is None, (e, m, p, n)
                         else:
-                            assert gen.tolist() == kernel[:, k].tolist(), (
-                                e, m, p, n)
+                            assert gen == kernel[k], (e, m, p, n)
         # both page shapes: lower class in even and in odd degree
         assert {degs[0] % 2 for degs in shapes if degs} == {0, 1}
 
@@ -455,27 +472,28 @@ class TestHomology:
             c = generate_complex(e, m, p)
             degs = sorted(reduced_homology(c).ranks)
             assert len(degs) == 2 and degs[0] % 2 == 1, (e, m, p)
+            rk = cycbar._boundary_ranks(e, m, p)
             for n in degs:
-                image = cycbar._image_reduction(c, n)
-                boundary = cycbar._boundary_in(c.boundary, n).dense() % p
-                for col in boundary.T:
-                    assert not cycbar._remainder(image, col, p).any(), (
+                image = cycbar._image_reduction(c, n, rk[n + 1])
+                for col in cycbar._boundary_in(c.boundary, n).columns:
+                    assert not cycbar._remainder(image, dict(col), p), (
                         e, m, p, n)
-                gen = cycbar._homology_generator(c, n, image)
-                assert cycbar._remainder(image, gen, p).any(), (e, m, p, n)
+                gen = cycbar._homology_generator(c, n, rk[n], image)
+                rem = cycbar._remainder(image, gen, p)
+                assert rem and all(0 < x < p for x in rem.values()), (
+                    e, m, p, n)
 
     def test_page_scalar_matches_the_span_oracle(self):
         for e, m, p in ZW_PAGES:
             c = generate_complex(e, m, p)
             s = reduced_homology(c)
             lo, hi = sorted(s.ranks)
-            gen_lo = cycbar._homology_generator(c, lo)
-            gen_hi = cycbar._homology_generator(c, hi)
-            img = c.connes[lo].dense() @ gen_lo
-            boundaries = cycbar._boundary_in(c.boundary, hi).dense().T
+            gen_lo = dense_vector(generator(c, lo), c.dim(lo))
+            gen_hi = dense_vector(generator(c, hi), c.dim(hi))
+            img = dense(c.connes[lo]) @ gen_lo
+            boundaries = dense(cycbar._boundary_in(c.boundary, hi)).T
             assert span_multiples(boundaries.tolist(), img.tolist(),
-                                  gen_hi.tolist(), p) == [s.connes_scalar], (
-                e, m, p)
+                                  gen_hi, p) == [s.connes_scalar], (e, m, p)
 
     def test_small_complex_standalone(self):
         assert small_complex_hh(2, 1, 2) == {0: 1, 1: 1}

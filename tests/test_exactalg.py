@@ -27,8 +27,10 @@ from ktrunc.exactalg import (
 )
 from oracle_utils import (
     ReferenceSolveError,
+    dense,
     dense_apply,
     dense_rows,
+    dense_vector,
     det,
     kernel_by_enumeration,
     minor_gcd_invariants,
@@ -38,6 +40,7 @@ from oracle_utils import (
     reference_solve,
     rref_mod_p,
 )
+from oracle_utils import _is_prime as reference_is_prime  # trial division
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -88,6 +91,61 @@ def int_matrices(max_dim=4):
 def test_is_prime_small_values():
     primes = [n for n in range(40) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def distinct_prime_factors(n: int) -> int:
+    """By trial division; 0 for n < 2."""
+    count, q = 0, 2
+    while q * q <= n:
+        if n % q == 0:
+            count += 1
+            while n % q == 0:
+                n //= q
+        q += 1
+    return count + (n > 1)
+
+
+class TestPrimality:
+    """Miller-Rabin with a table of strong pseudoprimes, and prime powers
+    found by integer roots, against trial division."""
+
+    def test_matches_trial_division(self):
+        for n in range(-3, 30000):
+            assert is_prime(n) == reference_is_prime(n), n
+            assert exactalg._is_prime_power(n) == (
+                distinct_prime_factors(n) == 1), n
+
+    def test_each_least_strong_pseudoprime_is_composite(self):
+        # the least strong pseudoprimes to the first k prime bases, k =
+        # 1..12 (OEIS A014233, repeats left out), written here rather than
+        # read from the table under test: each passes the bases before it,
+        # so is_prime must go on to the next base, past its own bound
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n), n
+        assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+        for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3):
+            assert is_prime(p), p
+
+    def test_past_the_exact_range(self):
+        # a witness still proves a composite; passing every base does not
+        # prove a prime
+        assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+        for n in (exactalg.PRIME_TEST_LIMIT, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="exact only below"):
+                is_prime(n)
+
+    def test_large_prime_powers(self):
+        p = 10 ** 18 + 3
+        assert GroupStructure([p ** 3, p, 2 ** 40]).factors == (
+            2 ** 40, p, p ** 3)
+        with pytest.raises(ValueError, match="exact only below"):
+            GroupStructure([(2 ** 89 - 1) ** 2])  # its root is past the range
+        for n in (p * (2 ** 61 - 1), p ** 2 * (2 ** 61 - 1) ** 3):
+            with pytest.raises(ValueError, match="is not a prime power"):
+                GroupStructure([n])
+        assert exactalg._split_prime_powers(96 * p ** 2) == [32, 3, p ** 2]
 
 
 class TestGroupStructure:
@@ -430,7 +488,7 @@ class TestKernelCoordinates:
             for m in range(1, 10):
                 _, boundary, _ = _integer_complex(e, m)
                 for n, b in enumerate(boundary):
-                    cycles = (boundary[n + 1].dense().T.tolist()
+                    cycles = (dense(boundary[n + 1]).T.tolist()
                               if n + 1 < len(boundary) else [])
                     units = [[int(i == j) for i in range(b.shape[1])]
                              for j, col in enumerate(b.columns) if col]
@@ -448,10 +506,77 @@ def assert_stores_no_zero(mat: SparseIntMatrix):
         assert len({i for i, _ in col}) == len(col), col
 
 
+@st.composite
+def sparse_mod_p_matrices(draw, max_dim=30):
+    """Mostly-zero matrices up to max_dim square, some entries multiples of
+    p, plus rows that are combinations of earlier rows, so elimination
+    cancels entries and whole rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    values = st.sampled_from([0] * 8 + [1, -1, 2, p, p + 1, -3])
+    rows = draw(st.lists(st.lists(values, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for _ in range(draw(st.integers(0, max_dim - r))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(
+            st.integers(0, len(rows) - 1))
+        f = draw(st.integers(1, p - 1)) if p > 2 else 1
+        rows.append([x + f * y for x, y in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[k] for k in order], dtype=np.int64), p
+
+
+def assert_reduced_mod_p(rows, pivots, kernel, p: int, cols: int):
+    """fp_rref rows and fp_kernel_basis vectors hold int residues in
+    [1, p), in columns of the matrix; each row's pivot is its first column
+    and holds 1, and no other row holds it."""
+    for vec in rows + kernel:
+        assert all(type(x) is int and 0 < x < p and 0 <= j < cols
+                   for j, x in vec.items()), vec
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
+    for c, row in zip(pivots, rows):
+        assert min(row) == c and row[c] == 1, (c, row)
+        assert all(c not in other for other in rows if other is not row), c
+
+
 class TestNoStoredZeros:
     """Every producer of a SparseIntMatrix stores no zero and no row out of
     range: the Smith form transforms, the kernel basis and its coordinate
-    map, the bar complex and the equalizer relations."""
+    map, the bar complex and the equalizer relations.  The mod-p rows of
+    fp_rref and the vectors of fp_kernel_basis hold residues in [1, p)."""
+
+    @given(sparse_mod_p_matrices(max_dim=12))
+    @settings(max_examples=100, deadline=None)
+    def test_rref_rows_and_kernel_vectors(self, case):
+        a, p = case
+        rows = a.tolist()
+        m = sparse_matrix(rows)
+        rank = rank_mod_p(rows, p)
+        echelon, pivots = fp_rref(m, p, rank)
+        assert_reduced_mod_p(echelon, pivots, fp_kernel_basis(m, p, rank),
+                             p, m.shape[1])
+
+    def test_rref_rows_and_kernel_vectors_on_the_zw_pages(self):
+        """Every boundary of the complexes of the (z, w) pages with e <= 5,
+        m <= 12 and p in {2, 3, 5}, as the kernel reads it and transposed,
+        as the image reduction reads it."""
+        for e in range(2, 6):
+            for p in (2, 3, 5):
+                for m in range(e, 13, e):
+                    if e % p:
+                        continue
+                    _, boundary, _ = _integer_complex(e, m)
+                    rk = cycbar._boundary_ranks(e, m, p)
+                    for n in range(1, m + 1):
+                        into = cycbar._boundary_in(boundary, n).transpose()
+                        echelon, pivots = fp_rref(into, p, rk[n + 1])
+                        assert_reduced_mod_p(echelon, pivots, [], p,
+                                             into.shape[1])
+                        echelon, pivots = fp_rref(boundary[n], p, rk[n])
+                        assert_reduced_mod_p(
+                            echelon, pivots,
+                            fp_kernel_basis(boundary[n], p, rk[n]), p,
+                            boundary[n].shape[1])
 
     @given(st.one_of(sparse_matrices(), deficient_matrices(),
                      int_matrices()), st.data())
@@ -565,49 +690,50 @@ class TestModP:
     @given(int_matrices(), small_primes)
     @settings(max_examples=150, deadline=None)
     def test_rank_nullity_and_kernel(self, rows, p):
-        a = np.array(rows, dtype=np.int64)
-        basis = fp_kernel_basis(a, p)
-        assert not ((a @ basis) % p).any()
-        assert fp_rank(sparse_rows(a.tolist()), p) + basis.shape[1] == \
-            a.shape[1]
-        # rref is idempotent, and it is the reduced row echelon form,
-        # which is unique
-        r1, piv1 = fp_rref(a, p)
-        r2, piv2 = fp_rref(r1, p)
-        assert piv1 == piv2 and (r1 == r2).all()
-        assert (r1.tolist(), piv1) == rref_mod_p(rows, p)
+        m = sparse_matrix(rows)
+        cols = m.shape[1]
+        rank = rank_mod_p(rows, p)
+        basis = fp_kernel_basis(m, p, rank)
+        for vec in basis:
+            assert not any(x % p for x in dense_apply(
+                rows, dense_vector(vec, cols)))
+        assert fp_rank(sparse_rows(rows), p) + len(basis) == cols
+        # fp_rref is the reduced row echelon form, which is unique, so it
+        # is idempotent and equals the oracle's nonzero rows
+        r1, piv1 = fp_rref(m, p, rank)
+        assert fp_rref(exactalg._from_rows(r1, cols), p, rank) == (r1, piv1)
+        want, want_pivots = rref_mod_p(rows, p)
+        assert piv1 == want_pivots
+        assert [dense_vector(row, cols) for row in r1] == want[:rank]
+        assert not any(map(any, want[rank:]))
         # the kernel basis is the one that is the identity on the free
         # columns, which the kernel fixes
-        free = [c for c in range(a.shape[1]) if c not in piv1]
-        assert basis[free].tolist() == identity(len(free))
+        free = [c for c in range(cols) if c not in piv1]
+        assert [[vec.get(c, 0) for c in free] for vec in basis] == \
+            identity(len(free))
+
+    def test_a_rank_past_the_rows_is_refused(self):
+        m = sparse_matrix([[1, 2], [2, 4]])
+        assert fp_rref(m, 5, 1) == ([{0: 1, 1: 2}], [0])
+        with pytest.raises(ValueError, match="rank 1 mod 5, not the 2 given"):
+            fp_rref(m, 5, 2)
+
+    def test_no_rows_and_no_columns(self):
+        for m in (SparseIntMatrix(0, [()] * 3), SparseIntMatrix(3, ())):
+            assert fp_rref(m, 2, 0) == ([], [])
+            assert fp_kernel_basis(m, 2, 0) == [
+                {j: 1} for j in range(m.shape[1])]
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
-            fp_rank(np.array([[1]]), 4)
-
-
-@st.composite
-def sparse_mod_p_matrices(draw, max_dim=30):
-    """Mostly-zero matrices up to max_dim square, some entries multiples of
-    p, plus rows that are combinations of earlier rows, so elimination
-    cancels entries and whole rows."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
-    r = draw(st.integers(1, max_dim))
-    c = draw(st.integers(1, max_dim))
-    values = st.sampled_from([0] * 8 + [1, -1, 2, p, p + 1, -3])
-    rows = draw(st.lists(st.lists(values, min_size=c, max_size=c),
-                         min_size=r, max_size=r))
-    for _ in range(draw(st.integers(0, max_dim - r))):
-        i, j = draw(st.integers(0, len(rows) - 1)), draw(
-            st.integers(0, len(rows) - 1))
-        f = draw(st.integers(1, p - 1)) if p > 2 else 1
-        rows.append([x + f * y for x, y in zip(rows[i], rows[j])])
-    order = draw(st.permutations(range(len(rows))))
-    return np.array([rows[k] for k in order], dtype=np.int64), p
+            fp_rank([{0: 1}], 4)
+        with pytest.raises(ValueError):
+            fp_rref(sparse_matrix([[1]]), 4, 1)
 
 
 class TestSparseRank:
-    """fp_rank eliminates sparsely; rank_mod_p and fp_rref are dense."""
+    """fp_rank and fp_rref eliminate sparsely; rank_mod_p is the dense
+    oracle."""
 
     @given(sparse_mod_p_matrices())
     @settings(max_examples=200, deadline=None)
@@ -628,18 +754,32 @@ class TestSparseRank:
                     a.tolist(), p) == 0
 
     def test_matches_rref_pivots_on_every_boundary(self):
+        """fp_rref, stopped at the rank fp_rank gives, leaves no row of
+        the boundary outside the span of its rows (a remainder against them
+        on their pivots is zero), and for m <= 7 its pivots are the
+        oracle's."""
         for e in range(2, 6):
             for m in range(1, 11):
                 _, boundary, _ = _integer_complex(e, m)
                 for p in (2, 3, 5):
                     for n, b in enumerate(boundary):
-                        dense = b.dense()
-                        assert fp_rank(sparse_rows(dense.tolist()), p) == len(
-                            fp_rref(dense, p)[1]), (e, m, p, n)
+                        rows = dense(b).tolist()
+                        rank = fp_rank(sparse_rows(rows), p)
+                        echelon, pivots = fp_rref(b, p, rank)
+                        for row in rows:
+                            rem = [x % p for x in row]
+                            for c, r in zip(pivots, echelon):
+                                f = rem[c]
+                                for j, x in r.items():
+                                    rem[j] = (rem[j] - f * x) % p
+                            assert not any(rem), (e, m, p, n)
+                        if m <= 7:
+                            assert pivots == rref_mod_p(rows, p)[1], (
+                                e, m, p, n)
 
     def test_rejects_large_modulus(self):
         with pytest.raises(ValueError):
-            fp_rank(np.array([[1]]), 1048583)
+            fp_rank([{0: 1}], 1048583)
 
 
 @st.composite

@@ -2,9 +2,12 @@
 public function and class it defines, and every public method and property
 of those classes, is read outside the tests; every parameter default of
 those, and every dataclass field default, is overridden by some call
-outside the tests."""
+outside the tests.  The homology path imports no numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,17 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def test_the_homology_path_loads_no_numpy():
+    """A fresh import of ssengine, which loads cycbar and exactalg, leaves
+    numpy out of sys.modules: only route A's enumeration (wittsplit) needs
+    it."""
+    code = "import sys, ktrunc.ssengine; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout == "False\n"
 
 
 def loaded_names(source: str) -> set[str]:

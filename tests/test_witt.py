@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktrunc import witt
 from ktrunc.exactalg import GhostInversionError
 from ktrunc.witt import (
     TruncationSet,
@@ -57,6 +58,19 @@ class TestTruncationSet:
 
     def test_interning(self):
         assert TruncationSet([3, 1, 2]) is TruncationSet([1, 2, 3])
+
+    def test_interned_sets_are_bounded(self, monkeypatch):
+        # a full cache drops its oldest set; one built again is equal
+        monkeypatch.setattr(witt, "TRUNCATION_CACHE_SIZE", 3)
+        monkeypatch.setattr(TruncationSet, "_cache", {})
+        first = TruncationSet.big(1)
+        for n in range(2, 6):
+            TruncationSet.big(n)
+        assert list(TruncationSet._cache) == [(1, 2, 3), (1, 2, 3, 4),
+                                              (1, 2, 3, 4, 5)]
+        again = TruncationSet.big(1)
+        assert again is not first and again == first
+        assert len(TruncationSet._cache) == 3
 
     def test_quotient(self):
         assert TruncationSet.big(12).quotient(2).elements == (1, 2, 3, 4, 5, 6)
