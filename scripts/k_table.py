@@ -13,6 +13,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from ktrunc.cli import write_stdout
 from ktrunc.exactalg import PRIME_TEST_LIMIT, is_prime
 from ktrunc.tcassemble import group_in_degree
 
@@ -53,8 +54,8 @@ def main() -> int:
             parser.error(f"{p} is not a prime below {PRIME_TEST_LIMIT:,}")
     blocks = [render_block(p, args.emax, args.rmax, args.f)
               for p in args.primes]
-    print("\n\n".join(blocks))
-    return 0
+    # exit 1 quietly if the reader closes the pipe early, as ktrunc does
+    return 0 if write_stdout("\n\n".join(blocks)) else 1
 
 
 if __name__ == "__main__":

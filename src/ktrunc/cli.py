@@ -20,12 +20,13 @@ from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
-# It bounds size, not time: each weight costs more the deeper its tower,
-# which grows with v_p(e).  At the bound, on a 2-core x86_64 VM, --format
-# json takes about 44 s for --p 2 --e 1048576 --r 1, the slowest shape
-# measured (v_2(e) = 20); 33 s for --e 131072 --r 8 and for --e 16384
-# --r 64; 16 s for --e 1000 --r 1000; 12-13 s for --e 2 --r 524288 and
-# --e 2 --rmax 1023.  Memory stays under 50 MB.
+# It bounds size, not time: each weight costs about 2 us per stage of its
+# tower, whose depth s + u + 2 grows with u = v_p(e).  At the bound, on 2
+# shared Intel Xeon x86_64 CPUs with Python 3.11, --format json takes about
+# 32 s for --p 2 --e 1048576 --r 1, the slowest shape measured
+# (v_2(e) = 20); 26 s for --e 131072 --r 8; 19 s for --e 16384 --r 64;
+# 8 s for --e 1000 --r 1000; 6 s for --e 2 --r 524288 and for --e 2
+# --rmax 1023.  Memory stays under 35 MB.
 KGROUPS_BUDGET = 1 << 20
 
 
@@ -319,15 +320,22 @@ def main(argv=None) -> int:
         text, passed = run_hh(cfg), True
     else:
         text, passed = run_verify(cfg)
+    if not write_stdout(text):
+        return 1
+    return 0 if passed else 1
+
+
+def write_stdout(text: str) -> bool:
+    """Print text and flush; False if the reader closed the pipe early
+    (`| head`).  As the note on SIGPIPE in the Python docs recommends,
+    stdout then points at devnull, so the flush at exit does not raise
+    again and the caller can exit 1 quietly."""
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        # The reader closed the pipe early (`| head`).  As the note on
-        # SIGPIPE in the Python docs recommends, point stdout at devnull so
-        # the flush at exit does not raise again, and exit 1 quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0 if passed else 1
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 
@@ -60,12 +61,17 @@ STRONG_PSEUDOPRIMES = (
     3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
     3_317_044_064_679_887_385_961_981)
 PRIME_TEST_LIMIT = STRONG_PSEUDOPRIMES[-1]
+# Bound on memoized primality answers.  Each entry point checks its p, and
+# a route C query asks about the same p twice per weight, so a repeat costs
+# a dict lookup; the prime-power test behind GroupStructure asks too.
+PRIME_CACHE_SIZE = 256
 
 
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Whether n is prime.  A Miller-Rabin witness proves n composite at
     any size, but past PRIME_TEST_LIMIT passing every base does not prove
-    n prime, so such an n raises ValueError."""
+    n prime, so such an n raises ValueError (and is not memoized)."""
     if n < 2:
         return False
     for q in SMALL_PRIMES:

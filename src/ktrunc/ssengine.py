@@ -18,6 +18,7 @@ closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cycbar import d_function, generate_complex, reduced_homology
 from .exactalg import p_valuation
@@ -222,10 +223,10 @@ def dump_page(page: BigradedPage, pattern: DifferentialPattern | None,
                                                     total_degrees)]
 
 
-@dataclass(frozen=True)
-class TowerGroup:
+class TowerGroup(NamedTuple):
     """Closed-form lengths: the degree-(2r+1) homotopy of the Tate and
-    negative-cyclic towers at one weight is cyclic of the stated length."""
+    negative-cyclic towers at one weight is cyclic of the stated length.
+    A named tuple, so route C can unpack one per tower stage cheaply."""
 
     tp_length: int
     tcminus_length: int

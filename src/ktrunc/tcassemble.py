@@ -16,9 +16,13 @@ EQUALIZER_CACHE_SIZE entries.  Towers repeat heavily: a model depends only
 on p, the stage lengths and the units, not on (e, r, m') directly, so the
 9,440 weights of the table p in {2, 3, 5}, 2 <= e <= 8, r <= 16 give 66
 distinct models, and the 313,220 weights of p <= 7, 2 <= e <= 16, r <= 40
-give 125.  The h-function comparison in tc_weight_group still runs on every
-call, hit or miss.  Hits and misses are read from
-equalizer_kernel.cache_info().
+give 125.  Hits and misses are read from equalizer_kernel.cache_info().
+
+Each weight does only what can differ between weights: one closed_form per
+stage (the stage weight p^v m' stepped by one multiplication), one validated
+EqualizerModel, one kernel lookup, and the h-function comparison, which runs
+on every call, hit or miss, on the kernel's factors against (p^h,); the case
+analysis becomes a GroupStructure only to raise RouteDisagreementError.
 
 checks.route_agreement compares this route with route A (the enumerated
 Witt quotient) and route B (the h-function product).
@@ -94,14 +98,14 @@ def build_equalizer_model(p: int, e: int, r: int, m_prime: int,
     if r < 1 or e < 1:
         raise ValueError("r and e must be positive")
     if depth is None:
-        s = s_function(p, r * e, m_prime)
-        u = p_valuation(e, p)
-        depth = s + u + 2
+        depth = s_function(p, r * e, m_prime) + p_valuation(e, p) + 2
     source, target = [], []
-    for v in range(depth + 1):
-        tower = closed_form(p, e, p ** v * m_prime, r - 1)
-        source.append(tower.tcminus_length)
-        target.append(tower.tp_length)
+    weight = m_prime  # p^v m' at stage v
+    for _ in range(depth + 1):
+        tp_length, tcminus_length = closed_form(p, e, weight, r - 1)
+        source.append(tcminus_length)
+        target.append(tp_length)
+        weight *= p
     if units is None:
         units = (1,) * (depth + 1)
     return EqualizerModel(p, tuple(source), tuple(target), tuple(units))
@@ -139,13 +143,13 @@ def tc_weight_group(p: int, e: int, r: int, m_prime: int,
     Computed both from the h-function case analysis and as an equalizer
     kernel; any disagreement raises rather than picking a side.
     """
-    expected = GroupStructure.from_prime_exponents(
-        p, [h_function(p, r, e, m_prime)])
+    h = h_function(p, r, e, m_prime)
     kernel = equalizer_kernel(
         build_equalizer_model(p, e, r, m_prime, depth, units))
-    if kernel != expected:
+    if kernel.factors != ((p ** h,) if h else ()):
         raise RouteDisagreementError(
-            f"weight m'={m_prime} of (p={p}, e={e}, r={r})", expected, kernel)
+            f"weight m'={m_prime} of (p={p}, e={e}, r={r})",
+            GroupStructure.from_prime_exponents(p, [h]), kernel)
     return kernel
 
 

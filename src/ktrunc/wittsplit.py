@@ -13,7 +13,9 @@ Brute force: enumerate the full quotient group and read off its invariant
 factors from order statistics, using no structure theory at all.  Each
 element of W_re(F_p) is an integer code, its coordinates read as base-p
 digits, and the multiply-by-p map is an array of codes memoized per (p, re),
-so every enumeration step is one numpy gather.  The map is built from p-1
+so every enumeration step is one numpy gather.  numpy is imported only
+where route A enumerates, so route B and the CLI paths that need only
+h_function, s_function and ENUM_CAP never load it.  The map is built from p-1
 Witt additions, each made once per block of MUL_P_BLOCK codes on int64
 columns (one per coordinate) through the same ghost map and inverse as a
 single vector; a worst-case bound on every intermediate is checked against
@@ -25,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactalg import GroupStructure, is_prime, p_valuation
 from .witt import TruncationSet, _add_coords
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Largest group brute_force_quotient enumerates, whatever its enum_bound;
@@ -67,13 +71,20 @@ class SplitParams:
     e_prime: int = field(init=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.r < 1 or self.e < 1:
-            raise ValueError("r and e must be positive")
-        u = p_valuation(self.e, self.p)
+        u, e_prime = _split_e(self.p, self.r, self.e)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "e_prime", self.e // self.p ** u)
+        object.__setattr__(self, "e_prime", e_prime)
+
+
+def _split_e(p: int, r: int, e: int) -> tuple[int, int]:
+    """(u, e') with e = p^u e' and p prime to e', once (p, r, e) are
+    checked to be parameters of a quotient."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if r < 1 or e < 1:
+        raise ValueError("r and e must be positive")
+    u = p_valuation(e, p)
+    return u, e // p ** u
 
 
 def s_function(p: int, bound: int, d: int) -> int:
@@ -91,10 +102,10 @@ def h_function(p: int, r: int, e: int, m_prime: int) -> int:
     """Exponent of the cyclic summand Z/p^h at weight m' (p prime to m')."""
     if m_prime % p == 0:
         raise ValueError("m' must be prime to p")
-    params = SplitParams(p, r, e)
+    u, e_prime = _split_e(p, r, e)
     s = s_function(p, r * e, m_prime)
-    if m_prime % params.e_prime == 0:
-        return min(params.u, s)
+    if m_prime % e_prime == 0:
+        return min(u, s)
     return s
 
 
@@ -152,6 +163,8 @@ def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
     Raises Int64BoundError, before any int64 arithmetic, if
     _addition_bound(p, ts) reaches INT64_LIMIT.
     """
+    import numpy as np
+
     n = len(ts)
     bound = _addition_bound(p, ts)
     if bound >= INT64_LIMIT:
@@ -183,6 +196,8 @@ def brute_force_quotient(params: SplitParams,
     image; the count of elements absorbed by step i determines the number
     of cyclic factors of each order.  The bound is min(enum_bound, ENUM_CAP).
     """
+    import numpy as np
+
     p, r, e = params.p, params.r, params.e
     total = p ** (r * e)
     bound = min(enum_bound, ENUM_CAP)

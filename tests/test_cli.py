@@ -16,12 +16,21 @@ from ktrunc.wittsplit import ENUM_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def digests(name: str) -> list[list[str]]:
+    """(digest, command) pairs of a `sha256  command` file in tests/data."""
+    return [line.split("  ", 1)
+            for line in (ROOT / "tests" / "data" / name).read_text()
+            .splitlines() if not line.startswith("#")]
+
+
 # stdout digests of whole page dumps, so that no change to the kill logic
 # moves a byte of them; the other dump tests check substrings only
-PAGE_DUMPS = [
-    line.split("  ", 1)
-    for line in (ROOT / "tests" / "data" / "page_dumps.sha256")
-    .read_text().splitlines() if not line.startswith("#")]
+PAGE_DUMPS = digests("page_dumps.sha256")
+# stdout digests of kgroups tables, so that a fault route C shares with
+# route B (the h-function) still moves a byte
+KGROUPS = digests("kgroups.sha256")
 
 
 def run_cli(capsys, *args):
@@ -64,6 +73,13 @@ class TestKGroups:
             "--format", "json")
         assert code == 0
         assert json.loads(out)["groups"][0]["factors"] == [4, 4]
+
+    @pytest.mark.parametrize("digest, command", KGROUPS,
+                             ids=[command for _, command in KGROUPS])
+    def test_kgroups_bytes(self, capsys, digest, command):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_even_degrees_trivial(self, capsys):
         _, out = run_cli(
@@ -203,6 +219,21 @@ class TestModuleEntryPoint:
 
 
 class TestScripts:
+    def test_k_table_reader_closing_the_pipe_early(self):
+        # about 120 KB of table, more than a pipe buffer holds, so the
+        # write fails once the reader has closed its end
+        proc = subprocess.Popen(
+            [sys.executable, str(ROOT / "scripts" / "k_table.py"),
+             "--primes", "3", "--emax", "10", "--rmax", "24"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b"p = 3, residue degree f = 1")
+        assert stderr == b""
+
     def test_k_table(self):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "k_table.py"),

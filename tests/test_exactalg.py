@@ -136,6 +136,19 @@ class TestPrimality:
             with pytest.raises(ValueError, match="exact only below"):
                 is_prime(n)
 
+    def test_a_repeat_is_a_cache_hit(self):
+        # route C asks about its p twice per weight; an n past the exact
+        # range raises every time and is never memoized
+        is_prime.cache_clear()
+        for _ in range(3):
+            assert is_prime(1000003)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exact only below"):
+                is_prime(exactalg.PRIME_TEST_LIMIT)
+        info = is_prime.cache_info()
+        assert (info.hits, info.currsize) == (2, 1)
+        assert info.maxsize == exactalg.PRIME_CACHE_SIZE
+
     def test_large_prime_powers(self):
         p = 10 ** 18 + 3
         assert GroupStructure([p ** 3, p, 2 ** 40]).factors == (

@@ -2,7 +2,7 @@
 public function and class it defines, and every public method and property
 of those classes, is read outside the tests; every parameter default of
 those, and every dataclass field default, is overridden by some call
-outside the tests.  The homology path imports no numpy."""
+outside the tests.  The homology path, kgroups and hh import no numpy."""
 
 import ast
 import os
@@ -53,6 +53,23 @@ def test_the_homology_path_loads_no_numpy():
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kgroups", "--p", "3", "--e", "4", "--r", "3"],
+    ["hh", "--p", "3", "--e", "3", "--m", "11", "--dump-page", "hfp"],
+], ids=lambda argv: argv[0])
+def test_the_kgroups_and_hh_paths_load_no_numpy(argv):
+    """A fresh ktrunc.cli.main on kgroups or hh leaves numpy out of
+    sys.modules: wittsplit imports it only where route A enumerates."""
+    code = ("import sys; from ktrunc.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout
+    assert proc.stderr == "0 False\n"
 
 
 def loaded_names(source: str) -> set[str]:

@@ -146,8 +146,11 @@ class TestKernelMemo:
         tc_weight_group(2, 3, 2, 1)
         monkeypatch.setattr(tcassemble, "h_function",
                             lambda *args: h_function(*args) + 1)
-        with pytest.raises(RouteDisagreementError):
+        with pytest.raises(RouteDisagreementError) as caught:
             tc_weight_group(2, 3, 2, 1)
+        # both sides reach the error as groups, not as raw factor tuples
+        assert caught.value.case_analysis == GroupStructure([16])
+        assert caught.value.kernel == GroupStructure([8])
         info = equalizer_kernel.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 

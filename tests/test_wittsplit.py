@@ -95,6 +95,15 @@ class TestHFunction:
         with pytest.raises(ValueError):
             h_function(2, 1, 2, 4)
 
+    def test_rejects_what_split_params_rejects(self):
+        # h_function splits e itself, with SplitParams' checks and errors
+        with pytest.raises(ValueError, match="p = 4 is not prime"):
+            h_function(4, 1, 2, 1)
+        with pytest.raises(ValueError, match="positive"):
+            h_function(2, 0, 2, 1)
+        with pytest.raises(ValueError, match="positive"):
+            h_function(2, 1, 0, 1)
+
     def test_order_identity(self):
         # sum of exponents over prime-to-p weights is r(e-1) exactly
         for p in (2, 3, 5):
