@@ -22,11 +22,11 @@ from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 # the number of weights it computes, each repeated f times in the output.
 # It bounds size, not time: each weight costs about 2 us per stage of its
 # tower, whose depth s + u + 2 grows with u = v_p(e).  At the bound, on 2
-# shared Intel Xeon x86_64 CPUs with Python 3.11, --format json takes about
-# 32 s for --p 2 --e 1048576 --r 1, the slowest shape measured
-# (v_2(e) = 20); 26 s for --e 131072 --r 8; 19 s for --e 16384 --r 64;
-# 8 s for --e 1000 --r 1000; 6 s for --e 2 --r 524288 and for --e 2
-# --rmax 1023.  Memory stays under 35 MB.
+# shared Intel Xeon x86_64 CPUs with Python 3.11, --format json takes
+# 13-14 s for --p 2 --e 1048576 --r 1 (v_2(e) = 20) and for --e 131072
+# --r 8, the slowest shapes measured; 11 s for --e 16384 --r 64; 10 s for
+# --p 3 --e 531441 --r 1; 5.5 s for --e 1000 --r 1000; 4.5-5 s for --e 2
+# --r 524288 and for --e 2 --rmax 1023.  Memory stays under 35 MB.
 KGROUPS_BUDGET = 1 << 20
 
 

@@ -64,19 +64,20 @@ HOMOLOGY_CACHE_SIZE = 256
 
 
 # Size budget of `hh`, checked on word counts before anything is built.
-# The weight bounds the recursion depth of _interior_parts.  Every weight up to
-# 14 has at most 2^14 words for every e.  The integral Connes scalar runs
-# Smith forms on the four degrees around it.  Worst case over all 608
-# admitted (e, m), each run as a fresh `hh --m` process at p = 2 and at
-# every prime factor of e (684 runs, 149 s in all; wall time and the
-# process's own peak RSS, VmHWM; Python 3.11 on 2 shared x86_64 Xeon
-# CPUs; the runs named here repeated 3 times): (6, 14), whose integral
-# scalar reads a 952 x 2,471 presentation, 1.2-1.9 s and 68 MB at p = 3.
-# The (z, w) pages, whose generators are found mod p on sparse rows, cost
-# less: (3, 18) at p = 3, 8,362 words, 0.6-0.7 s and 51 MB; (7, 14) at
-# p = 7, 0.8-1.2 s and 54 MB.  Every other run took at most 1.1 s and
-# 57 MB.  Past the budget, (3, 19), widest scalar degree 3,718, takes 73 s
-# and 514 MB for its homology summary.
+# The weight bound keeps words_per_degree, at most m^2 steps, cheap before
+# the word count is checked.  Every weight up to 14 has at most 2^14 words
+# for every e.  The integral Connes scalar runs Smith forms on the four
+# degrees around it.  Worst case over all 608 admitted (e, m), each run as
+# a fresh `hh --m` process at p = 2 and at every prime factor of e (684
+# runs, 109 s in all; wall time and the process's own peak RSS, VmHWM;
+# Python 3.11 on 2 shared x86_64 Xeon CPUs; the runs named here repeated
+# 5 times): (6, 14), whose integral scalar reads a 952 x 2,471
+# presentation, 1.2-1.4 s and 55-59 MB at p = 3.  The (z, w) pages, whose
+# generators are found mod p on sparse rows, cost less: (3, 18) at p = 3,
+# 8,362 words, 0.6-0.7 s and 39 MB; (7, 14) at p = 7, 0.7-0.9 s and
+# 42 MB.  Every other run took at most 1.1 s and 44 MB.  Past the budget,
+# (3, 19), widest scalar degree 3,718, takes 73 s and 514 MB for its
+# homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000
@@ -98,26 +99,32 @@ def d_function(e: int, m: int) -> int:
     return (m - 1) // e
 
 
-def _interior_parts(total: int, n: int, e: int):
-    """Compositions of `total` into n parts, each in [1, e-1], lex order."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(1, total - (n - 1) * (e - 1))
-    hi = min(e - 1, total - (n - 1))
-    for first in range(lo, hi + 1):
-        for rest in _interior_parts(total - first, n - 1, e):
-            yield (first,) + rest
-
-
 def weight_words(e: int, m: int, n: int) -> tuple[Word, ...]:
-    """All degree-n normalized words of weight m, lexicographically sorted."""
-    out = []
-    for head in range(min(e - 1, m) + 1):
-        for rest in _interior_parts(m - head, n, e):
-            out.append((head,) + rest)
-    return tuple(out)
+    """All degree-n normalized words of weight m, lexicographically sorted.
+
+    A word is a head in [0, e-1] followed by a composition of m - head
+    into n parts in [1, e-1].  The compositions come from a table indexed
+    by part count: tails maps each total s to the compositions of s into
+    k parts, in lex order, for k = 1..n in turn, each built by putting a
+    first part in front of the table for k - 1.  Only the totals that the
+    n - k parts before them and a head can complete to m are kept, and a
+    tail shared by many words is built once.  A degree with no word, m
+    outside [n, (n + 1)(e - 1)], returns before any table is built.
+    """
+    top = e - 1
+    if not n <= m <= (n + 1) * top:
+        return ()
+    tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for k in range(1, n + 1):
+        prev, tails = tails, {}
+        for s in range(max(k, m - (n - k + 1) * top),
+                       min(k * top, m - n + k) + 1):
+            tails[s] = [(first,) + rest
+                        for first in range(max(1, s - (k - 1) * top),
+                                           min(top, s - k + 1) + 1)
+                        for rest in prev[s - first]]
+    return tuple((head,) + rest for head in range(min(top, m) + 1)
+                 for rest in tails.get(m - head, ()))
 
 
 def words_per_degree(e: int, m: int) -> list[int]:

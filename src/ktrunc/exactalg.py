@@ -10,10 +10,12 @@ The chain-complex matrices that reach this module are sparse and mostly
 column, and unit_pivot_reduction eliminates each one once over Z along its
 +-1 entries: a unit pivot is a unit mod every prime, so its rank mod any p
 is the number of pivots plus the fp_rank of the small residual, and
-fp_rank eliminates sparse rows kept as dicts.  smith_normal_form keeps its
-matrix and every transform the same way, as dicts of nonzero entries, and
-one update rule, dst += q * src, serves them all; it returns d as its
-diagonal and each transform it was asked to keep as a SparseIntMatrix.
+fp_rank brings sparse rows kept as dicts to echelon form mod p, as fp_rref
+does.  smith_normal_form keeps its matrix and every transform the same
+way, as dicts of nonzero entries, and one update rule, dst += q * src,
+serves them all but for the column steps on its pivot row, each of which
+changes one entry; it builds only the transforms its caller keeps, and
+returns d as its diagonal and each of those as a SparseIntMatrix.
 integer_kernel_basis keeps the column transform v and its inverse, and no
 u: rows rank.. of the inverse are a left inverse of the kernel basis, so
 the coordinate map it returns reads the coordinates of kernel vectors off
@@ -39,7 +41,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import (Callable, Collection, Iterable, Iterator, Mapping,
+                    Sequence)
 
 
 class GhostInversionError(ArithmeticError):
@@ -99,8 +103,12 @@ def is_prime(n: int) -> bool:
 
 
 def p_valuation(n: int, p: int) -> int:
+    """The exponent of p in n, for n != 0: for p = 2 the index of the
+    lowest set bit, for any other p one division per factor."""
     if n == 0:
         raise ValueError("valuation of zero")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -301,41 +309,45 @@ def smith_normal_form(m: SparseIntMatrix, *,
     Boundary matrices are sparse and mostly +-1, so a, the rows of u, the
     columns of v and the rows of v's inverse are all kept as dicts of
     their nonzero entries, and every operation is a swap or one
-    _add_multiple.  a starts as the rows of m, read off its stored
-    columns, so m must store no zero (as SparseIntMatrix promises): a
-    stored zero would be taken as a pivot of absolute value 0.  v is kept
-    by columns, so its column operations are vector additions;
-    col_j -= q * col_t on v is row_t += q * row_j on its inverse, and a
-    column swap swaps two rows of it.  Rows of a past t are
-    zero in the columns before t, and since the row sweep leaves column t
-    of a zero except at the pivot, a column operation changes one entry
-    of a.
+    _add_multiple, but for a column step on the pivot row of a, which
+    changes one entry (see below).  a starts as the rows of m, read off
+    its stored columns, so m must store no zero (as SparseIntMatrix
+    promises): a stored zero would be taken as a pivot of absolute value
+    0.  v is kept by columns, so its column operations are vector
+    additions; col_j -= q * col_t on v is row_t += q * row_j on its
+    inverse, and a column swap swaps two rows of it, and of a only the
+    rows that hold either column.  Rows of a past t are zero in the
+    columns before t, and since the row sweep leaves column t of a zero
+    except at the pivot, a column operation changes one entry of a.
 
     _keep names the transforms the caller reads, among u, v and
     v_inverse (default u and v); the others come back as None.  Pivot
     choice reads only a, so d and every kept transform are the same
-    whatever is dropped.  A dropped transform is carried as empty vectors,
-    on which every operation does nothing.
+    whatever is dropped, and a dropped transform is never built.
     """
     R, C = m.shape
     a = _rows(m)
-    u = [{i: 1} if "u" in _keep else {} for i in range(R)]
-    vc = [{j: 1} if "v" in _keep else {} for j in range(C)]
-    vi = [{j: 1} if "v_inverse" in _keep else {} for j in range(C)]
+    u = [{i: 1} for i in range(R)] if "u" in _keep else None
+    vc = [{j: 1} for j in range(C)] if "v" in _keep else None
+    vi = [{j: 1} for j in range(C)] if "v_inverse" in _keep else None
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):  # rows above t are zero in columns t and beyond
         for row in a[t:]:
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        vc[i], vc[j] = vc[j], vc[i]
-        vi[i], vi[j] = vi[j], vi[i]
+            if i in row or j in row:
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if y:
+                    row[i] = y
+                if x:
+                    row[j] = x
+        if vc is not None:
+            vc[i], vc[j] = vc[j], vc[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     t = 0
     while t < min(R, C):
@@ -355,27 +367,38 @@ def smith_normal_form(m: SparseIntMatrix, *,
             col_swap(t, pj)
         if a[t][t] < 0:
             a[t] = {k: -x for k, x in a[t].items()}
-            u[t] = {k: -x for k, x in u[t].items()}
+            if u is not None:
+                u[t] = {k: -x for k, x in u[t].items()}
         while True:
             at = a[t]
             piv = at[t]
+            # row_i -= q * row_t; what is left in column t lies in
+            # [0, piv), so a swapped-in pivot is positive
+            rem = []
             for i in range(t + 1, R):
-                q = a[i].get(t, 0) // piv
-                if q:  # row_i -= q * row_t
-                    _add_multiple(a[i], at, -q)
-                    _add_multiple(u[i], u[t], -q)
-            # what the sweeps leave lies in [0, piv), so a swapped-in
-            # pivot is positive
-            rem = [i for i in range(t + 1, R) if t in a[i]]
+                ai = a[i]
+                if t in ai:
+                    q = ai[t] // piv
+                    if q:
+                        _add_multiple(ai, at, -q)
+                        if u is not None:
+                            _add_multiple(u[i], u[t], -q)
+                    if t in ai:
+                        rem.append(i)
             if rem:
                 row_swap(t, min(rem, key=lambda k: (a[k][t], k)))
                 continue
             for j, aj in list(at.items()):
-                q = aj // piv
+                q, r = divmod(aj, piv)
                 if q and j != t:  # col_j -= q * col_t, which is piv at row t
-                    _add_multiple(at, {j: piv}, -q)
-                    _add_multiple(vc[j], vc[t], -q)
-                    _add_multiple(vi[t], vi[j], q)  # row_t += q * row_j
+                    if r:
+                        at[j] = r
+                    else:
+                        del at[j]
+                    if vc is not None:
+                        _add_multiple(vc[j], vc[t], -q)
+                    if vi is not None:
+                        _add_multiple(vi[t], vi[j], q)  # row_t += q * row_j
             rem = [j for j in at if j != t]
             if rem:
                 col_swap(t, min(rem, key=lambda k: (at[k], k)))
@@ -388,15 +411,16 @@ def smith_normal_form(m: SparseIntMatrix, *,
                 break
             # pull the offending row up; the pivot will shrink
             _add_multiple(at, a[bad], 1)
-            _add_multiple(u[t], u[bad], 1)
+            if u is not None:
+                _add_multiple(u[t], u[bad], 1)
         t += 1
 
     return SNFResult(
         tuple(a[i].get(i, 0) for i in range(min(R, C))),
-        _from_rows(u, R) if "u" in _keep else None,
-        SparseIntMatrix(C, [tuple(sorted(col.items())) for col in vc])
-        if "v" in _keep else None,
-        _from_rows(vi, C) if "v_inverse" in _keep else None)
+        None if u is None else _from_rows(u, R),
+        None if vc is None else SparseIntMatrix(
+            C, [tuple(sorted(col.items())) for col in vc]),
+        None if vi is None else _from_rows(vi, C))
 
 
 def integer_kernel_basis(m: SparseIntMatrix) -> tuple[
@@ -511,8 +535,9 @@ def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
 # mod-p routines.  Entries are reduced into [0, p) and kept as Python ints,
 # so no modulus can overflow.  P_LIMIT is not a limit of the arithmetic:
 # it is the bound `hh --p` has always stated, kept so that the command
-# accepts and rejects the same moduli.  The sparse elimination behind
-# fp_rank also runs over Z, along +-1 pivots only (unit_pivot_reduction).
+# accepts and rejects the same moduli.  fp_rank and fp_rref share one
+# echelon routine, _echelon; unit_pivot_reduction eliminates over Z along
+# +-1 pivots only, mod every prime at once.
 
 P_LIMIT = 1 << 20
 
@@ -534,31 +559,17 @@ def _subtract_mod(dst: dict[int, int], src: Mapping[int, int], f: int,
             del dst[k]
 
 
-def fp_rref(mat: SparseIntMatrix, p: int, rank: int
-            ) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row-echelon form over F_p of the rows of mat: (rows,
-    pivots), the pivot columns ascending and the nonzero rows in their
-    order.  Each row is a dict of residues in [1, p), its pivot is its
-    first column and holds 1, and each pivot column is nonzero in its own
-    row only.  That form is unique, so it does not depend on how it is
-    reached.
-
-    Each row is first reduced against the echelon rows kept so far, from
-    its smallest column up, until its first column is no kept pivot; what
-    is left is kept, scaled to a leading 1.  Then the kept rows are
-    cleared of each other's pivots, largest pivot first.  The rows are
-    taken last to first: on the boundaries of the bar complex, words in
-    lexicographic order, that ran 3 to 20 times faster than first to last
-    on the four eliminations of (e, m, p) = (3, 18, 3).  rank must be the
-    rank of mat mod p: the elimination stops once it holds that many
-    pivots, since every later row is dependent, and raises ValueError if
-    the rows run out before.
-    """
-    _check_modulus(p)
+def _echelon(rows: Iterable[Mapping[int, int]], p: int
+             ) -> Iterator[dict[int, dict[int, int]]]:
+    """Row echelon rows over F_p of the given integer rows, taken in order:
+    each is reduced mod p against the rows kept so far, from its smallest
+    column up, until its first column is no kept pivot, and what is left
+    is kept, scaled to a leading 1.  Yields the kept rows, as {pivot
+    column: row of residues in [1, p)}, each time one is added; a caller
+    that knows the rank stops there, since every later row is
+    dependent."""
     kept: dict[int, dict[int, int]] = {}  # pivot column -> its row
-    for row in reversed(_rows(mat)):
-        if len(kept) == rank:
-            break
+    for row in rows:
         vec = {j: x % p for j, x in row.items() if x % p}
         heap = list(vec)  # every column of vec, popped smallest first
         heapq.heapify(heap)
@@ -578,6 +589,31 @@ def fp_rref(mat: SparseIntMatrix, p: int, rank: int
             continue  # vec was dependent
         inv = pow(vec[c], p - 2, p)
         kept[c] = {j: x * inv % p for j, x in vec.items()}
+        yield kept
+
+
+def fp_rref(mat: SparseIntMatrix, p: int, rank: int
+            ) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row-echelon form over F_p of the rows of mat: (rows,
+    pivots), the pivot columns ascending and the nonzero rows in their
+    order.  Each row is a dict of residues in [1, p), its pivot is its
+    first column and holds 1, and each pivot column is nonzero in its own
+    row only.  That form is unique, so it does not depend on how it is
+    reached.
+
+    The rows are first brought to echelon form (_echelon), then the kept
+    rows are cleared of each other's pivots, largest pivot first.  The
+    rows are taken last to first: on the boundaries of the bar complex,
+    words in lexicographic order, that ran 3 to 20 times faster than first
+    to last on the four eliminations of (e, m, p) = (3, 18, 3).  rank must
+    be the rank of mat mod p: the elimination stops once it holds that
+    many pivots, and raises ValueError if the rows run out before.
+    """
+    _check_modulus(p)
+    kept: dict[int, dict[int, int]] = {}
+    # stop at the rank-th pivot: every later row is dependent
+    for kept in islice(_echelon(reversed(_rows(mat)), p), rank):
+        pass
     if len(kept) != rank:
         raise ValueError(f"rank {len(kept)} mod {p}, not the {rank} given")
     pivots = sorted(kept)
@@ -588,65 +624,61 @@ def fp_rref(mat: SparseIntMatrix, p: int, rank: int
     return [kept[c] for c in pivots], pivots
 
 
-def _eliminate(vectors: list[dict[int, int]], p: int) -> int:
-    """Pivot on unit entries, in place, until no vector holds one; returns
+def _eliminate(vectors: list[dict[int, int]]) -> int:
+    """Pivot on +-1 entries, in place, until no vector holds one; returns
     the number of pivots.
 
-    Mod a prime p every nonzero residue is a unit (entries must already lie
-    in [0, p)); with p = 0 the arithmetic is over Z and the units are +-1.
     A pivot clears its index from every other vector by adding a multiple
     of the pivot vector, then empties the pivot vector: an invertible
-    change of basis that splits off rank one, mod every prime at once when
-    p = 0.  Vectors are taken in the order given (a heap of their
-    positions, so a vector that gains a unit is taken up again), each
-    pivoting on its unit of highest index.  On the boundary matrices of the
-    bar complex, rows in word order, that order fills in two to four times
-    less than shortest-vector-first.  The vectors left nonempty hold
-    no unit.
+    change of basis over Z that splits off rank one, mod every prime at
+    once.  Vectors are taken in the order given, each pivoting on its unit
+    of highest index: a heap of positions holds every vector that holds a
+    unit, each at most once (one that lost its units is skipped when
+    popped), so a vector not on it is queued only when a pivot writes a
+    unit into it.  On the boundary matrices of the bar complex, rows in
+    word order, that order fills in two to four times less than
+    shortest-vector-first.  The vectors left nonempty hold no unit.
     """
-    def has_unit(vec):
-        if p:
-            return bool(vec)
-        values = vec.values()
-        return 1 in values or -1 in values
-
     users: dict[int, set[int]] = {}
     for k, vec in enumerate(vectors):
         for j in vec:
             users.setdefault(j, set()).add(k)
-    heap = [k for k, vec in enumerate(vectors) if has_unit(vec)]
+    heap = [k for k, vec in enumerate(vectors)
+            if 1 in vec.values() or -1 in vec.values()]
+    queued = set(heap)
     pivots = 0
     while heap:
         k = heapq.heappop(heap)
+        queued.discard(k)
         vec = vectors[k]
-        units = [j for j, x in vec.items() if p or x == 1 or x == -1]
+        units = [j for j, x in vec.items() if x == 1 or x == -1]
         if not units:
-            continue  # pivoted already, or lost its units over Z
+            continue  # lost its units
         c = max(units)
-        inv = pow(vec[c], p - 2, p) if p else vec[c]
+        vectors[k] = {}
+        sign = vec.pop(c)  # +-1, its own inverse
         for j in vec:
             users[j].discard(k)
-        for o in users.pop(c):
+        targets = users.pop(c)
+        targets.discard(k)
+        for o in targets:
             other = vectors[o]
-            f = other.pop(c) * inv
-            if p:
-                f %= p
+            f = other.pop(c) * sign
+            gained = False
             for j, x in vec.items():
-                if j == c:
-                    continue
                 y = other.get(j, 0) - f * x
-                if p:
-                    y %= p
-                if y:
-                    if j not in other:
-                        users[j].add(o)
-                    other[j] = y
-                elif j in other:
+                if not y:
                     del other[j]
                     users[j].discard(o)
-            if has_unit(other):
+                    continue
+                if j not in other:
+                    users[j].add(o)
+                other[j] = y
+                if y == 1 or y == -1:
+                    gained = True
+            if gained and o not in queued:
+                queued.add(o)
                 heapq.heappush(heap, o)
-        vectors[k] = {}
         pivots += 1
     return pivots
 
@@ -659,16 +691,15 @@ def unit_pivot_reduction(mat: SparseIntMatrix
     left nonzero, each a dict from column to Python int, and none holds a
     +-1 entry."""
     rows = _rows(mat)
-    units = _eliminate(rows, 0)
+    units = _eliminate(rows)
     return units, tuple(row for row in rows if row)
 
 
 def fp_rank(rows: Iterable[Mapping[int, int]], p: int) -> int:
     """Rank over F_p of sparse rows, each a dict from column to an integer
-    entry, by sparse elimination (see _eliminate)."""
+    entry: the number of echelon rows _echelon keeps."""
     _check_modulus(p)
-    vectors = [{j: x % p for j, x in row.items() if x % p} for row in rows]
-    return _eliminate(vectors, p)
+    return sum(1 for _ in _echelon(rows, p))
 
 
 def fp_kernel_basis(mat: SparseIntMatrix, p: int,

@@ -128,6 +128,36 @@ def poly_mul(f, g):
     return out
 
 
+def valuation_by_division(n: int, p: int) -> int:
+    """The exponent of p in n != 0, one division per factor."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _interior_parts(total: int, n: int, e: int):
+    """Compositions of `total` into n parts, each in [1, e-1], lex order,
+    by recursion on the first part."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    lo = max(1, total - (n - 1) * (e - 1))
+    hi = min(e - 1, total - (n - 1))
+    for first in range(lo, hi + 1):
+        for rest in _interior_parts(total - first, n - 1, e):
+            yield (first,) + rest
+
+
+def words_by_recursion(e: int, m: int, n: int) -> tuple:
+    """The degree-n cyclic-bar words of weight m in lexicographic order: a
+    head in [0, e-1], then a composition of the rest into n parts."""
+    return tuple((head,) + rest for head in range(min(e - 1, m) + 1)
+                 for rest in _interior_parts(m - head, n, e))
+
+
 def word_count(e: int, m: int, n: int) -> int:
     """Number of cyclic-bar words of weight m in degree n, by counting
     coefficients of (1 + t + ... + t^{e-1}) * (t + ... + t^{e-1})^n."""

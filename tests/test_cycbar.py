@@ -32,7 +32,7 @@ from ktrunc.exactalg import fp_kernel_basis, fp_rank
 from ktrunc.ssengine import build_e2
 from oracle_utils import (dense, dense_entries_matrix, dense_vector,
                           first_outside_span, rank_mod_p, span_multiples,
-                          word_count)
+                          word_count, words_by_recursion)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # (e, m, lambda) for every weight class `hh` admits with e not dividing m,
@@ -73,6 +73,13 @@ class TestWords:
                     assert sum(w) == m
                     assert 0 <= w[0] < e
                     assert all(1 <= x < e for x in w[1:])
+
+    def test_words_are_the_recursive_enumeration(self):
+        for e in range(2, 9):
+            for m in range(1, 13):
+                for n in range(m + 1):
+                    assert weight_words(e, m, n) == words_by_recursion(
+                        e, m, n), (e, m, n)
 
     def test_sorted_and_frozen_examples(self):
         assert weight_words(2, 2, 1) == ((1, 1),)

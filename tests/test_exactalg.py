@@ -342,6 +342,27 @@ class TestFastPathsMatchReference:
         return v
 
 
+class TestNoUpdateOfADroppedTransform:
+    """A Smith form builds and updates only the transforms it keeps, so no
+    update has an empty source."""
+
+    def test_no_update_has_an_empty_source(self, monkeypatch, time_limit):
+        original = exactalg._add_multiple
+
+        def guarded(dst, src, q):
+            assert src, "an update from an empty vector"
+            original(dst, src, q)
+
+        monkeypatch.setattr(exactalg, "_add_multiple", guarded)
+        _, boundary, _ = _integer_complex(4, 8)
+        for b in boundary:
+            for size in range(4):
+                for keep in combinations(("u", "v", "v_inverse"), size):
+                    smith_normal_form(b, _keep=keep)
+        # the five Smith forms test_connes_scalar_smith_forms records
+        _integral_connes_scalar.__wrapped__(3, 7)
+
+
 class TestTransformSelection:
     """A Smith form that keeps only some transforms gives the same d and the
     same kept transforms as one that keeps all three, and None for the

@@ -2,6 +2,8 @@
 closed-form survivor counts they must reproduce."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktrunc.exactalg import p_valuation
 from ktrunc.ssengine import (
@@ -18,7 +20,7 @@ from ktrunc.ssengine import (
     run_to_einfty,
     standard_patterns,
 )
-from oracle_utils import page_dump_lines
+from oracle_utils import page_dump_lines, valuation_by_division
 
 DEGREES = range(-6, 8)
 ORACLE_DEGREES = range(-20, 21)
@@ -38,6 +40,13 @@ class TestValuation:
         assert p_valuation(7, 2) == 0
         with pytest.raises(ValueError):
             p_valuation(0, 2)
+
+    @given(st.one_of(st.just(2), st.integers(3, 101)), st.integers(0, 40),
+           st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_repeated_division(self, p, v, k):
+        n = p ** v * k
+        assert p_valuation(n, p) == valuation_by_division(n, p)
 
 
 class TestPageConstruction:
