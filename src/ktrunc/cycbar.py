@@ -11,9 +11,13 @@ Connes' operator inserts the unit in front of each cyclic rotation.
 The boundary and Connes matrices are built once per (e, m) over Z and
 stored sparse, by the nonzero entries of each column (SparseIntMatrix);
 all three mixed-complex identities are verified on those stored columns.
-That one copy serves every p.  Each boundary is reduced once over Z along
-its +-1 entries, so its rank mod any p is the number of unit pivots plus
-the rank of a residual of a few rows.  Nothing here copies a matrix
+That one copy serves every p.  The complex is reduced once over Z along
+its +-1 entries, from the top degree down, each boundary d_n without the
+cells of degree n that the unit pivots of d_(n+1) paired, so its rank mod
+any p is the number of unit pivots plus the rank of a residual of at most
+one row.  That is exact because d_n d_(n+1) = 0 and the pivot block of
+d_(n+1) is unimodular: the dropped columns of d_n are integer
+combinations of the kept ones.  Nothing here copies a matrix
 into a dense array: the mod-p generators of the (z, w) pages and the
 integral Connes scalar both read the stored columns.  The integral
 scalar presents each homology group in the kernel basis of the boundary
@@ -27,10 +31,11 @@ homology functional), and in the lower degree the functional's own,
 inverted by integer_solve for the generator, keeps u and v; the upper
 degree needs no generator, only its functional.  A (z, w) page
 row-reduces the boundaries into each of its two degrees once, as fp_rref
-of the transposed boundary, on sparse rows mod p; its generator is the
-first fp_kernel_basis vector whose remainder against that reduction is
-nonzero, and its scalar is the ratio of the remainders of B gen_lo and
-gen_hi in the upper degree.  Each of these eliminations is handed the
+of the transposed boundary without the cells the degree above paired (the
+same row space, so the same unique reduced form), on sparse rows mod p;
+its generator is the first fp_kernel_basis vector whose remainder against
+that reduction is nonzero, and its scalar is the ratio of the remainders
+of B gen_lo and gen_hi in the upper degree.  Each of these eliminations is handed the
 rank the boundary reductions already gave and stops when it is reached.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
@@ -69,13 +74,14 @@ HOMOLOGY_CACHE_SIZE = 256
 # for every e.  The integral Connes scalar runs Smith forms on the four
 # degrees around it.  Worst case over all 608 admitted (e, m), each run as
 # a fresh `hh --m` process at p = 2 and at every prime factor of e (684
-# runs, 109 s in all; wall time and the process's own peak RSS, VmHWM;
-# Python 3.11 on 2 shared x86_64 Xeon CPUs; the runs named here repeated
-# 5 times): (6, 14), whose integral scalar reads a 952 x 2,471
-# presentation, 1.2-1.4 s and 55-59 MB at p = 3.  The (z, w) pages, whose
-# generators are found mod p on sparse rows, cost less: (3, 18) at p = 3,
-# 8,362 words, 0.6-0.7 s and 39 MB; (7, 14) at p = 7, 0.7-0.9 s and
-# 42 MB.  Every other run took at most 1.1 s and 44 MB.  Past the budget,
+# runs, about 2 minutes in all; wall time and the process's own peak RSS,
+# VmHWM; Python 3.11 on 2 shared x86_64 Xeon CPUs; the runs named here
+# repeated 5 times): (6, 14), whose integral scalar reads a 952 x 2,471
+# presentation, 1.1-1.8 s and 55-59 MB at p = 3 (1.5 s at p = 2).  The
+# (z, w) pages, whose generators are found mod p on sparse rows, cost
+# less: (3, 18) at p = 3, 8,362 words, 0.5-0.8 s and 38-39 MB; (7, 14) at
+# p = 7, 0.6-0.7 s and 36 MB.  Every other run took at most 1.1 s and
+# 44 MB.  Past the budget,
 # (3, 19), widest scalar degree 3,718, takes 73 s and 514 MB for its
 # homology summary.
 WEIGHT_BUDGET = 512
@@ -269,10 +275,15 @@ def _integer_complex(e: int, m: int):
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def _boundary_reductions(e: int, m: int) -> tuple:
-    """unit_pivot_reduction of every boundary of the (e, m) complex: the
-    rank of boundary[n] mod any p is units + fp_rank(residual, p)."""
+    """unit_pivot_reduction of the (e, m) complex, one (pivots, residual)
+    per boundary: the rank of boundary[n] mod any p is len(pivots) +
+    fp_rank(residual, p), and pivots are the cells of degree n - 1 paired
+    with cells of degree n.  Each boundary is eliminated without the
+    columns the boundary above paired, exactly: d_n d_(n+1) = 0 and the
+    pivot block of d_(n+1) is unimodular, so those columns of d_n are
+    integer combinations of the others."""
     _, boundary, _ = _integer_complex(e, m)
-    return tuple(unit_pivot_reduction(b) for b in boundary)
+    return unit_pivot_reduction(boundary)
 
 
 @dataclass(frozen=True)
@@ -378,10 +389,19 @@ def _integral_connes_scalar(e: int, m: int) -> int:
 def _image_reduction(c: NormalizedComplex, n: int, rank: int
                      ) -> dict[int, dict[int, int]]:
     """The reduced row-echelon basis mod p of the boundaries in degree n,
-    as {pivot column: row}: fp_rref of the transpose of the boundary into
-    degree n, whose rank mod p is rank."""
-    rows, pivots = fp_rref(_boundary_in(c.boundary, n).transpose(), c.p,
-                           rank)
+    as {pivot column: row}: fp_rref, stopped at rank, of the transpose of
+    the boundary into degree n without its columns at the cells of degree
+    n + 1 that the unit pivots of the boundary out of degree n + 2 paired.
+    Those columns are integer combinations of the others (d_(n+1) d_(n+2)
+    = 0, and the pivot block of d_(n+2) is unimodular), so the row space
+    is that of the whole transpose, and its reduced row-echelon form,
+    which is unique, is the same."""
+    into = _boundary_in(c.boundary, n)
+    reductions = _boundary_reductions(c.e, c.m)
+    paired = reductions[n + 2][0] if n + 2 < len(reductions) else ()
+    kept = SparseIntMatrix(into.shape[0], [
+        col for j, col in enumerate(into.columns) if j not in paired])
+    rows, pivots = fp_rref(kept.transpose(), c.p, rank)
     return dict(zip(pivots, rows))
 
 
@@ -423,9 +443,9 @@ def reduced_homology(c: NormalizedComplex) -> HomologySummary:
 
 def _boundary_ranks(e: int, m: int, p: int) -> list[int]:
     """rank d_n mod p for n = 0..m, then 0 for the map out of degree m+1,
-    each read off the boundary's one reduction over Z."""
-    return [units + fp_rank(residual, p)
-            for units, residual in _boundary_reductions(e, m)] + [0]
+    each read off the complex's one reduction over Z."""
+    return [len(pivots) + fp_rank(residual, p)
+            for pivots, residual in _boundary_reductions(e, m)] + [0]
 
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)

@@ -7,11 +7,15 @@ nothing here rounds or overflows, and the module needs no numpy.
 
 The chain-complex matrices that reach this module are sparse and mostly
 +-1.  They are stored as SparseIntMatrix, by the nonzero entries of each
-column, and unit_pivot_reduction eliminates each one once over Z along its
-+-1 entries: a unit pivot is a unit mod every prime, so its rank mod any p
-is the number of pivots plus the fp_rank of the small residual, and
-fp_rank brings sparse rows kept as dicts to echelon form mod p, as fp_rref
-does.  smith_normal_form keeps its matrix and every transform the same
+column, and unit_pivot_reduction reduces a whole complex over Z along its
++-1 entries, from the top degree down: a unit pivot is a unit mod every
+prime, so the rank of d_n mod any p is the number of its pivots plus the
+fp_rank of a small residual.  d_n is eliminated without its columns at
+the pivot rows of d_(n+1), which is exact: d_n d_(n+1) = 0 and the pivot
+block of d_(n+1) is unimodular, so those columns are integer combinations
+of the others and dropping them keeps the image lattice.  fp_rank brings
+sparse rows kept as dicts to echelon form mod p, as fp_rref does.
+smith_normal_form keeps its matrix and every transform the same
 way, as dicts of nonzero entries, and one update rule, dst += q * src,
 serves them all but for the column steps on its pivot row, each of which
 changes one entry; it builds only the transforms its caller keeps, and
@@ -536,8 +540,8 @@ def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
 # so no modulus can overflow.  P_LIMIT is not a limit of the arithmetic:
 # it is the bound `hh --p` has always stated, kept so that the command
 # accepts and rejects the same moduli.  fp_rank and fp_rref share one
-# echelon routine, _echelon; unit_pivot_reduction eliminates over Z along
-# +-1 pivots only, mod every prime at once.
+# echelon routine, _echelon; unit_pivot_reduction eliminates a complex over
+# Z along +-1 pivots only, mod every prime at once.
 
 P_LIMIT = 1 << 20
 
@@ -624,20 +628,24 @@ def fp_rref(mat: SparseIntMatrix, p: int, rank: int
     return [kept[c] for c in pivots], pivots
 
 
-def _eliminate(vectors: list[dict[int, int]]) -> int:
+def _eliminate(vectors: list[dict[int, int]]) -> list[int]:
     """Pivot on +-1 entries, in place, until no vector holds one; returns
-    the number of pivots.
+    the positions of the pivot vectors, in pivot order.
 
     A pivot clears its index from every other vector by adding a multiple
     of the pivot vector, then empties the pivot vector: an invertible
     change of basis over Z that splits off rank one, mod every prime at
-    once.  Vectors are taken in the order given, each pivoting on its unit
-    of highest index: a heap of positions holds every vector that holds a
-    unit, each at most once (one that lost its units is skipped when
-    popped), so a vector not on it is queued only when a pivot writes a
-    unit into it.  On the boundary matrices of the bar complex, rows in
-    word order, that order fills in two to four times less than
-    shortest-vector-first.  The vectors left nonempty hold no unit.
+    once.  Only pivot vectors are ever added to others, so each pivot
+    vector is its original plus a combination of earlier ones, zero at
+    their pivot indices: the block of the original vectors at the pivot
+    positions and indices is unimodular.  Vectors are taken in the order
+    given, each pivoting on its unit of highest index: a heap of
+    positions holds every vector that holds a unit, each at most once
+    (one that lost its units is skipped when popped), so a vector not on
+    it is queued only when a pivot writes a unit into it.  On the
+    boundary matrices of the bar complex, rows in word order, that order
+    fills in two to four times less than shortest-vector-first.  The
+    vectors left nonempty hold no unit.
     """
     users: dict[int, set[int]] = {}
     for k, vec in enumerate(vectors):
@@ -646,7 +654,7 @@ def _eliminate(vectors: list[dict[int, int]]) -> int:
     heap = [k for k, vec in enumerate(vectors)
             if 1 in vec.values() or -1 in vec.values()]
     queued = set(heap)
-    pivots = 0
+    pivots = []
     while heap:
         k = heapq.heappop(heap)
         queued.discard(k)
@@ -679,20 +687,38 @@ def _eliminate(vectors: list[dict[int, int]]) -> int:
             if gained and o not in queued:
                 queued.add(o)
                 heapq.heappush(heap, o)
-        pivots += 1
+        pivots.append(k)
     return pivots
 
 
-def unit_pivot_reduction(mat: SparseIntMatrix
-                         ) -> tuple[int, tuple[dict[int, int], ...]]:
-    """(units, residual): the rows of mat eliminated over Z along +-1
-    pivots.  rank_p(mat) = units + fp_rank(residual, p) for every prime p,
-    since a +-1 pivot is a unit mod every prime.  The residual is the rows
-    left nonzero, each a dict from column to Python int, and none holds a
-    +-1 entry."""
-    rows = _rows(mat)
-    units = _eliminate(rows)
-    return units, tuple(row for row in rows if row)
+def unit_pivot_reduction(boundaries: Sequence[SparseIntMatrix]
+                         ) -> tuple[tuple[frozenset[int],
+                                          tuple[dict[int, int], ...]], ...]:
+    """The chain complex with boundaries[n]: C_n -> C_(n-1) reduced over Z
+    along +-1 pivots, one (pivots, residual) per boundary, where
+    boundaries[n] @ boundaries[n + 1] must be zero.
+
+    From the top degree down, the rows of boundaries[n] are eliminated
+    (_eliminate) without the columns at pivots of boundaries[n + 1]: the
+    cells of degree n that its unit pivots paired.  Since d_n d_(n+1) = 0
+    and the pivot block P = d_(n+1)[R, C] is unimodular (_eliminate), with
+    R the pivot rows, C the pivot columns and R' the other rows, those
+    columns of d_n are integer combinations of its other columns, d_n[:, R]
+    = -d_n[:, R'] d_(n+1)[R', C] P^-1, so dropping them keeps the image
+    lattice of d_n and its rank mod every p.  pivots is the set of pivot
+    rows, cells of degree n - 1, and rank_p(boundaries[n]) =
+    len(pivots) + fp_rank(residual, p) for every prime p, since a +-1
+    pivot is a unit mod every prime.  The residual is the rows left
+    nonzero, each a dict from column to Python int, and none holds a +-1
+    entry."""
+    reductions = []
+    paired: frozenset[int] = frozenset()
+    for mat in reversed(boundaries):
+        rows = _rows(SparseIntMatrix(mat.shape[0], [
+            () if j in paired else col for j, col in enumerate(mat.columns)]))
+        paired = frozenset(_eliminate(rows))
+        reductions.append((paired, tuple(row for row in rows if row)))
+    return tuple(reversed(reductions))
 
 
 def fp_rank(rows: Iterable[Mapping[int, int]], p: int) -> int:

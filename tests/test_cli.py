@@ -31,6 +31,9 @@ PAGE_DUMPS = digests("page_dumps.sha256")
 # stdout digests of kgroups tables, so that a fault route C shares with
 # route B (the h-function) still moves a byte
 KGROUPS = digests("kgroups.sha256")
+# stdout digests of the slowest and largest runs the `hh` size budget
+# admits, each in a fresh process as the budget is stated
+HH_BUDGET = digests("hh_budget.sha256")
 
 
 def run_cli(capsys, *args):
@@ -201,6 +204,16 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, env=self.env())
         assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("digest, command", HH_BUDGET,
+                             ids=[command for _, command in HH_BUDGET])
+    def test_hh_budget_worst_case_bytes(self, digest, command):
+        proc = subprocess.run([sys.executable, "-m", "ktrunc",
+                               *command.split()],
+                              capture_output=True, env=self.env(),
+                              timeout=300)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     def test_reader_closing_the_pipe_early(self):
         # the JSON line is about 133 KB, more than a pipe buffer holds, so

@@ -28,7 +28,7 @@ from ktrunc.cycbar import (
     small_complex_hh,
     weight_words,
 )
-from ktrunc.exactalg import fp_kernel_basis, fp_rank
+from ktrunc.exactalg import fp_kernel_basis, fp_rank, fp_rref
 from ktrunc.ssengine import build_e2
 from oracle_utils import (dense, dense_entries_matrix, dense_vector,
                           first_outside_span, rank_mod_p, span_multiples,
@@ -240,12 +240,12 @@ class TestSparseStorage:
             for m in range(1, 10):
                 _, boundary, _ = cycbar._integer_complex(e, m)
                 reductions = cycbar._boundary_reductions(e, m)
-                for n, (b, (units, residual)) in enumerate(
+                for n, (b, (pivots, residual)) in enumerate(
                         zip(boundary, reductions)):
                     rows = dense(b).tolist()
                     for p in (2, 3, 5, 7):
-                        assert units + fp_rank(residual, p) == rank_mod_p(
-                            rows, p), (e, m, n, p)
+                        assert len(pivots) + fp_rank(
+                            residual, p) == rank_mod_p(rows, p), (e, m, n, p)
 
     @staticmethod
     def peak_rss_mb(statement: str) -> float:
@@ -489,6 +489,35 @@ class TestHomology:
                 rem = cycbar._remainder(image, gen, p)
                 assert rem and all(0 < x < p for x in rem.values()), (
                     e, m, p, n)
+
+    def test_image_reduction_is_the_rref_of_the_whole_boundary(
+            self, monkeypatch):
+        """_image_reduction drops the cells paired with the degree above,
+        which keeps the row space of the transposed boundary, so its
+        reduced row-echelon form, which is unique, is that of the whole
+        transpose; on some page fp_rref is handed fewer rows."""
+        handed = []
+
+        def recording(mat, p, rank):
+            handed.append(mat.shape[0])
+            return fp_rref(mat, p, rank)
+
+        monkeypatch.setattr(cycbar, "fp_rref", recording)
+        fewer = False
+        for e, m, p in [(e, m, p) for e in range(2, 7)
+                        for m in range(e, 13, e) for p in (2, 3, 5)
+                        if e % p == 0]:
+            c = generate_complex(e, m, p)
+            rk = cycbar._boundary_ranks(e, m, p)
+            for n in range(m + 1):
+                into = cycbar._boundary_in(c.boundary, n)
+                rows, pivots = fp_rref(into.transpose(), p, rk[n + 1])
+                handed.clear()
+                assert cycbar._image_reduction(c, n, rk[n + 1]) == dict(
+                    zip(pivots, rows)), (e, m, p, n)
+                assert handed[0] <= into.shape[1], (e, m, p, n)
+                fewer |= handed[0] < into.shape[1]
+        assert fewer
 
     def test_page_scalar_matches_the_span_oracle(self):
         for e, m, p in ZW_PAGES:

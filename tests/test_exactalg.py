@@ -836,6 +836,24 @@ def unit_pivot_matrices(draw, max_dim=8):
     return rows
 
 
+@st.composite
+def two_map_complexes(draw, max_dim=6):
+    """(lo, hi), two integer matrices as lists of rows with lo @ hi = 0:
+    lo has entries mostly +-1, and hi is the integer kernel basis of lo
+    times an integer matrix with entries mostly +-1, so its rows are
+    mostly +-1 combinations of kernel vectors."""
+    values = st.sampled_from([0, 0, 1, -1, 1, -1, 2, -2, 3])
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    lo = draw(st.lists(st.lists(values, min_size=c, max_size=c),
+                       min_size=r, max_size=r))
+    kernel = dense_rows(integer_kernel_basis(sparse_matrix(lo))[0])
+    k, cols = len(kernel[0]), draw(st.integers(1, max_dim))
+    mix = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                        min_size=k, max_size=k))
+    hi = dense_product(kernel, mix) if k else [[0] * cols] * c
+    return lo, hi
+
+
 class TestUnitPivotReduction:
     """Unit pivots over Z, then fp_rank of the residual, against the dense
     rank_mod_p for several primes."""
@@ -846,16 +864,40 @@ class TestUnitPivotReduction:
     @example([[2, 3], [3, 1]])
     @settings(max_examples=300, deadline=None)
     def test_units_plus_residual_rank_is_the_rank_mod_p(self, rows):
-        units, residual = unit_pivot_reduction(sparse_matrix(rows))
+        ((pivots, residual),) = unit_pivot_reduction([sparse_matrix(rows)])
+        units = len(pivots)
         for row in residual:
             assert row and all(x not in (0, 1, -1) for x in row.values())
         for p in (2, 3, 5, 7):
             assert units + fp_rank(residual, p) == rank_mod_p(rows, p), p
 
     def test_no_unit_leaves_everything_in_the_residual(self):
-        units, residual = unit_pivot_reduction(sparse_matrix([[2, 0], [0, 2]]))
-        assert units == 0 and residual == ({0: 2}, {1: 2})
+        ((pivots, residual),) = unit_pivot_reduction(
+            [sparse_matrix([[2, 0], [0, 2]])])
+        assert len(pivots) == 0 and residual == ({0: 2}, {1: 2})
 
     def test_a_unit_that_appears_after_an_elimination_is_used(self):
         # pivot on the 1 of row 0; row 1 becomes [0, -1], a unit
-        assert unit_pivot_reduction(sparse_matrix([[1, 2], [2, 3]])) == (2, ())
+        ((pivots, residual),) = unit_pivot_reduction(
+            [sparse_matrix([[1, 2], [2, 3]])])
+        assert (len(pivots), residual) == (2, ())
+
+    @given(two_map_complexes())
+    @example(([[1, 1]], [[2], [-2]]))
+    @example(([[1, -1, 0], [0, 1, -1]], [[1], [1], [1]]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_complex_is_reduced_without_the_cells_paired_above(
+            self, case):
+        """The lower map is eliminated without its columns at the pivot
+        rows of the upper one, which keeps its rank mod every p because
+        lo @ hi = 0 and the pivot block of hi is unimodular; the first
+        example has no unit pivot in hi and a residual on both of lo's
+        columns."""
+        lo, hi = case
+        assert not any(map(any, dense_product(lo, hi)))
+        reductions = unit_pivot_reduction(
+            [sparse_matrix(lo), sparse_matrix(hi)])
+        for rows, (pivots, residual) in zip((lo, hi), reductions):
+            for p in (2, 3, 5, 7):
+                assert len(pivots) + fp_rank(residual, p) == rank_mod_p(
+                    rows, p), (rows, p)
