@@ -32,6 +32,7 @@ PAGE_GRID = [(p, e, m, mode) for p in (2, 3) for e in (2, 3, 4, 6)
 EQUALIZER_GRID = [(p, e, r, m) for p in (2, 3) for e in (2, 3, 4, 6)
                   for r in (1, 2, 3) for m in range(1, min(r * e, 7) + 1)
                   if m % p]
+ROUTE_RMAX = 6  # the routes suite's largest r when no --rmax is given
 
 
 def _random_vector(rng: random.Random, ts: witt.TruncationSet,
@@ -226,11 +227,11 @@ def equalizer_depths() -> Outcome:
 
 def route_grid(p: int | None = None, e: int | None = None,
                rmax: int | None = None) -> list[tuple[int, int, int]]:
-    """(p, e, r) with r <= rmax (default 6), p in {2, 3} and e in
-    {2, 3, 4, 6} unless a single value is given."""
+    """(p, e, r) with r <= rmax (default ROUTE_RMAX), p in {2, 3} and e
+    in {2, 3, 4, 6} unless a single value is given."""
     return [(q, f, r) for q in ((p,) if p else (2, 3))
             for f in ((e,) if e else (2, 3, 4, 6))
-            for r in range(1, (rmax or 6) + 1)]
+            for r in range(1, (rmax or ROUTE_RMAX) + 1)]
 
 
 class RouteCase(NamedTuple):

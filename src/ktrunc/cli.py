@@ -20,6 +20,7 @@ from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
+# verify bounds the sum of r*e over its routes grid by the same number.
 # It bounds size, not time: each weight costs about 2 us per stage of its
 # tower, whose depth s + u + 2 grows with u = v_p(e).  At the bound, on 2
 # shared Intel Xeon x86_64 CPUs with Python 3.11, --format json takes
@@ -250,7 +251,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                     choices=("tate", "hfp"),
                     help="also dump the spectral sequence page")
 
-    sp = sub.add_parser("verify", help="run named verification suites")
+    sp = sub.add_parser(
+        "verify", help="run named verification suites",
+        description="Named verification suites.  The routes suite is "
+        "checked against a size budget before anything is computed: the "
+        "sum of r*e over its (p, e, r) grid is at most "
+        f"{KGROUPS_BUDGET:,} (--e 3 --rmax 590 fits).  An input past it "
+        "exits 2.")
     common(sp, need_p=False, need_e=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--enum-bound", dest="enum_bound", type=int,
@@ -308,6 +315,14 @@ def _validate(parser: argparse.ArgumentParser,
             parser.error(f"f times the sum of r*e over the printed degrees "
                          f"is {size:,}, past the size budget of "
                          f"{KGROUPS_BUDGET:,}")
+    if cfg.command == "verify" and cfg.suite in ("all", "routes"):
+        # the grid in closed form, each (p, e) once: --rmax may be huge
+        rmax = cfg.rmax or checks.ROUTE_RMAX
+        size = (sum(e for _, e, _ in checks.route_grid(cfg.p, cfg.e, 1))
+                * rmax * (rmax + 1) // 2)
+        if size > KGROUPS_BUDGET:
+            parser.error(f"the sum of r*e over the routes grid is {size:,}, "
+                         f"past the size budget of {KGROUPS_BUDGET:,}")
 
 
 def main(argv=None) -> int:

@@ -24,12 +24,12 @@ integer_kernel_basis keeps the column transform v and its inverse, and no
 u: rows rank.. of the inverse are a left inverse of the kernel basis, so
 the coordinate map it returns reads the coordinates of kernel vectors off
 that inverse, with no second Smith form and no solve per vector.
-kernel_invariants reads the kernel of a map of finite cyclic-group
+kernel_invariants reads the kernel of a map of finite cyclic p-group
 products off the cokernel of its dual map, so it needs one Smith form, of
-which it reads only the diagonal: it keeps no transform.  cycbar's
-presentation of a homology group keeps u alone, and integer_solve and the
-default keep u and v.  SparseIntMatrix is the one integer matrix type:
-smith_normal_form, integer_kernel_basis, integer_solve and
+whose diagonal it reads only the exponents of p: it keeps no transform.
+cycbar's presentation of a homology group keeps u alone, and integer_solve
+and the default keep u and v.  SparseIntMatrix is the one integer matrix
+type: smith_normal_form, integer_kernel_basis, integer_solve and
 kernel_invariants take it, the Smith form reading its starting rows off
 the stored columns, and the transforms, the kernel basis and its
 coordinates come back as one.  fp_rref eliminates the rows of a
@@ -42,7 +42,6 @@ choose the mod-p homology generators.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -70,8 +69,8 @@ STRONG_PSEUDOPRIMES = (
     3_317_044_064_679_887_385_961_981)
 PRIME_TEST_LIMIT = STRONG_PSEUDOPRIMES[-1]
 # Bound on memoized primality answers.  Each entry point checks its p, and
-# a route C query asks about the same p twice per weight, so a repeat costs
-# a dict lookup; the prime-power test behind GroupStructure asks too.
+# a route C query asks about the same p twice per weight and GroupStructure
+# once per group, so a repeat costs a dict lookup.
 PRIME_CACHE_SIZE = 256
 
 
@@ -120,86 +119,29 @@ def p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
-    x = 1 << -(-n.bit_length() // k)  # at least the root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _is_prime_power(n: int) -> bool:
-    """Whether n = q^h for a prime q and h >= 1, with no trial division
-    past SMALL_PRIMES: a prime factor up to 41 is divided out; otherwise
-    every prime factor is at least 43, so n is a prime power exactly when
-    it is prime or, for some prime k with 43^k <= n, the k-th power of a
-    prime power.  Like is_prime, it raises ValueError for an n past
-    PRIME_TEST_LIMIT, no perfect power, that no base proves composite."""
-    if n < 2:
-        return False
-    for q in SMALL_PRIMES:
-        if n % q == 0:
-            while n % q == 0:
-                n //= q
-            return n == 1
-    if n < PRIME_TEST_LIMIT and is_prime(n):
-        return True
-    k = 2
-    while 43 ** k <= n:
-        if is_prime(k):
-            root = _integer_root(n, k)
-            if root ** k == n:
-                return _is_prime_power(root)
-        k += 1
-    return n >= PRIME_TEST_LIMIT and is_prime(n)
-
-
-def _split_prime_powers(n: int) -> list[int]:
-    """Elementary divisors of Z/n: one prime power per prime dividing n, in
-    increasing order of the prime.  Trial division finds the smallest
-    prime factor only while what is left is no prime power, so a prime
-    power costs no division past SMALL_PRIMES, and any n none past its
-    second largest prime factor."""
-    out = []
-    m, q = n, 2
-    while m > 1:
-        if _is_prime_power(m):
-            out.append(m)
-            break
-        while m % q:
-            q += 1
-        f = 1
-        while m % q == 0:
-            f *= q
-            m //= q
-        out.append(f)
-        q += 1
-    return out
-
-
 class GroupStructure:
-    """A finite abelian group, as the sorted tuple of its prime-power
-    factors.  Factors equal to 1 are dropped, so the trivial group has
-    none, and any other factor that is not a prime power raises ValueError.
-    """
+    """A finite abelian p-group, as p and the sorted exponents h of its
+    factors Z/p^h, which factors lists; every route builds only p-groups.
+    Zero exponents are dropped, and a negative one, or a p that is not
+    prime, raises ValueError.  Equality, hash and str read only factors."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("p", "exponents")
 
-    def __init__(self, factors: Iterable[int] = ()):
-        self.factors = tuple(sorted(f for f in map(int, factors) if f != 1))
-        for f in self.factors:
-            if not _is_prime_power(f):
-                raise ValueError(f"{f} is not a prime power")
+    def __init__(self, p: int, exponents: Iterable[int]):
+        self.p = p
+        self.exponents = tuple(sorted(h for h in exponents if h != 0))
+        if self.exponents and self.exponents[0] < 0:
+            raise ValueError(f"negative exponent {self.exponents[0]}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
 
-    @classmethod
-    def from_prime_exponents(cls, p: int,
-                             exponents: Iterable[int]) -> "GroupStructure":
-        return cls(p ** h for h in exponents if h > 0)
+    @property
+    def factors(self) -> tuple[int, ...]:
+        """The p^h, built on each read rather than kept beside exponents."""
+        return tuple(self.p ** h for h in self.exponents)
 
     def order(self) -> int:
-        return math.prod(self.factors)
+        return self.p ** sum(self.exponents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupStructure):
@@ -210,12 +152,10 @@ class GroupStructure:
         return hash(self.factors)
 
     def __repr__(self) -> str:
-        return f"GroupStructure({list(self.factors)!r})"
+        return f"GroupStructure({self.p}, {list(self.exponents)!r})"
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "0"
-        return " x ".join(f"Z/{f}" for f in self.factors)
+        return " x ".join(f"Z/{f}" for f in self.factors) or "0"
 
 
 class SparseIntMatrix:
@@ -487,38 +427,40 @@ def integer_solve(g: SparseIntMatrix, w: Sequence[int]) -> list[int]:
     return snf.v.apply(z)
 
 
-def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
-                      target_moduli: Sequence[int]) -> GroupStructure:
-    """Invariant factors of the kernel of the map
+def kernel_invariants(relations: SparseIntMatrix, p: int,
+                      source_exponents: Sequence[int],
+                      target_exponents: Sequence[int]) -> GroupStructure:
+    """Invariant factors of the kernel of the map of finite p-groups
 
-        f: (+) Z/moduli[j]  -->  (+) Z/target_moduli[i]
+        f: (+) Z/p^source_exponents[j]  -->  (+) Z/p^target_exponents[i]
 
     presented by the integer matrix `relations` (rows indexed by the target
     coordinates, columns by the source generators).
 
     A finite abelian group is isomorphic to its Pontryagin dual, and the
-    dual of ker f is the cokernel of the dual map.  Write a = moduli and
-    b = target_moduli.  The dual map sends the i-th dual generator of the
-    target to D[j][i] = relations[i][j] * a[j] / b[i] times the j-th of
-    the source, an exact quotient because f is well defined.  So ker f has
-    the invariant factors of Z^n / <columns of [diag(a) | D]>, which one
-    Smith form gives; diag(a) has full rank, so none of them is zero.
-    Column i of D is row i of relations, scaled.
+    dual of ker f is the cokernel of the dual map.  Write a and b for the
+    source and target moduli p^c.  The dual map sends the i-th dual
+    generator of the target to D[j][i] = relations[i][j] * a[j] / b[i]
+    times the j-th of the source, an exact quotient because f is well
+    defined.  So ker f has the invariant factors of Z^n / <columns of
+    [diag(a) | D]>, which one Smith form gives; diag(a) has full rank, so
+    none of them is zero, and ker f is a p-group, so each is a power of p,
+    whose exponent p_valuation reads.  Column i of D is row i of
+    relations, scaled.
     """
-    moduli = [int(x) for x in moduli]
-    target_moduli = [int(x) for x in target_moduli]
-    if any(x < 1 for x in moduli) or any(x < 1 for x in target_moduli):
-        raise ValueError("moduli must be positive")
-    n, mm = len(moduli), len(target_moduli)
+    if min([*source_exponents, *target_exponents], default=0) < 0:
+        raise ValueError("exponents must be nonnegative")
+    moduli = [p ** c for c in source_exponents]
+    n, mm = len(moduli), len(target_exponents)
     if relations.shape != (mm, n):
         rows, cols = relations.shape
         raise ValueError(f"dimension mismatch: relations is {rows}x{cols}, "
                          f"expected {mm}x{n}")
     dual = [((j, aj),) for j, aj in enumerate(moduli)]
-    for i, (bi, row) in enumerate(zip(target_moduli, _rows(relations))):
+    for i, (c, row) in enumerate(zip(target_exponents, _rows(relations))):
         column = []
         for j, x in row.items():
-            q, r = divmod(x * moduli[j], bi)
+            q, r = divmod(x * moduli[j], p ** c)
             if r:
                 raise ValueError(
                     f"relation entry ({i},{j}) does not define a map of "
@@ -528,11 +470,11 @@ def kernel_invariants(relations: SparseIntMatrix, moduli: Sequence[int],
     diag = smith_normal_form(SparseIntMatrix(n, dual), _keep=()).d
     if 0 in diag:
         raise GhostInversionError("kernel of a map of finite groups is finite")
-    factors: list[int] = []
-    for x in diag:
-        if x > 1:
-            factors.extend(_split_prime_powers(x))
-    return GroupStructure(factors)
+    exponents = [p_valuation(x, p) for x in diag]
+    if any(x != p ** h for x, h in zip(diag, exponents)):
+        raise GhostInversionError(f"an invariant factor of {diag} is no "
+                                  f"power of p = {p}")
+    return GroupStructure(p, exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ give 125.  Hits and misses are read from equalizer_kernel.cache_info().
 Each weight does only what can differ between weights: one closed_form per
 stage (the stage weight p^v m' stepped by one multiplication), one validated
 EqualizerModel, one kernel lookup, and the h-function comparison, which runs
-on every call, hit or miss, on the kernel's factors against (p^h,); the case
+on every call, hit or miss, on the kernel's exponents against (h,); the case
 analysis becomes a GroupStructure only to raise RouteDisagreementError.
 
 checks.route_agreement compares this route with route A (the enumerated
@@ -39,7 +39,9 @@ from .ssengine import closed_form
 from .wittsplit import h_function, s_function
 
 # Bound on memoized equalizer kernels: about 8x the 125 distinct tower
-# models of the largest grid above.
+# models of the largest grid above.  verify --suite all makes 1,748 misses
+# and 700 hits on it: each random-unit draw of checks.equalizer_units is a
+# model of its own.
 EQUALIZER_CACHE_SIZE = 1024
 
 
@@ -129,10 +131,8 @@ def equalizer_kernel(model: EqualizerModel) -> GroupStructure:
             gap = max(0, model.target_lengths[v + 1] - model.source_lengths[v])
             column.append((v + 1, -model.units[v + 1] * p ** gap))
         columns.append(tuple(column))
-    return kernel_invariants(
-        SparseIntMatrix(n, columns),
-        [p ** c for c in model.source_lengths],
-        [p ** t for t in model.target_lengths])
+    return kernel_invariants(SparseIntMatrix(n, columns), p,
+                             model.source_lengths, model.target_lengths)
 
 
 def tc_weight_group(p: int, e: int, r: int, m_prime: int,
@@ -146,10 +146,10 @@ def tc_weight_group(p: int, e: int, r: int, m_prime: int,
     h = h_function(p, r, e, m_prime)
     kernel = equalizer_kernel(
         build_equalizer_model(p, e, r, m_prime, depth, units))
-    if kernel.factors != ((p ** h,) if h else ()):
+    if kernel.exponents != ((h,) if h else ()):
         raise RouteDisagreementError(
             f"weight m'={m_prime} of (p={p}, e={e}, r={r})",
-            GroupStructure.from_prime_exponents(p, [h]), kernel)
+            GroupStructure(p, [h]), kernel)
     return kernel
 
 
@@ -165,8 +165,8 @@ def group_in_degree(p: int, e: int, degree: int, f: int = 1) -> GroupStructure:
     if f < 1:
         raise ValueError("residue degree must be >= 1")
     if degree % 2 == 0:
-        return GroupStructure()
+        return GroupStructure(p, ())
     r = (degree + 1) // 2
-    return GroupStructure(
-        factor for m_prime in range(1, r * e + 1) if m_prime % p
-        for factor in tc_weight_group(p, e, r, m_prime).factors * f)
+    return GroupStructure(p, (
+        h for m_prime in range(1, r * e + 1) if m_prime % p
+        for h in tc_weight_group(p, e, r, m_prime).exponents * f))

@@ -113,7 +113,7 @@ def predicted_quotient(params: SplitParams) -> GroupStructure:
     """The closed-form answer, assembled over all weights m' <= re."""
     p, r, e = params.p, params.r, params.e
     exps = [h_function(p, r, e, m) for m in range(1, r * e + 1) if m % p]
-    return GroupStructure.from_prime_exponents(p, exps)
+    return GroupStructure(p, exps)
 
 
 def _digits(codes: np.ndarray, p: int, n: int) -> tuple[np.ndarray, ...]:
@@ -199,11 +199,13 @@ def brute_force_quotient(params: SplitParams,
     import numpy as np
 
     p, r, e = params.p, params.r, params.e
-    total = p ** (r * e)
     bound = min(enum_bound, ENUM_CAP)
-    if total > bound:
-        raise EnumerationBoundError(
-            f"|W_{r * e}(F_{p})| = {total} exceeds enum_bound = {bound}")
+    total = 1
+    for _ in range(r * e):  # p^(re), built only up to the bound
+        total *= p
+        if total > bound:
+            raise EnumerationBoundError(f"|W_{r * e}(F_{p})| = {p}^{r * e} "
+                                        f"exceeds enum_bound = {bound}")
     ts = TruncationSet.big(r * e)
 
     # Coordinate (i+1)e-1 of V_e(y) is y_i, every other one is 0; y runs
@@ -242,7 +244,7 @@ def brute_force_quotient(params: SplitParams,
     for i, n in enumerate(at_least):
         n_next = at_least[i + 1] if i + 1 < len(at_least) else 0
         exps.extend([i + 1] * (n - n_next))
-    return GroupStructure.from_prime_exponents(p, exps)
+    return GroupStructure(p, exps)
 
 
 def _exact_log(n: int, p: int) -> int:

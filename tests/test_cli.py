@@ -427,8 +427,8 @@ class TestUsageErrors:
         k = (10 ** limit).bit_length() - 1
         monkeypatch.setattr(
             tcassemble, "group_in_degree",
-            lambda p, e, d, f: GroupStructure([p] * (f * (d + 1) // 2
-                                                     * (e - 1) * (d % 2))))
+            lambda p, e, d, f: GroupStructure(p, [1] * (f * (d + 1) // 2
+                                                        * (e - 1) * (d % 2))))
         code, out = run_cli(capsys, "kgroups", "--p", "2", "--e", "2",
                             "--r", str(k))
         assert code == 0 and out.endswith(f"order {2 ** k}\n")
@@ -481,13 +481,42 @@ class TestUsageErrors:
         # f * r * e = 2^20 is admitted, and so is --rmax 1023 at e = 2,
         # whose sum of r*e is 1,047,552 (--rmax 1024 is refused above)
         monkeypatch.setattr(tcassemble, "group_in_degree",
-                            lambda p, e, d, f: GroupStructure())
+                            lambda p, e, d, f: GroupStructure(p, ()))
         for argv in (["--e", "2", "--r", "1", "--f", str(1 << 19)],
                      ["--e", "1", "--r", "1", "--f", str(1 << 20)],
                      ["--e", "2", "--rmax", "1023"]):
             code, _ = run_cli(capsys, "kgroups", "--p", "2", *argv,
                               "--format", "json")
             assert code == 0, argv
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--e", "3", "--rmax", "2000"], "12,006,000"),
+        (["--p", "2", "--e", "1", "--rmax", str(10 ** 18)],
+         f"{10 ** 18 * (10 ** 18 + 1) // 2:,}"),
+        (["--rmax", "264"], "1,049,400"),
+    ])
+    def test_routes_past_the_size_budget(self, capsys, monkeypatch, argv,
+                                         size):
+        def compute_nothing(*args):
+            raise AssertionError("group computed")
+
+        monkeypatch.setattr(tcassemble, "group_in_degree", compute_nothing)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "routes", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ktrunc verify [-h]")
+        assert (f"the sum of r*e over the routes grid is {size}, past the "
+                f"size budget of 1,048,576") in captured.err
+
+    def test_verify_help_states_the_size_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("the sum of r*e over its (p, e, r) grid is at most "
+                "1,048,576 (--e 3 --rmax 590 fits)") in text
 
     def test_kgroups_help_states_the_size_budget(self, capsys):
         with pytest.raises(SystemExit) as exc:

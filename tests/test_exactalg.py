@@ -93,27 +93,13 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-def distinct_prime_factors(n: int) -> int:
-    """By trial division; 0 for n < 2."""
-    count, q = 0, 2
-    while q * q <= n:
-        if n % q == 0:
-            count += 1
-            while n % q == 0:
-                n //= q
-        q += 1
-    return count + (n > 1)
-
-
 class TestPrimality:
-    """Miller-Rabin with a table of strong pseudoprimes, and prime powers
-    found by integer roots, against trial division."""
+    """Miller-Rabin with a table of strong pseudoprimes, against trial
+    division."""
 
     def test_matches_trial_division(self):
         for n in range(-3, 30000):
             assert is_prime(n) == reference_is_prime(n), n
-            assert exactalg._is_prime_power(n) == (
-                distinct_prime_factors(n) == 1), n
 
     def test_each_least_strong_pseudoprime_is_composite(self):
         # the least strong pseudoprimes to the first k prime bases, k =
@@ -150,42 +136,43 @@ class TestPrimality:
         assert info.maxsize == exactalg.PRIME_CACHE_SIZE
 
     def test_large_prime_powers(self):
-        p = 10 ** 18 + 3
-        assert GroupStructure([p ** 3, p, 2 ** 40]).factors == (
-            2 ** 40, p, p ** 3)
+        # the largest prime below PRIME_TEST_LIMIT, found by the exact test
+        p = next(q for q in range(exactalg.PRIME_TEST_LIMIT - 2, 0, -2)
+                 if is_prime(q))
+        g = GroupStructure(p, [3, 1])
+        assert (g.p, g.exponents) == (p, (1, 3))
+        assert g.factors == (p, p ** 3)
+        assert str(g) == f"Z/{p} x Z/{p ** 3}"
+        assert g.order() == p ** 4
         with pytest.raises(ValueError, match="exact only below"):
-            GroupStructure([(2 ** 89 - 1) ** 2])  # its root is past the range
-        for n in (p * (2 ** 61 - 1), p ** 2 * (2 ** 61 - 1) ** 3):
-            with pytest.raises(ValueError, match="is not a prime power"):
-                GroupStructure([n])
-        assert exactalg._split_prime_powers(96 * p ** 2) == [32, 3, p ** 2]
+            GroupStructure(2 ** 89 - 1, [1])
 
 
 class TestGroupStructure:
     def test_factors_sorted_and_rendered(self):
-        g = GroupStructure([8, 2])
+        g = GroupStructure(2, [3, 1])
+        assert g.exponents == (1, 3)
         assert g.factors == (2, 8)
         assert str(g) == "Z/2 x Z/8"
+        assert repr(g) == "GroupStructure(2, [1, 3])"
         assert g.order() == 16
 
     def test_trivial(self):
-        assert str(GroupStructure()) == "0"
-        assert GroupStructure() == GroupStructure()
-        assert GroupStructure([1, 1]) == GroupStructure()
+        assert str(GroupStructure(2, ())) == "0"
+        assert GroupStructure(2, ()).order() == 1
+        assert GroupStructure(3, [0, 0]) == GroupStructure(2, ())
 
-    def test_rejects_non_prime_power(self):
-        for factor in (12, 6, 0, -4):
-            with pytest.raises(ValueError,
-                               match=f"^{factor} is not a prime power$"):
-                GroupStructure([8, factor])
+    def test_rejects_composite_p(self):
+        for p in (1, 4, 12, 2 ** 61 - 1 + 2, (2 ** 31 - 1) * (2 ** 61 - 1)):
+            with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+                GroupStructure(p, [1])
+        with pytest.raises(ValueError, match="^negative exponent -2$"):
+            GroupStructure(2, [3, -2])
 
-    def test_from_prime_exponents_drops_zeros(self):
-        g = GroupStructure.from_prime_exponents(2, [0, 3, 0, 1])
+    def test_zero_exponents_dropped(self):
+        g = GroupStructure(2, [0, 3, 0, 1])
+        assert g.exponents == (1, 3)
         assert g.factors == (2, 8)
-
-    def test_sort_key_is_order_then_prime(self):
-        g = GroupStructure([9, 2, 8, 3])
-        assert g.factors == (2, 3, 8, 9)
 
 
 class TestSmithNormalForm:
@@ -428,29 +415,23 @@ class TestIntegerSolve:
         assert smith_normal_form(basis).rank() == basis.shape[1]
 
 
-prime_powers = st.sampled_from([1, 2, 4, 8, 3, 9, 5])
-
-
 @st.composite
 def cyclic_maps(draw):
-    """A well-defined map between small products of cyclic groups."""
-    import math
-
-    src = draw(st.lists(prime_powers, min_size=1, max_size=3))
-    tgt = draw(st.lists(prime_powers, min_size=1, max_size=3))
-    order = 1
-    for a in src:
-        order *= a
-    if order > 1 << 10:
+    """A well-defined map between small products of cyclic p-groups: p,
+    the relations and the source and target exponents."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    exponents = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    src, tgt = draw(exponents), draw(exponents)
+    if p ** sum(src) > 1 << 10:
         src = src[:1]
     rows = []
     for b in tgt:
         row = []
         for a in src:
-            step = b // math.gcd(b, a)  # smallest legal entry
+            step = p ** max(b - a, 0)  # smallest legal entry
             row.append(step * draw(st.integers(-3, 3)))
         rows.append(row)
-    return sparse_matrix(rows), src, tgt
+    return sparse_matrix(rows), p, src, tgt
 
 
 @st.composite
@@ -668,33 +649,42 @@ class TestKernelInvariants:
     @given(cyclic_maps())
     @settings(max_examples=120, deadline=None)
     def test_matches_exhaustive_enumeration(self, case):
-        relations, src, tgt = case
-        got = kernel_invariants(relations, src, tgt)
-        want = kernel_by_enumeration(dense_rows(relations), src, tgt)
+        relations, p, src, tgt = case
+        got = kernel_invariants(relations, p, src, tgt)
+        want = kernel_by_enumeration(dense_rows(relations),
+                                     [p ** a for a in src],
+                                     [p ** b for b in tgt])
         assert list(got.factors) == want
 
     def test_identity_and_zero_maps(self):
         ident = sparse_matrix([[1, 0], [0, 1]])
-        assert kernel_invariants(ident, [4, 9], [4, 9]) == GroupStructure()
+        assert kernel_invariants(ident, 3, [1, 2], [1, 2]) == \
+            GroupStructure(3, ())
         zero = sparse_matrix([[0, 0], [0, 0]])
-        assert kernel_invariants(zero, [4, 9], [4, 9]).factors == (4, 9)
+        assert kernel_invariants(zero, 3, [1, 2], [1, 2]).factors == (3, 9)
 
     def test_multiplication_by_two_on_z4(self):
-        g = kernel_invariants(sparse_matrix([[2]]), [4], [4])
+        g = kernel_invariants(sparse_matrix([[2]]), 2, [2], [2])
         assert g.factors == (2,)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_invariants(sparse_matrix([[1, 0]]), [4], [4])
+            kernel_invariants(sparse_matrix([[1, 0]]), 2, [2], [2])
 
     def test_ill_defined_map_rejected(self):
         # 1: Z/2 -> Z/4 is not a group map since 2*1 != 0 in Z/4
         with pytest.raises(ValueError, match="does not define"):
-            kernel_invariants(sparse_matrix([[1]]), [2], [4])
+            kernel_invariants(sparse_matrix([[1]]), 2, [1], [2])
 
-    def test_nonpositive_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_invariants(sparse_matrix([[1]]), [0], [0])
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel_invariants(sparse_matrix([[1]]), 2, [-1], [0])
+
+    def test_a_factor_off_the_powers_of_p_raises(self):
+        # no map of p-groups has one, so the Smith form of a composite
+        # "p" stands in for a fault: 2: Z/36 -> Z/6 leaves the factor 12
+        with pytest.raises(GhostInversionError, match="no power of p = 6"):
+            kernel_invariants(sparse_matrix([[2]]), 6, [2], [1])
 
     def test_one_smith_form_per_kernel(self, monkeypatch):
         """One Smith form, n x (n + mm), of the dual map beside diag(a):
@@ -708,7 +698,7 @@ class TestKernelInvariants:
 
         monkeypatch.setattr(exactalg, "smith_normal_form", recording_snf)
         zero = sparse_matrix([[0, 0], [0, 0], [0, 0]])
-        assert kernel_invariants(zero, [4, 9], [2, 3, 5]).factors == (4, 9)
+        assert kernel_invariants(zero, 3, [1, 2], [0, 1, 3]).factors == (3, 9)
         assert shapes == [(2, 5)]
         model = tcassemble.build_equalizer_model(2, 4, 3, 1)
         n = len(model.source_lengths)

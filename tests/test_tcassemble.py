@@ -105,7 +105,7 @@ class TestEqualizerKernel:
 
     def test_weight_groups(self):
         assert tc_weight_group(2, 2, 2, 1).factors == (2,)
-        assert tc_weight_group(2, 3, 2, 3) == GroupStructure()
+        assert tc_weight_group(2, 3, 2, 3) == GroupStructure(2, ())
         assert tc_weight_group(2, 3, 2, 1).factors == (8,)
 
     def test_unit_robustness(self):
@@ -149,8 +149,8 @@ class TestKernelMemo:
         with pytest.raises(RouteDisagreementError) as caught:
             tc_weight_group(2, 3, 2, 1)
         # both sides reach the error as groups, not as raw factor tuples
-        assert caught.value.case_analysis == GroupStructure([16])
-        assert caught.value.kernel == GroupStructure([8])
+        assert caught.value.case_analysis == GroupStructure(2, [4])
+        assert caught.value.kernel == GroupStructure(2, [3])
         info = equalizer_kernel.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
@@ -201,8 +201,8 @@ class TestAssembledGroups:
     def test_group_in_degree(self):
         assert group_in_degree(2, 3, 3).factors == (2, 8)
         assert group_in_degree(2, 3, 1).factors == (4,)
-        assert group_in_degree(2, 3, 4) == GroupStructure()
-        assert group_in_degree(2, 3, 0) == GroupStructure()
+        assert group_in_degree(2, 3, 4) == GroupStructure(2, ())
+        assert group_in_degree(2, 3, 0) == GroupStructure(2, ())
         with pytest.raises(ValueError):
             group_in_degree(2, 3, -1)
 
@@ -210,7 +210,7 @@ class TestAssembledGroups:
         g = group_in_degree(2, 3, 1, f=2)
         assert g.factors == (4, 4)
         assert g.order() == 16
-        assert group_in_degree(2, 3, 0, f=3) == GroupStructure()
+        assert group_in_degree(2, 3, 0, f=3) == GroupStructure(2, ())
 
     def test_residue_degree_repeats_each_factor(self):
         # the F_{p^f} answer is the f-fold product of the f = 1 answer
@@ -247,7 +247,7 @@ class TestRouteAgreement:
 
     def test_wrong_route_a_fails_the_case(self, monkeypatch):
         monkeypatch.setattr(wittsplit, "brute_force_quotient",
-                            lambda params, bound: GroupStructure([2]))
+                            lambda params, bound: GroupStructure(2, [1]))
         (case,) = checks.route_agreement([(2, 2, 2)])
         assert not case.passed and case.brute_ran
         assert case.detail.startswith("A=Z/2 B=Z/2 x Z/2 ")
@@ -263,7 +263,7 @@ class TestRouteAgreement:
 class TestCrossCheck:
     def test_disagreement_error_carries_both_sides(self):
         err = RouteDisagreementError(
-            "demo", GroupStructure([2]), GroupStructure([4])
+            "demo", GroupStructure(2, [1]), GroupStructure(2, [2])
         )
         assert err.case_analysis.factors == (2,)
         assert err.kernel.factors == (4,)

@@ -130,7 +130,8 @@ class TestPredictedQuotient:
 
     def test_trivial_at_e_equal_one(self):
         for p, r in [(2, 3), (3, 2), (7, 1)]:
-            assert predicted_quotient(SplitParams(p, r, 1)) == GroupStructure()
+            assert predicted_quotient(SplitParams(p, r, 1)) == \
+                GroupStructure(p, ())
 
     def test_order(self):
         for p, r, e in [(2, 3, 4), (3, 2, 3), (5, 1, 4), (7, 2, 2)]:
@@ -156,7 +157,7 @@ class TestBruteForce:
 
     def test_five_typical(self):
         got = brute_force_quotient(SplitParams(5, 1, 5))
-        assert got == GroupStructure([5, 5, 5, 5])
+        assert got == GroupStructure(5, [1, 1, 1, 1])
 
     def test_bound_respected(self):
         with pytest.raises(EnumerationBoundError):
@@ -165,6 +166,14 @@ class TestBruteForce:
             brute_force_quotient(SplitParams(2, 2, 2), enum_bound=8)
         with pytest.raises(EnumerationBoundError, match=str(ENUM_CAP)):
             brute_force_quotient(SplitParams(2, 3, 7), enum_bound=1 << 40)
+
+    def test_bound_message_names_the_size_as_a_power(self):
+        # 2^20000 is never built: it would have 6,021 digits, past the
+        # default limit on printing an int
+        with pytest.raises(EnumerationBoundError) as caught:
+            brute_force_quotient(SplitParams(2, 1, 20000))
+        assert str(caught.value) == (
+            "|W_20000(F_2)| = 2^20000 exceeds enum_bound = 65536")
 
 
 @pytest.fixture
