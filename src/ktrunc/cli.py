@@ -21,13 +21,15 @@ from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 # Bound on f times the sum of r*e over the degrees 2r-1 that kgroups prints:
 # the number of weights it computes, each repeated f times in the output.
 # verify bounds the sum of r*e over its routes grid by the same number.
-# It bounds size, not time: each weight costs about 2 us per stage of its
-# tower, whose depth s + u + 2 grows with u = v_p(e).  At the bound, on 2
-# shared Intel Xeon x86_64 CPUs with Python 3.11, --format json takes
-# 13-14 s for --p 2 --e 1048576 --r 1 (v_2(e) = 20) and for --e 131072
-# --r 8, the slowest shapes measured; 11 s for --e 16384 --r 64; 10 s for
-# --p 3 --e 531441 --r 1; 5.5 s for --e 1000 --r 1000; 4.5-5 s for --e 2
-# --r 524288 and for --e 2 --rmax 1023.  Memory stays under 35 MB.
+# It bounds size: route C builds towers once per weight class, at most
+# 2 log_p(re) + 2 classes a degree, so what grows with the bound is
+# building and printing the factors.  At the bound, on 2 shared Intel Xeon
+# x86_64 CPUs with Python 3.11, --format json takes 0.20-0.23 s for --p 2
+# --e 2 --rmax 1023 (1,023 degrees), the slowest shape measured, and
+# 0.08-0.14 s for --p 2 --e 1048576 --r 1, --e 1000003 --r 1, --e 131072
+# --r 8, --e 16384 --r 64, --e 1000 --r 1000 and --e 2 --r 524288 and for
+# --p 3 --e 531441 --r 1, of which about 0.05 s is interpreter start-up.
+# Memory stays under 35 MB.
 KGROUPS_BUDGET = 1 << 20
 
 

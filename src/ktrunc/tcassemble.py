@@ -18,11 +18,18 @@ on p, the stage lengths and the units, not on (e, r, m') directly, so the
 distinct models, and the 313,220 weights of p <= 7, 2 <= e <= 16, r <= 40
 give 125.  Hits and misses are read from equalizer_kernel.cache_info().
 
-Each weight does only what can differ between weights: one closed_form per
+group_in_degree builds towers per weight class, not per weight: the model
+and h depend on m' only through s(p, re, m') and whether e' | m' (with
+e = p^u e'), so each class runs tc_weight_group at its two ends and repeats
+the answer over its members; a class whose ends disagree raises
+RouteDisagreementError.  The table above has 1,824 classes and makes 2,987
+calls for its 9,440 weights; p = 2, e = 2^20, r = 1 has 20 classes and
+makes 38 calls for its 524,288 weights.  Each call does one closed_form per
 stage (the stage weight p^v m' stepped by one multiplication), one validated
-EqualizerModel, one kernel lookup, and the h-function comparison, which runs
-on every call, hit or miss, on the kernel's exponents against (h,); the case
-analysis becomes a GroupStructure only to raise RouteDisagreementError.
+EqualizerModel, one kernel lookup, and the h-function comparison, which
+runs on every call, hit or miss, on the kernel's exponents against (h,);
+the case analysis becomes a GroupStructure only to raise
+RouteDisagreementError.
 
 checks.route_agreement compares this route with route A (the enumerated
 Witt quotient) and route B (the h-function product).
@@ -39,9 +46,9 @@ from .ssengine import closed_form
 from .wittsplit import h_function, s_function
 
 # Bound on memoized equalizer kernels: about 8x the 125 distinct tower
-# models of the largest grid above.  verify --suite all makes 1,748 misses
-# and 700 hits on it: each random-unit draw of checks.equalizer_units is a
-# model of its own.
+# models of the largest grid above.  verify --suite all --seed 0 makes 1,748
+# misses and 606 hits on it: each random-unit draw of
+# checks.equalizer_units is a model of its own.
 EQUALIZER_CACHE_SIZE = 1024
 
 
@@ -153,12 +160,53 @@ def tc_weight_group(p: int, e: int, r: int, m_prime: int,
     return kernel
 
 
+def _class_ends(p: int, e_prime: int, lo: int, hi: int,
+                divisible: bool) -> tuple[int, int]:
+    """Smallest and largest m' in (lo, hi] prime to p with e' | m' exactly
+    when divisible, for a nonempty such set.
+
+    The multiples of e' are e'k with k prime to p (p does not divide e'),
+    so their ends are the ends of that k-range, stepped past a multiple of
+    p.  The others are found by stepping in from lo + 1 and from hi: of any
+    four consecutive integers, two that p does not divide are at most two
+    apart, and e' > 1 cannot divide both, so each walk takes at most three
+    steps, not the up to e' a scan for the multiples would.
+    """
+    if divisible:
+        first, last = lo // e_prime + 1, hi // e_prime
+        first += first % p == 0
+        last -= last % p == 0
+        return first * e_prime, last * e_prime
+    first, last = lo + 1, hi
+    while first % p == 0 or first % e_prime == 0:
+        first += 1
+    while last % p == 0 or last % e_prime == 0:
+        last -= 1
+    return first, last
+
+
 def group_in_degree(p: int, e: int, degree: int, f: int = 1) -> GroupStructure:
     """K_degree(k[x]/(x^e), (x)) for k the field of order p^f, as the same
     degree of the relative cyclic theory (the identification is an input,
     not recomputed).  Even degrees vanish.  Degree 2r-1 is the product of
     the weight groups over m' <= re prime to p; the F_{p^f} answer is the
     f-fold product of the f = 1 answer, so each factor is repeated f times.
+
+    The weights are walked in classes.  Write e = p^u e' and s = s(p, re,
+    m').  Stage v of the tower reads closed_form(p, e, p^v m', r - 1),
+    which is (u, u) when e | p^v m', that is when e' | m' and v >= u, and
+    otherwise (v, v + 1) if p^v m' <= re, that is if v < s, else (v, v).
+    The depth s + u + 2 and h (min(u, s) if e' | m', else s) read only s
+    and e' | m' too.  So every m' in the class
+
+        re // p^s < m' <= re // p^(s-1),  p prime to m',  e' | m' or not
+
+    has the same model and the same group.  Each nonempty class runs
+    tc_weight_group, with its kernel-against-h check, at its smallest
+    member and, if different, at its largest; two different groups raise
+    RouteDisagreementError naming the class, so the claim is checked
+    rather than assumed.  The class group then counts once per member:
+    #{m' <= x prime to p, e' | m'} = x // e' - x // (p e').
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -166,7 +214,34 @@ def group_in_degree(p: int, e: int, degree: int, f: int = 1) -> GroupStructure:
         raise ValueError("residue degree must be >= 1")
     if degree % 2 == 0:
         return GroupStructure(p, ())
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     r = (degree + 1) // 2
-    return GroupStructure(p, (
-        h for m_prime in range(1, r * e + 1) if m_prime % p
-        for h in tc_weight_group(p, e, r, m_prime).exponents * f))
+    n = r * e
+    if n < 1:
+        return GroupStructure(p, ())
+    e_prime = e // p ** p_valuation(e, p)
+    exponents = []
+    s, hi = 1, n
+    while hi:
+        lo = hi // p
+        prime_to_p = (hi - hi // p) - (lo - lo // p)
+        multiples = (hi // e_prime - hi // (p * e_prime)
+                     - lo // e_prime + lo // (p * e_prime))
+        for divisible, count in ((True, multiples),
+                                 (False, prime_to_p - multiples)):
+            if not count:
+                continue
+            first, last = _class_ends(p, e_prime, lo, hi, divisible)
+            group = tc_weight_group(p, e, r, first)
+            if last != first:
+                other = tc_weight_group(p, e, r, last)
+                if other != group:
+                    relation = "|" if divisible else "does not divide"
+                    raise RouteDisagreementError(
+                        f"class s={s}, e'={e_prime} {relation} m' of "
+                        f"(p={p}, e={e}, r={r}): m'={last} against "
+                        f"m'={first}", other, group)
+            exponents.extend(group.exponents * (count * f))
+        s, hi = s + 1, lo
+    return GroupStructure(p, exponents)

@@ -34,6 +34,10 @@ KGROUPS = digests("kgroups.sha256")
 # stdout digests of the slowest and largest runs the `hh` size budget
 # admits, each in a fresh process as the budget is stated
 HH_BUDGET = digests("hh_budget.sha256")
+# stdout digests of the largest runs the `kgroups` size budget admits, each
+# in a fresh process; e = 1000003 has e' > 1, whose class ends route C
+# finds by arithmetic
+KGROUPS_BUDGET = digests("kgroups_budget.sha256")
 
 
 def run_cli(capsys, *args):
@@ -208,12 +212,20 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("digest, command", HH_BUDGET,
                              ids=[command for _, command in HH_BUDGET])
     def test_hh_budget_worst_case_bytes(self, digest, command):
+        assert self.stdout_digest(command) == digest
+
+    @pytest.mark.parametrize("digest, command", KGROUPS_BUDGET,
+                             ids=[command for _, command in KGROUPS_BUDGET])
+    def test_kgroups_budget_worst_case_bytes(self, digest, command):
+        assert self.stdout_digest(command) == digest
+
+    def stdout_digest(self, command: str) -> str:
         proc = subprocess.run([sys.executable, "-m", "ktrunc",
                                *command.split()],
                               capture_output=True, env=self.env(),
                               timeout=300)
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+        return hashlib.sha256(proc.stdout).hexdigest()
 
     def test_reader_closing_the_pipe_early(self):
         # the JSON line is about 133 KB, more than a pipe buffer holds, so

@@ -163,12 +163,13 @@ class TestKernelMemo:
         first = [group_in_degree(p, e, 2 * r - 1) for p, e, r in grid]
         info = equalizer_kernel.cache_info()
         assert info.misses == len(models) < len(weights)
-        assert info.hits == len(weights) - len(models)
+        # weight classes share one lookup per end, not one per weight
+        assert info.hits + info.misses < len(weights)
         assert [group_in_degree(p, e, 2 * r - 1)
                 for p, e, r in grid] == first
         again = equalizer_kernel.cache_info()
         assert again.misses == info.misses
-        assert again.hits == info.hits + len(weights)
+        assert again.hits == info.hits + info.hits + info.misses
 
     def test_size_is_bounded(self):
         rng = random.Random(3)
@@ -180,6 +181,59 @@ class TestKernelMemo:
         assert info.maxsize == EQUALIZER_CACHE_SIZE
         assert info.misses == len(units)
         assert info.currsize <= info.maxsize
+
+
+class TestWeightClasses:
+    @staticmethod
+    def classes(p, e, r):
+        """The m' <= re prime to p, keyed by (s, e' | m')."""
+        e_prime = e // p ** p_valuation(e, p)
+        classes = {}
+        for m_prime in range(1, r * e + 1):
+            if m_prime % p:
+                key = (s_function(p, r * e, m_prime), m_prime % e_prime == 0)
+                classes.setdefault(key, []).append(m_prime)
+        return classes
+
+    def test_model_and_h_are_constant_on_each_class(self, monkeypatch):
+        # e = 12, 18, 50 have u = 2 and e' > 1
+        called = []
+
+        def spy(p, e, r, m_prime):
+            called.append(m_prime)
+            return tc_weight_group(p, e, r, m_prime)
+
+        monkeypatch.setattr(tcassemble, "tc_weight_group", spy)
+        for p in (2, 3, 5):
+            for e in (*range(2, 10), p * p * (3 if p == 2 else 2)):
+                for r in range(1, 7):
+                    classes = self.classes(p, e, r)
+                    for key, members in classes.items():
+                        models = {build_equalizer_model(p, e, r, m)
+                                  for m in members}
+                        hs = {h_function(p, r, e, m) for m in members}
+                        assert len(models) == len(hs) == 1, (p, e, r, key)
+                    # group_in_degree runs each class at its two ends only
+                    called.clear()
+                    group_in_degree(p, e, 2 * r - 1)
+                    assert sorted(called) == sorted(
+                        {m for members in classes.values()
+                         for m in (members[0], members[-1])}), (p, e, r)
+
+    def test_class_ends_that_differ_raise(self, monkeypatch):
+        # p=2, e=5, r=3: the class s=1 with e' = 5 not dividing m' is
+        # {9, 11, 13}
+        assert self.classes(2, 5, 3)[(1, False)] == [9, 11, 13]
+        monkeypatch.setattr(
+            tcassemble, "tc_weight_group",
+            lambda p, e, r, m_prime: GroupStructure(p, [1 + (m_prime == 13)]))
+        with pytest.raises(RouteDisagreementError) as caught:
+            group_in_degree(2, 5, 5)
+        assert str(caught.value).startswith(
+            "class s=1, e'=5 does not divide m' of (p=2, e=5, r=3): "
+            "m'=13 against m'=9")
+        assert caught.value.case_analysis == GroupStructure(2, [2])
+        assert caught.value.kernel == GroupStructure(2, [1])
 
 
 class TestAssembledGroups:
