@@ -259,7 +259,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         "checked against a size budget before anything is computed: the "
         "sum of r*e over its (p, e, r) grid is at most "
         f"{KGROUPS_BUDGET:,} (--e 3 --rmax 590 fits).  An input past it "
-        "exits 2.")
+        "exits 2.  --p, --e and --rmax scope the routes suite, alone or "
+        "within all; any other suite does not read them, and given one of "
+        "them it exits 2.")
     common(sp, need_p=False, need_e=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--enum-bound", dest="enum_bound", type=int,
@@ -277,6 +279,11 @@ def _validate(parser: argparse.ArgumentParser,
               cfg: argparse.Namespace) -> None:
     """Usage errors argparse cannot express, reported by the subcommand's
     parser; a flag the subcommand does not define reads as None."""
+    if cfg.command == "verify" and cfg.suite not in ("all", "routes"):
+        for name in ("p", "e", "rmax"):
+            if getattr(cfg, name) is not None:
+                parser.error(f"--{name} scopes the routes suite only, and "
+                             f"--suite {cfg.suite} does not read it")
     if cfg.p is not None and cfg.p >= PRIME_TEST_LIMIT:
         parser.error(f"--p must be below {PRIME_TEST_LIMIT:,}, where "
                      f"primality is decided exactly, got {cfg.p}")

@@ -18,25 +18,32 @@ any p is the number of unit pivots plus the rank of a residual of at most
 one row.  That is exact because d_n d_(n+1) = 0 and the pivot block of
 d_(n+1) is unimodular: the dropped columns of d_n are integer
 combinations of the kept ones.  Nothing here copies a matrix
-into a dense array: the mod-p generators of the (z, w) pages and the
+into a dense array: the mod-p generator of a (z, w) page and the
 integral Connes scalar both read the stored columns.  The integral
 scalar presents each homology group in the kernel basis of the boundary
 out of its degree: the stored boundary goes to integer_kernel_basis as
 it is, and the coordinate map kept with that basis turns the boundary
 columns into the degree into the columns of the presentation, a
-SparseIntMatrix with no dense copy.  Each of its Smith forms keeps only the transforms read from
-it: the boundary's keeps v and the inverse of v (the kernel basis and
-its coordinates), the presentation's keeps u (one row of it is the
-homology functional), and in the lower degree the functional's own,
-inverted by integer_solve for the generator, keeps u and v; the upper
-degree needs no generator, only its functional.  A (z, w) page
-row-reduces the boundaries into each of its two degrees once, as fp_rref
-of the transposed boundary without the cells the degree above paired (the
-same row space, so the same unique reduced form), on sparse rows mod p;
-its generator is the first fp_kernel_basis vector whose remainder against
-that reduction is nonzero, and its scalar is the ratio of the remainders
-of B gen_lo and gen_hi in the upper degree.  Each of these eliminations is handed the
-rank the boundary reductions already gave and stops when it is reached.
+SparseIntMatrix with no dense copy.  Each of its Smith forms keeps only
+the transforms read from it: the boundary's keeps v and the inverse of v
+(the kernel basis and its coordinates), the presentation's keeps u (one
+row of it is the homology functional), and in the lower degree the
+functional's own, inverted by integer_solve for the generator, keeps u
+and v; the upper degree needs no generator, only its functional.
+
+A (z, w) page (e | m and p | e) has its scalar checked, not solved for.
+Its integral homology is Z/e in degree 2d+1 and nothing else, so by
+universal coefficients the mod-p generator of degree 2d+1 is the
+reduction of an integral cycle z; Bz is an integral cycle of degree
+2d+2, where the integral homology is zero, so it is an integral boundary
+and B induces 0.  The summary finds that generator, the first
+fp_kernel_basis vector whose remainder against the boundaries into its
+degree is nonzero, and raises if B of it leaves a remainder against the
+boundaries into the degree above.  Each boundary image is row-reduced
+once, as fp_rref of the transposed boundary without the cells the degree
+above paired (the same row space, so the same unique reduced form), on
+sparse rows mod p.  Each of these eliminations is handed the rank the
+boundary reductions already gave and stops when it is reached.
 check_size_budget counts the words of each degree without building one,
 and raises ComplexTooLargeError for an (e, m) past the size budget; `hh`
 checks every weight it is asked for before it builds anything.  A
@@ -47,7 +54,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
@@ -77,13 +84,15 @@ HOMOLOGY_CACHE_SIZE = 256
 # runs, about 2 minutes in all; wall time and the process's own peak RSS,
 # VmHWM; Python 3.11 on 2 shared x86_64 Xeon CPUs; the runs named here
 # repeated 5 times): (6, 14), whose integral scalar reads a 952 x 2,471
-# presentation, 1.1-1.8 s and 55-59 MB at p = 3 (1.5 s at p = 2).  The
-# (z, w) pages, whose generators are found mod p on sparse rows, cost
-# less: (3, 18) at p = 3, 8,362 words, 0.5-0.8 s and 38-39 MB; (7, 14) at
-# p = 7, 0.6-0.7 s and 36 MB.  Every other run took at most 1.1 s and
-# 44 MB.  Past the budget,
-# (3, 19), widest scalar degree 3,718, takes 73 s and 514 MB for its
-# homology summary.
+# presentation, 1.1-1.8 s and 55-59 MB at p = 3 (1.5 s at p = 2).  Every
+# other run took at most 1.1 s and 44 MB.  The (z, w) pages, which find
+# one generator mod p on sparse rows and check that B of it is a
+# boundary, cost less; timed again the same way, 5 fresh processes each
+# on 2 shared AMD EPYC CPUs (Python 3.11): (3, 18) at p = 3, 8,362 words,
+# 0.20-0.22 s and 30 MB; (7, 14) at p = 7, 0.28-0.30 s and 35 MB; (6, 14)
+# at p = 3, for scale, 0.58-0.63 s and 55-56 MB.  Past the budget, (3, 19),
+# widest scalar degree 3,718, takes 73 s and 514 MB for its homology
+# summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000
@@ -288,24 +297,21 @@ def _boundary_reductions(e: int, m: int) -> tuple:
 
 @dataclass(frozen=True)
 class NormalizedComplex:
-    """The weight-m complex, read over F_p.  boundary[n]: C_n -> C_(n-1)
-    and connes[n]: C_n -> C_(n+1) are the sparse integer matrices of
-    _integer_complex(e, m) themselves, shared and never copied; the mod-p
-    routines reduce what they are handed."""
+    """The key (e, m, p) of the weight-m complex read over F_p; the
+    matrices live in _integer_complex(e, m), and reduced_homology reads
+    only this key.  It stays only until the benchmark's pins on
+    generate_complex and reduced_homology move to one homology entry
+    point keyed by (e, m, p)."""
 
     e: int
     m: int
     p: int
-    basis: tuple[tuple[Word, ...], ...]
-    boundary: tuple[SparseIntMatrix, ...] = field(repr=False)
-    connes: tuple[SparseIntMatrix, ...] = field(repr=False)
-
-    def dim(self, n: int) -> int:
-        return len(self.basis[n]) if 0 <= n <= self.m else 0
 
 
 def generate_complex(e: int, m: int, p: int) -> NormalizedComplex:
-    return NormalizedComplex(e, m, p, *_integer_complex(e, m))
+    if e < 2 or m < 1:
+        raise ValueError("need e >= 2 and m >= 1")
+    return NormalizedComplex(e, m, p)
 
 
 @dataclass(frozen=True)
@@ -316,14 +322,16 @@ class HomologySummary:
     it is None when the homology does not consist of exactly two
     consecutive rank-one groups (in particular when it vanishes).
 
-    The page decides how the scalar is computed.  When the lower group
-    sits in even degree the integral homology is free of rank one in both
-    degrees, the generators are canonical up to sign, and the scalar is
-    computed over Z (connes_scalar_int) and then reduced; any other unit
-    would be an artifact of basis choice.  When the lower group sits in
-    odd degree (integral torsion, no canonical generator) the scalar is
-    computed mod p with deterministically chosen generators, and
-    connes_scalar_int is None.
+    The page decides how the scalar is found.  When the lower group sits
+    in even degree (e not dividing m) the integral homology is free of
+    rank one in both degrees, the generators are canonical up to sign, and
+    the scalar is computed over Z (connes_scalar_int) and then reduced;
+    any other unit would be an artifact of basis choice.  When the lower
+    group sits in odd degree (e | m and p | e) the integral homology is
+    Z/e in that degree alone, so by universal coefficients the mod-p
+    generator lifts to an integral cycle, whose image under B is an
+    integral boundary: the scalar is 0, checked on the mod-p generator,
+    and connes_scalar_int is None.
     """
 
     ranks: dict[int, int]
@@ -386,7 +394,7 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     return sum(phi_hi[k] * x for k, x in image)
 
 
-def _image_reduction(c: NormalizedComplex, n: int, rank: int
+def _image_reduction(e: int, m: int, p: int, n: int, rank: int
                      ) -> dict[int, dict[int, int]]:
     """The reduced row-echelon basis mod p of the boundaries in degree n,
     as {pivot column: row}: fp_rref, stopped at rank, of the transpose of
@@ -396,12 +404,13 @@ def _image_reduction(c: NormalizedComplex, n: int, rank: int
     = 0, and the pivot block of d_(n+2) is unimodular), so the row space
     is that of the whole transpose, and its reduced row-echelon form,
     which is unique, is the same."""
-    into = _boundary_in(c.boundary, n)
-    reductions = _boundary_reductions(c.e, c.m)
+    _, boundary, _ = _integer_complex(e, m)
+    into = _boundary_in(boundary, n)
+    reductions = _boundary_reductions(e, m)
     paired = reductions[n + 2][0] if n + 2 < len(reductions) else ()
     kept = SparseIntMatrix(into.shape[0], [
         col for j, col in enumerate(into.columns) if j not in paired])
-    rows, pivots = fp_rref(kept.transpose(), c.p, rank)
+    rows, pivots = fp_rref(kept.transpose(), p, rank)
     return dict(zip(pivots, rows))
 
 
@@ -418,15 +427,15 @@ def _remainder(image: dict[int, dict[int, int]], vec: dict[int, int],
     return rem
 
 
-def _homology_generator(c: NormalizedComplex, n: int, rank: int,
+def _homology_generator(out: SparseIntMatrix, p: int, rank: int,
                         image: dict[int, dict[int, int]]
                         ) -> dict[int, int] | None:
-    """First kernel basis vector of d_n outside the span of the boundaries:
-    the first vector of fp_kernel_basis (rank being the rank of d_n mod p)
-    whose remainder against image, the _image_reduction of degree n, is
-    nonzero."""
-    for vec in fp_kernel_basis(c.boundary[n], c.p, rank):
-        if _remainder(image, vec, c.p):
+    """First kernel basis vector of out = d_n outside the span of the
+    boundaries: the first vector of fp_kernel_basis (rank being the rank
+    of d_n mod p) whose remainder against image, the _image_reduction of
+    degree n, is nonzero."""
+    for vec in fp_kernel_basis(out, p, rank):
+        if _remainder(image, vec, p):
             return vec
     return None
 
@@ -434,9 +443,8 @@ def _homology_generator(c: NormalizedComplex, n: int, rank: int,
 def reduced_homology(c: NormalizedComplex) -> HomologySummary:
     """Homology ranks and the induced Connes scalar (see HomologySummary).
 
-    Complexes come only from generate_complex(e, m, p), so (e, m, p) fixes
-    the complex and its summary is computed once per triple and memoized;
-    the matrices are not kept, and callers share the summary.
+    c is only the key (e, m, p): the summary is computed once per triple
+    from the cached complex and memoized, and callers share it.
     """
     return _homology_summary(c.e, c.m, c.p)
 
@@ -451,16 +459,15 @@ def _boundary_ranks(e: int, m: int, p: int) -> list[int]:
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
     """The rank in degree n is dim C_n - rank d_n - rank d_(n+1)."""
-    c = generate_complex(e, m, p)
+    basis, boundary, connes = _integer_complex(e, m)
     rk = _boundary_ranks(e, m, p)
     ranks: dict[int, int] = {}
     for n in range(m + 1):
-        h = c.dim(n) - rk[n] - rk[n + 1]
+        h = len(basis[n]) - rk[n] - rk[n + 1]
         if h:
             ranks[n] = h
 
-    scalar = None
-    scalar_int = None
+    scalar = scalar_int = None
     degs = sorted(ranks)
     if len(degs) == 2 and degs[1] == degs[0] + 1 and all(
             ranks[d] == 1 for d in degs):
@@ -469,29 +476,20 @@ def _homology_summary(e: int, m: int, p: int) -> HomologySummary:
             scalar_int = _integral_connes_scalar(e, m)
             scalar = scalar_int % p
         else:
-            image = _image_reduction(c, hi, rk[hi + 1])
-            gen_lo = _homology_generator(c, lo, rk[lo],
-                                         _image_reduction(c, lo, rk[hi]))
-            gen_hi = _homology_generator(c, hi, rk[hi], image)
-            if gen_lo is None or gen_hi is None:
+            gen_lo = _homology_generator(boundary[lo], p, rk[lo],
+                                         _image_reduction(e, m, p, lo, rk[hi]))
+            if gen_lo is None:
                 raise AssertionError(
                     "rank-one homology must have a generator")
-            # B gen_lo = s gen_hi + a boundary, and the remainder against
-            # the boundaries is linear and kills them, so the remainders
-            # of B gen_lo and gen_hi differ by the factor s
-            connes = c.connes[lo].columns
-            b_gen: dict[int, int] = {}
-            for j, x in gen_lo.items():
-                for i, a in connes[j]:
-                    b_gen[i] = b_gen.get(i, 0) + a * x
-            img = _remainder(image, b_gen, p)
-            rem_hi = _remainder(image, gen_hi, p)
-            k = min(rem_hi)
-            scalar = img.get(k, 0) * pow(rem_hi[k], p - 2, p) % p
-            if any((img.get(j, 0) - scalar * rem_hi.get(j, 0)) % p
-                   for j in img.keys() | rem_hi.keys()):
+            b_gen = connes[lo].apply(
+                [gen_lo.get(j, 0) for j in range(len(basis[lo]))])
+            if _remainder(_image_reduction(e, m, p, hi, rk[hi + 1]),
+                          dict(enumerate(b_gen)), p):
                 raise AssertionError(
-                    "Connes image of a cycle must be a cycle")
+                    f"B of the mod-p generator of degree {lo} is no boundary "
+                    f"at (e, m, p) = ({e}, {m}, {p}), against universal "
+                    f"coefficients: H_*(Z) is Z/{e} in degree {lo} alone")
+            scalar = 0
     return HomologySummary(ranks, scalar, scalar_int)
 
 

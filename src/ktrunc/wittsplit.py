@@ -25,7 +25,7 @@ two routes are compared in the test suite over an exhaustive grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -59,21 +59,15 @@ class Int64BoundError(OverflowError):
 
 @dataclass(frozen=True)
 class SplitParams:
-    """Parameters (p, r, e) of the quotient W_re(F_p) / V_e(W_r(F_p)).
-
-    u and e_prime are the p-adic valuation and prime-to-p part of e.
-    """
+    """Parameters (p, r, e) of the quotient W_re(F_p) / V_e(W_r(F_p)),
+    checked on construction: p prime, r and e positive."""
 
     p: int
     r: int
     e: int
-    u: int = field(init=False)
-    e_prime: int = field(init=False)
 
     def __post_init__(self):
-        u, e_prime = _split_e(self.p, self.r, self.e)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "e_prime", e_prime)
+        _split_e(self.p, self.r, self.e)
 
 
 def _split_e(p: int, r: int, e: int) -> tuple[int, int]:

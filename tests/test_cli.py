@@ -396,6 +396,31 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag, suite", [
+        (["--suite", "homology", "--p", "5", "--e", "9", "--rmax", "3"],
+         "p", "homology"),
+        (["--suite", "split", "--p", "7"], "p", "split"),
+        (["--suite", "witt", "--e", "3"], "e", "witt"),
+        (["--suite", "ss", "--rmax", "2"], "rmax", "ss"),
+        (["--suite", "equalizer", "--e", "2"], "e", "equalizer"),
+    ], ids=["homology", "split", "witt", "ss", "equalizer"])
+    def test_a_routes_scope_on_another_suite(self, capsys, argv, flag,
+                                             suite):
+        # only the routes suite reads --p, --e and --rmax
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"--{flag} scopes the routes suite only, and --suite "
+                f"{suite} does not read it") in captured.err
+
+    def test_a_routes_scope_within_all(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--p", "2",
+                            "--e", "2", "--rmax", "1")
+        assert code == 0
+        assert out.endswith(" checks passed\n")
+
     def test_nonpositive_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["kgroups", "--p", "2", "--e", "0", "--r", "1"])

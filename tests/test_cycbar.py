@@ -8,6 +8,7 @@ and the closed-form rank table.
 """
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -28,7 +29,7 @@ from ktrunc.cycbar import (
     small_complex_hh,
     weight_words,
 )
-from ktrunc.exactalg import fp_kernel_basis, fp_rank, fp_rref
+from ktrunc.exactalg import SparseIntMatrix, fp_kernel_basis, fp_rank, fp_rref
 from ktrunc.ssengine import build_e2
 from oracle_utils import (dense, dense_entries_matrix, dense_vector,
                           first_outside_span, rank_mod_p, span_multiples,
@@ -44,12 +45,14 @@ ZW_PAGES = [(e, m, p) for e in range(2, 6) for m in range(e, 13, e)
 GRID = [(e, m) for e in (2, 3, 4, 5) for m in range(1, 9)]
 
 
-def generator(c, n):
-    """The mod-p homology generator of degree n, as _homology_summary finds
-    it, with the boundary ranks it reads."""
-    rk = cycbar._boundary_ranks(c.e, c.m, c.p)
+def generator(e, m, p, n):
+    """The mod-p homology generator of degree n, found as _homology_summary
+    finds the lower one of a (z, w) page, with the boundary ranks it
+    reads."""
+    rk = cycbar._boundary_ranks(e, m, p)
+    _, boundary, _ = cycbar._integer_complex(e, m)
     return cycbar._homology_generator(
-        c, n, rk[n], cycbar._image_reduction(c, n, rk[n + 1]))
+        boundary[n], p, rk[n], cycbar._image_reduction(e, m, p, n, rk[n + 1]))
 
 
 class TestWords:
@@ -127,16 +130,17 @@ class TestComplexStructure:
 
     def test_identities_hold_mod_p(self):
         for e, m in GRID:
+            basis, boundary, connes = cycbar._integer_complex(e, m)
+            boundary = [dense(b) for b in boundary]
+            connes = [dense(b) for b in connes]
             for p in (2, 3):
-                c = generate_complex(e, m, p)
-                boundary = [dense(b) for b in c.boundary]
-                connes = [dense(b) for b in c.connes]
                 for n in range(1, m):
                     assert not ((boundary[n] @ boundary[n + 1]) % p).any()
                 for n in range(m - 1):
                     assert not ((connes[n + 1] @ connes[n]) % p).any()
                 for n in range(m + 1):
-                    anti = np.zeros((c.dim(n), c.dim(n)), dtype=np.int64)
+                    dim = len(basis[n])
+                    anti = np.zeros((dim, dim), dtype=np.int64)
                     if n < m:
                         anti += boundary[n + 1] @ connes[n]
                     if n >= 1:
@@ -147,36 +151,33 @@ class TestComplexStructure:
         # d(0,x,x) = (x,x) - 0 + (x,x): the interior merge hits x^2 = 0,
         # the two surviving faces coincide, so the entry is 2 over Z for
         # every p and vanishes mod 2
-        for p in (2, 3):
-            assert dense(generate_complex(2, 2, p).boundary[2]).tolist() == [
-                [2]]
-        assert not (dense(generate_complex(2, 2, 2).boundary[2]) % 2).any()
+        boundary = dense(cycbar._integer_complex(2, 2)[1][2])
+        assert boundary.tolist() == [[2]]
+        assert not (boundary % 2).any()
 
     def test_connes_example_weight_one(self):
         # B(x) = (1, x), a single insertion
-        c = generate_complex(2, 1, 2)
-        assert c.basis[0] == ((1,),)
-        assert c.basis[1] == ((0, 1),)
-        assert dense(c.connes[0]).tolist() == [[1]]
+        basis, _, connes = cycbar._integer_complex(2, 1)
+        assert basis[0] == ((1,),)
+        assert basis[1] == ((0, 1),)
+        assert dense(connes[0]).tolist() == [[1]]
 
     def test_connes_example_weight_two(self):
         # B(x, x): the two cyclic rotations coincide and the signs cancel
         # integrally, so the matrix is zero even before reduction
-        c = generate_complex(2, 2, 5)
-        assert not dense(c.connes[1]).any()
+        assert not dense(cycbar._integer_complex(2, 2)[2][1]).any()
 
     def test_connes_vanishes_on_basepoint_headed_words(self):
         for e, m in [(3, 4), (4, 5)]:
-            c = generate_complex(e, m, 2)
+            basis, _, connes = cycbar._integer_complex(e, m)
             for n in range(m + 1):
-                for j, w in enumerate(c.basis[n]):
+                for j, w in enumerate(basis[n]):
                     if w[0] == 0 and n < m:
-                        assert not dense(c.connes[n])[:, j].any(), (
-                            e, m, w)
+                        assert not dense(connes[n])[:, j].any(), (e, m, w)
 
     def test_top_degree_connes_is_empty(self):
-        c = generate_complex(3, 5, 2)
-        assert c.connes[5].shape == (0, c.dim(5))
+        basis, _, connes = cycbar._integer_complex(3, 5)
+        assert connes[5].shape == (0, len(basis[5]))
 
     @pytest.mark.parametrize("name, mutate, identity", [
         pytest.param("_face_terms", _flip_first_sign,
@@ -322,15 +323,26 @@ class TestHomology:
                 assert summary.ranks == predicted_homology(e, m, p), (e, m, p)
                 assert summary.ranks == small_complex_hh(e, m, p), (e, m, p)
 
-    def test_complexes_share_the_integer_matrices(self):
-        # every p reads the one integer copy; a memo hit returns the
-        # summary computed first
-        _, boundary, connes = cycbar._integer_complex(3, 5)
-        for p in (2, 3):
-            c = generate_complex(3, 5, p)
-            assert c.boundary is boundary and c.connes is connes
+    def test_a_complex_is_only_its_key(self):
+        # the matrices live in _integer_complex(e, m), one copy for every
+        # p; a memo hit returns the summary computed first
+        assert [f.name for f in dataclasses.fields(
+            cycbar.NormalizedComplex)] == ["e", "m", "p"]
+        assert generate_complex(3, 5, 2) == cycbar.NormalizedComplex(3, 5, 2)
         summary = reduced_homology(generate_complex(3, 5, 2))
         assert reduced_homology(generate_complex(3, 5, 2)) is summary
+
+    def test_a_summary_builds_no_complex(self, monkeypatch):
+        # the summary reads the cached matrices by (e, m), on a (y, z) page,
+        # a (z, w) page and a page with no homology
+        def build_nothing(*args):
+            raise AssertionError("generate_complex called")
+
+        monkeypatch.setattr(cycbar, "generate_complex", build_nothing)
+        for e, m, p in [(3, 7, 2), (4, 8, 2), (3, 6, 2)]:
+            s = cycbar._homology_summary.__wrapped__(e, m, p)
+            assert s.ranks == predicted_homology(e, m, p), (e, m, p)
+        assert s.ranks == {} and s.connes_scalar is None
 
     def test_frozen_summaries(self):
         s = reduced_homology(generate_complex(2, 1, 2))
@@ -456,17 +468,18 @@ class TestHomology:
         shapes = set()
         for e in (2, 3, 4):
             for m in range(1, 8):
+                basis, boundary, _ = cycbar._integer_complex(e, m)
                 for p in (2, 3):
-                    c = generate_complex(e, m, p)
-                    shapes.add(tuple(reduced_homology(c).ranks))
+                    shapes.add(tuple(cycbar._homology_summary(e, m, p).ranks))
                     rk = cycbar._boundary_ranks(e, m, p)
                     for n in range(m + 1):
-                        kernel = fp_kernel_basis(c.boundary[n], p, rk[n])
-                        image = dense(cycbar._boundary_in(c.boundary, n))
+                        kernel = fp_kernel_basis(boundary[n], p, rk[n])
+                        image = dense(cycbar._boundary_in(boundary, n))
                         k = first_outside_span(
                             image.T.tolist(),
-                            [dense_vector(v, c.dim(n)) for v in kernel], p)
-                        gen = generator(c, n)
+                            [dense_vector(v, len(basis[n])) for v in kernel],
+                            p)
+                        gen = generator(e, m, p, n)
                         if k is None:
                             assert gen is None, (e, m, p, n)
                         else:
@@ -476,16 +489,16 @@ class TestHomology:
 
     def test_remainder_kills_the_boundaries_and_not_the_generator(self):
         for e, m, p in ZW_PAGES:
-            c = generate_complex(e, m, p)
-            degs = sorted(reduced_homology(c).ranks)
+            _, boundary, _ = cycbar._integer_complex(e, m)
+            degs = sorted(cycbar._homology_summary(e, m, p).ranks)
             assert len(degs) == 2 and degs[0] % 2 == 1, (e, m, p)
             rk = cycbar._boundary_ranks(e, m, p)
             for n in degs:
-                image = cycbar._image_reduction(c, n, rk[n + 1])
-                for col in cycbar._boundary_in(c.boundary, n).columns:
+                image = cycbar._image_reduction(e, m, p, n, rk[n + 1])
+                for col in cycbar._boundary_in(boundary, n).columns:
                     assert not cycbar._remainder(image, dict(col), p), (
                         e, m, p, n)
-                gen = cycbar._homology_generator(c, n, rk[n], image)
+                gen = cycbar._homology_generator(boundary[n], p, rk[n], image)
                 rem = cycbar._remainder(image, gen, p)
                 assert rem and all(0 < x < p for x in rem.values()), (
                     e, m, p, n)
@@ -507,13 +520,13 @@ class TestHomology:
         for e, m, p in [(e, m, p) for e in range(2, 7)
                         for m in range(e, 13, e) for p in (2, 3, 5)
                         if e % p == 0]:
-            c = generate_complex(e, m, p)
+            _, boundary, _ = cycbar._integer_complex(e, m)
             rk = cycbar._boundary_ranks(e, m, p)
             for n in range(m + 1):
-                into = cycbar._boundary_in(c.boundary, n)
+                into = cycbar._boundary_in(boundary, n)
                 rows, pivots = fp_rref(into.transpose(), p, rk[n + 1])
                 handed.clear()
-                assert cycbar._image_reduction(c, n, rk[n + 1]) == dict(
+                assert cycbar._image_reduction(e, m, p, n, rk[n + 1]) == dict(
                     zip(pivots, rows)), (e, m, p, n)
                 assert handed[0] <= into.shape[1], (e, m, p, n)
                 fewer |= handed[0] < into.shape[1]
@@ -521,15 +534,38 @@ class TestHomology:
 
     def test_page_scalar_matches_the_span_oracle(self):
         for e, m, p in ZW_PAGES:
-            c = generate_complex(e, m, p)
-            s = reduced_homology(c)
+            basis, boundary, connes = cycbar._integer_complex(e, m)
+            s = cycbar._homology_summary(e, m, p)
             lo, hi = sorted(s.ranks)
-            gen_lo = dense_vector(generator(c, lo), c.dim(lo))
-            gen_hi = dense_vector(generator(c, hi), c.dim(hi))
-            img = dense(c.connes[lo]) @ gen_lo
-            boundaries = dense(cycbar._boundary_in(c.boundary, hi)).T
+            gen_lo = dense_vector(generator(e, m, p, lo), len(basis[lo]))
+            gen_hi = dense_vector(generator(e, m, p, hi), len(basis[hi]))
+            img = dense(connes[lo]) @ gen_lo
+            boundaries = dense(cycbar._boundary_in(boundary, hi)).T
             assert span_multiples(boundaries.tolist(), img.tolist(),
                                   gen_hi, p) == [s.connes_scalar], (e, m, p)
+
+    @pytest.mark.parametrize("e, m, p", [(2, 2, 2), (3, 6, 3), (4, 8, 2)])
+    def test_a_connes_image_off_the_boundaries_raises(self, monkeypatch, e,
+                                                      m, p):
+        # add the upper generator, a cycle and no boundary mod p, to the
+        # Connes column of one word the lower generator holds: B of that
+        # generator is then no boundary, which universal coefficients rule
+        # out on a (z, w) page
+        basis, boundary, connes = cycbar._integer_complex(e, m)
+        lo, hi = sorted(cycbar._homology_summary(e, m, p).ranks)
+        j = min(generator(e, m, p, lo))
+        column = dict(connes[lo].columns[j])
+        for i, x in generator(e, m, p, hi).items():
+            column[i] = column.get(i, 0) + x
+        columns = list(connes[lo].columns)
+        columns[j] = tuple(column.items())
+        patched = list(connes)
+        patched[lo] = SparseIntMatrix(len(basis[hi]), columns)
+        monkeypatch.setattr(cycbar, "_integer_complex",
+                            lambda *em: (basis, boundary, tuple(patched)))
+        with pytest.raises(AssertionError, match=re.escape(
+                f"no boundary at (e, m, p) = ({e}, {m}, {p})")):
+            cycbar._homology_summary.__wrapped__(e, m, p)
 
     def test_small_complex_standalone(self):
         assert small_complex_hh(2, 1, 2) == {0: 1, 1: 1}

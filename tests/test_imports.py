@@ -1,8 +1,9 @@
-"""Every name a ktrunc module imports is used in that module, and every
-public function and class it defines, and every public method and property
-of those classes, is read outside the tests; every parameter default of
-those, and every dataclass field default, is overridden by some call
-outside the tests.  The homology path, kgroups and hh import no numpy."""
+"""Every name a ktrunc module, script or test imports is used in that
+file.  Every public function and class a ktrunc module defines, and every
+public method and property of those classes, is read outside the tests;
+every parameter default of those, and every dataclass field default, is
+overridden by some call outside the tests.  The homology path, kgroups and
+hh import no numpy."""
 
 import ast
 import os
@@ -33,7 +34,11 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+# bench/ stays out: bench/tests/test_bench.py imports ktrunc.cli for its
+# side effect, marked noqa
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py"))
+                         + sorted((ROOT / "tests").glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -24,6 +24,7 @@ from ktrunc.wittsplit import (
     SplitParams,
     _addition_bound,
     _mul_p_map,
+    _split_e,
     brute_force_quotient,
     h_function,
     predicted_quotient,
@@ -34,11 +35,10 @@ from oracle_utils import mul_p_codes
 
 class TestSplitParams:
     def test_valuation_split(self):
-        params = SplitParams(2, 1, 12)
-        assert (params.u, params.e_prime) == (2, 3)
-        assert SplitParams(3, 1, 9).u == 2
-        assert SplitParams(3, 1, 9).e_prime == 1
-        assert SplitParams(5, 2, 6).u == 0
+        # (u, e') with e = p^u e', as h_function reads them
+        assert _split_e(2, 1, 12) == (2, 3)
+        assert _split_e(3, 1, 9) == (2, 1)
+        assert _split_e(5, 2, 6) == (0, 6)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="not prime"):
