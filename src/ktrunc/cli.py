@@ -32,6 +32,15 @@ from .exactalg import P_LIMIT, PRIME_TEST_LIMIT, is_prime
 # Memory stays under 35 MB.
 KGROUPS_BUDGET = 1 << 20
 
+# The verify flags that only some suites read, by the suites (besides all)
+# that read them, and the values --seed and --enum-bound take when not
+# given.  Any other suite exits 2 when given one of these flags.
+VERIFY_SCOPES = {"p": ("routes",), "e": ("routes",), "rmax": ("routes",),
+                 "seed": ("witt", "equalizer"),
+                 "enum_bound": ("split", "routes")}
+DEFAULT_SEED = 0
+DEFAULT_ENUM_BOUND = 1 << 16
+
 
 def run_kgroups(cfg: argparse.Namespace) -> str:
     degrees = ([2 * cfg.r - 1] if cfg.r is not None
@@ -163,19 +172,21 @@ def _suite_equalizer(rng: random.Random) -> list[Check]:
     ]
 
 
-def _suite_routes(cfg: argparse.Namespace) -> list[Check]:
+def _suite_routes(cfg: argparse.Namespace, enum_bound: int) -> list[Check]:
     grid = checks.route_grid(cfg.p, cfg.e, cfg.rmax)
     return [(f"routes (p={c.p}, e={c.e}, r={c.r})", c.passed, c.detail)
-            for c in checks.route_agreement(grid, cfg.enum_bound)]
+            for c in checks.route_agreement(grid, enum_bound)]
 
 
 def run_verify(cfg: argparse.Namespace) -> tuple[str, bool]:
-    rng = random.Random(cfg.seed)
+    rng = random.Random(DEFAULT_SEED if cfg.seed is None else cfg.seed)
+    enum_bound = (DEFAULT_ENUM_BOUND if cfg.enum_bound is None
+                  else cfg.enum_bound)
     results: list[Check] = []
     if cfg.suite in ("all", "witt"):
         results += _suite_witt(rng)
     if cfg.suite in ("all", "split"):
-        results += _suite_split(cfg.enum_bound)
+        results += _suite_split(enum_bound)
     if cfg.suite in ("all", "homology"):
         results += _suite_homology()
     if cfg.suite in ("all", "ss"):
@@ -185,7 +196,7 @@ def run_verify(cfg: argparse.Namespace) -> tuple[str, bool]:
     if cfg.suite in ("all", "equalizer"):
         results += _suite_equalizer(rng)
     if cfg.suite in ("all", "routes"):
-        results += _suite_routes(cfg)
+        results += _suite_routes(cfg, enum_bound)
     passed = sum(ok for _, ok, _ in results)
     if cfg.fmt == "json":
         text = json.dumps({
@@ -259,15 +270,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         "checked against a size budget before anything is computed: the "
         "sum of r*e over its (p, e, r) grid is at most "
         f"{KGROUPS_BUDGET:,} (--e 3 --rmax 590 fits).  An input past it "
-        "exits 2.  --p, --e and --rmax scope the routes suite, alone or "
-        "within all; any other suite does not read them, and given one of "
-        "them it exits 2.")
+        "exits 2.  --p, --e and --rmax scope the routes suite, --seed the "
+        "witt and equalizer suites, and --enum-bound the split and routes "
+        "suites, alone or within all; any other suite does not read them, "
+        "and given one of them it exits 2.")
     common(sp, need_p=False, need_e=False)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int,
+                    help=f"random seed of the witt and equalizer suites "
+                         f"(default {DEFAULT_SEED})")
     sp.add_argument("--enum-bound", dest="enum_bound", type=int,
-                    default=1 << 16,
-                    help="element cap for brute-force enumeration "
-                         f"(at most {wittsplit.ENUM_CAP})")
+                    help="element cap for brute-force enumeration in the "
+                         "split and routes suites (default "
+                         f"{DEFAULT_ENUM_BOUND}, at most "
+                         f"{wittsplit.ENUM_CAP})")
     sp.add_argument("--suite", default="all",
                     choices=("all", "witt", "split", "homology", "ss",
                              "equalizer", "routes"))
@@ -279,11 +294,13 @@ def _validate(parser: argparse.ArgumentParser,
               cfg: argparse.Namespace) -> None:
     """Usage errors argparse cannot express, reported by the subcommand's
     parser; a flag the subcommand does not define reads as None."""
-    if cfg.command == "verify" and cfg.suite not in ("all", "routes"):
-        for name in ("p", "e", "rmax"):
-            if getattr(cfg, name) is not None:
-                parser.error(f"--{name} scopes the routes suite only, and "
-                             f"--suite {cfg.suite} does not read it")
+    if cfg.command == "verify" and cfg.suite != "all":
+        for name, suites in VERIFY_SCOPES.items():
+            if getattr(cfg, name) is not None and cfg.suite not in suites:
+                plural = "s" if len(suites) > 1 else ""
+                parser.error(f"--{name.replace('_', '-')} scopes the "
+                             f"{' and '.join(suites)} suite{plural} only, "
+                             f"and --suite {cfg.suite} does not read it")
     if cfg.p is not None and cfg.p >= PRIME_TEST_LIMIT:
         parser.error(f"--p must be below {PRIME_TEST_LIMIT:,}, where "
                      f"primality is decided exactly, got {cfg.p}")

@@ -10,8 +10,19 @@ Connes' operator inserts the unit in front of each cyclic rotation.
 
 The boundary and Connes matrices are built once per (e, m) over Z and
 stored sparse, by the nonzero entries of each column (SparseIntMatrix);
-all three mixed-complex identities are verified on those stored columns.
-That one copy serves every p.  The complex is reduced once over Z along
+that one copy serves every p.  A degree-n word is read as its code
+c = sum of w_k e^(n-k), the base-e numeral of its letters, so within a
+degree numeric order is lex order, and one code -> row index serves both
+maps into the degree.  Each row is found by integer arithmetic on c:
+face i < n is c // e^(n-i) * e^(n-i-1) + c % e^(n-i) (kept when
+w_i + w_(i+1) < e), the wrap face c // e + (c % e) * e^(n-1) (kept when
+w_n + w_0 < e), and rotation i of B (w_0 != 0)
+(c % e^(n+1-i)) * e^i + c // e^(n+1-i).  These are exact: each cuts the
+numeral at a power of e and shifts the parts, and every digit of the
+result, merged letters included, is below e, so nothing carries.  All
+three mixed-complex identities are verified on the stored columns (B B
+by lookups: every word in the image of B has head 0, where B vanishes).
+The complex is reduced once over Z along
 its +-1 entries, from the top degree down, each boundary d_n without the
 cells of degree n that the unit pivots of d_(n+1) paired, so its rank mod
 any p is the number of unit pivots plus the rank of a residual of at most
@@ -54,9 +65,11 @@ oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from .exactalg import (SparseIntMatrix, _subtract_mod, fp_kernel_basis,
@@ -81,18 +94,18 @@ HOMOLOGY_CACHE_SIZE = 256
 # for every e.  The integral Connes scalar runs Smith forms on the four
 # degrees around it.  Worst case over all 608 admitted (e, m), each run as
 # a fresh `hh --m` process at p = 2 and at every prime factor of e (684
-# runs, about 2 minutes in all; wall time and the process's own peak RSS,
-# VmHWM; Python 3.11 on 2 shared x86_64 Xeon CPUs; the runs named here
-# repeated 5 times): (6, 14), whose integral scalar reads a 952 x 2,471
-# presentation, 1.1-1.8 s and 55-59 MB at p = 3 (1.5 s at p = 2).  Every
-# other run took at most 1.1 s and 44 MB.  The (z, w) pages, which find
-# one generator mod p on sparse rows and check that B of it is a
-# boundary, cost less; timed again the same way, 5 fresh processes each
-# on 2 shared AMD EPYC CPUs (Python 3.11): (3, 18) at p = 3, 8,362 words,
-# 0.20-0.22 s and 30 MB; (7, 14) at p = 7, 0.28-0.30 s and 35 MB; (6, 14)
-# at p = 3, for scale, 0.58-0.63 s and 55-56 MB.  Past the budget, (3, 19),
-# widest scalar degree 3,718, takes 73 s and 514 MB for its homology
-# summary.
+# runs, about 85 s in all; wall time of the whole process and its peak
+# RSS, VmHWM; Python 3.11.7 on 2 shared x86_64 Xeon CPUs): (6, 14), whose
+# integral scalar reads a 952 x 2,471 presentation, 1.1-1.5 s and 55-56 MB
+# at p = 2 or 3.  Every other run took at most 1.0 s and 44 MB.  Timed as
+# 5 fresh processes each on the same host, since the complex is built on
+# base-e word codes (before it, in brackets): (6, 14) at p = 3 1.07-1.27 s
+# (1.26-1.42 s) and 56-59 MB; (7, 14) at p = 7, a (z, w) page, 0.42-0.68 s
+# (0.53-0.90 s) and 35 MB; (3, 18) at p = 3, a (z, w) page of 8,362 words,
+# 0.30-0.31 s (0.37-0.40 s) and 30 MB.  The complexes alone build in
+# 0.28, 0.29 and 0.18 s (0.43, 0.55 and 0.26 s).  Past the budget,
+# (3, 19), widest scalar degree 3,718, takes 73 s and 514 MB for its
+# homology summary.
 WEIGHT_BUDGET = 512
 WORD_BUDGET = 1 << 14
 SCALAR_DEGREE_BUDGET = 3000
@@ -187,58 +200,103 @@ def check_size_budget(e: int, m: int) -> None:
                 f"{SCALAR_DEGREE_BUDGET:,}")
 
 
-def _face_terms(word: Word, e: int):
-    """(sign, face) pairs of the nonzero faces of a word of degree n."""
-    n = len(word) - 1
-    for i in range(n):
-        merged = word[i] + word[i + 1]
-        if merged < e:
-            yield (-1) ** i, word[:i] + (merged,) + word[i + 2:]
-    merged = word[n] + word[0]
-    if merged < e:
-        yield (-1) ** n, (merged,) + word[1:n]
+def _face_moves(e: int, n: int, power: list[int]) -> list[tuple]:
+    """The faces out of degree n as moves (see _entries_matrix), with
+    power[k] = e^k.  Face i < n merges letters i and i + 1, sign (-1)^i:
+    its code is c // e^(n-i) * e^(n-i-1) + c % e^(n-i).  The wrap face
+    puts w_n + w_0 in front of w_1..w_(n-1), sign (-1)^n: its code is
+    c // e + (c % e) * e^(n-1).  Each is kept while the merged letter
+    stays below e, since x^e is the basepoint."""
+    moves = [(i, i + 1, e, -1 if i % 2 else 1, power[n - i],
+              power[n - i - 1], 1) for i in range(n)]
+    moves.append((n, 0, e, -1 if n % 2 else 1, e, 1, power[n - 1]))
+    return moves
 
 
-def _connes_terms(word: Word):
-    """(sign, word) pairs of B applied to a word; empty when pi_0 = 0."""
-    if word[0] == 0:
-        return
-    n = len(word) - 1
-    for i in range(n + 1):
-        sign = -1 if (n * i) % 2 else 1
-        yield sign, (0,) + word[i:] + word[:i]
+def _rotation_moves(e: int, n: int, power: list[int]) -> list[tuple]:
+    """Connes' operator out of degree n as moves (see _entries_matrix),
+    with power[k] = e^k: rotation i puts the unit in front of w_i..w_n
+    w_0..w_(i-1), sign (-1)^(n i), so its code is
+    (c % e^(n+1-i)) * e^i + c // e^(n+1-i).  No letters merge, so no
+    move has a condition: two letters below e sum below 2e.  B vanishes
+    on a word with head 0, which would put the unit in an interior slot;
+    those words come first in each degree, and _entries_matrix leaves
+    their columns empty."""
+    return [(0, 0, 2 * e, -1 if n * i % 2 else 1, power[n + 1 - i], 1,
+             power[i]) for i in range(n + 1)]
 
 
-def _composite_nonzero(*composites) -> bool:
-    """Whether the sum of the products second @ first, over the given pairs
-    (first, second) of stored matrices out of one degree, has a nonzero
-    column."""
-    for j in range(composites[0][0].shape[1]):
+def _composite_nonzero(first: SparseIntMatrix,
+                       second: SparseIntMatrix) -> bool:
+    """Whether second @ first has a nonzero column."""
+    for col in first.columns:
         acc: dict[int, int] = {}
-        for first, second in composites:
-            for i, a in first.columns[j]:
-                for k, b in second.columns[i]:
-                    acc[k] = acc.get(k, 0) + a * b
+        for i, a in col:
+            for k, b in second.columns[i]:
+                acc[k] = acc.get(k, 0) + a * b
         if any(acc.values()):
             return True
     return False
 
 
-def _entries_matrix(src: tuple[Word, ...], dst: tuple[Word, ...],
-                    term_fn) -> SparseIntMatrix:
-    """The map sending each word of src to its (sign, word) terms, on the
-    basis dst: column j holds the terms of src[j] after cancellation."""
-    index = {w: i for i, w in enumerate(dst)}
-    columns = []
-    for w in src:
+def _anticommutator_nonzero(boundary: list[SparseIntMatrix],
+                            connes: list[SparseIntMatrix], n: int) -> bool:
+    """Whether d B + B d has a nonzero column out of degree n.
+
+    B of a word is, up to sign, B of each of its rotations, so few stored
+    B columns are distinct: d of each distinct column, keyed on its sorted
+    entries, is computed once.  Out of the top degree B has no entries,
+    and into degree 0 d has none, so neither reads past the ends of the
+    lists."""
+    up = boundary[n + 1].columns if n + 1 < len(boundary) else ()
+    down = connes[n - 1].columns
+    products: dict[tuple, dict[int, int]] = {}
+    for col, faces in zip(connes[n].columns, boundary[n].columns):
+        acc: dict[int, int] = {}
+        if col:
+            key = tuple(sorted(col))
+            product = products.get(key)
+            if product is None:
+                product = products[key] = {}
+                for i, a in key:
+                    for k, b in up[i]:
+                        product[k] = product.get(k, 0) + a * b
+            acc = dict(product)
+        for i, a in faces:
+            for k, b in down[i]:
+                acc[k] = acc.get(k, 0) + a * b
+        if any(acc.values()):
+            return True
+    return False
+
+
+def _entries_matrix(words: tuple[Word, ...], codes: list[int],
+                    rows: dict[int, int], moves: list[tuple],
+                    first: int) -> SparseIntMatrix:
+    """The map sending each word to the sum of its moves, on the basis
+    whose rows maps each code to its row: column j holds the terms of
+    words[j] after cancellation, and the columns before `first` are zero.
+
+    A word is read by its code c = sum of w_k e^(n-k), its base-e numeral.
+    A move (i, j, limit, sign, a, b, d) sends it to sign times the word of
+    code c // a * b + c % a * d, and is kept when w_i + w_j < limit.  The
+    moves cut the numeral at a power of e and shift its two parts by
+    powers of e; every digit stays a letter below e (a merged letter is
+    below e when its move is kept), so no carry occurs and the result is
+    the code of the word the move makes."""
+    columns = [()] * first
+    if first:
+        words, codes = words[first:], codes[first:]
+    for w, c in zip(words, codes):
         col: dict[int, int] = {}
-        for sign, out in term_fn(w):
-            i = index[out]
-            col[i] = col.get(i, 0) + sign
+        for i, j, limit, sign, a, b, d in moves:
+            if w[i] + w[j] < limit:
+                r = rows[c // a * b + c % a * d]
+                col[r] = col.get(r, 0) + sign
         if 0 in col.values():
             col = {i: x for i, x in col.items() if x}
         columns.append(tuple(col.items()))
-    return SparseIntMatrix(len(dst), columns)
+    return SparseIntMatrix(len(rows), columns)
 
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)
@@ -247,34 +305,60 @@ def _integer_complex(e: int, m: int):
 
     boundary[n] is the map out of degree n (boundary[0] has zero rows);
     connes[n] is the map from degree n into degree n+1 (connes[m] has
-    zero rows since degree m+1 is empty).  The identities are checked
-    column by column on the stored matrices, so they also cover the word
-    to row mapping the matrices are built with.
+    zero rows since degree m+1 is empty).  Each degree-n word is read as
+    its base-e code, sum of w_k e^(n-k): the letters are its digits, so
+    the numeric order of the codes is the lex order of the words, and one
+    code -> row index per degree serves the boundary into it and the
+    Connes map into it.  Every row is found by integer arithmetic on the
+    code (_face_moves, _rotation_moves), with the powers of e taken from
+    one list.
+
+    d d and d B + B d are checked column by column on the stored
+    matrices, so the checks also cover the code to row mapping the
+    matrices are built with.  B B is zero because every word in the image
+    of B has head 0, where B vanishes: the check looks up the columns of
+    B that B reaches, and multiplies out only if one of them is nonzero.
     """
     if e < 2 or m < 1:
         raise ValueError("need e >= 2 and m >= 1")
     basis = tuple(weight_words(e, m, n) for n in range(m + 1))
+    power = [1]
+    for _ in range(m + 1):
+        power.append(power[-1] * e)
+    codes: list[list[int]] = []
+    rows: list[dict[int, int]] = []
+    for n, words in enumerate(basis):
+        if words:
+            digits = power[n::-1]
+            codes.append([sum(map(mul, w, digits)) for w in words])
+            rows.append({c: i for i, c in enumerate(codes[n])})
+        else:
+            codes.append([])
+            rows.append({})
     boundary = [SparseIntMatrix(0, [()] * len(basis[0]))]
     for n in range(1, m + 1):
-        boundary.append(_entries_matrix(basis[n], basis[n - 1],
-                                        lambda w: _face_terms(w, e)))
-    connes = [_entries_matrix(basis[n], basis[n + 1], _connes_terms)
-              for n in range(m)]
+        moves = _face_moves(e, n, power) if basis[n] else []
+        boundary.append(_entries_matrix(basis[n], codes[n], rows[n - 1],
+                                        moves, 0))
+    connes = []
+    for n in range(m):
+        moves = _rotation_moves(e, n, power) if basis[n] else []
+        connes.append(_entries_matrix(basis[n], codes[n], rows[n + 1],
+                                      moves, bisect_left(codes[n], power[n])))
     connes.append(SparseIntMatrix(0, [()] * len(basis[m])))
 
     for n in range(1, m):
-        if _composite_nonzero((boundary[n + 1], boundary[n])):
+        if _composite_nonzero(boundary[n + 1], boundary[n]):
             raise ComplexIdentityError(
                 f"boundary squared nonzero at degree {n + 1} (e={e}, m={m})")
     for n in range(m - 1):
-        if _composite_nonzero((connes[n], connes[n + 1])):
+        above = connes[n + 1].columns
+        reached = any(above[k] for col in connes[n].columns for k, _ in col)
+        if reached and _composite_nonzero(connes[n], connes[n + 1]):
             raise ComplexIdentityError(
                 f"Connes squared nonzero at degree {n} (e={e}, m={m})")
     for n in range(m + 1):
-        composites = [(connes[n], boundary[n + 1])] if n < m else []
-        if n:
-            composites.append((boundary[n], connes[n - 1]))
-        if _composite_nonzero(*composites):
+        if basis[n] and _anticommutator_nonzero(boundary, connes, n):
             raise ComplexIdentityError(
                 f"boundary/Connes anticommutator nonzero at degree {n} "
                 f"(e={e}, m={m})")

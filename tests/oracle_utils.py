@@ -169,6 +169,41 @@ def word_count(e: int, m: int, n: int) -> int:
     return poly[m] if m < len(poly) else 0
 
 
+def face_terms(word: tuple, e: int):
+    """(sign, face) pairs of the nonzero faces of a word of degree n, by
+    slicing the word: face i < n merges letters i and i + 1 with sign
+    (-1)^i, the last face puts w_n + w_0 in front with sign (-1)^n, and a
+    merged letter that reaches e is the basepoint."""
+    n = len(word) - 1
+    for i in range(n):
+        merged = word[i] + word[i + 1]
+        if merged < e:
+            yield (-1) ** i, word[:i] + (merged,) + word[i + 2:]
+    merged = word[n] + word[0]
+    if merged < e:
+        yield (-1) ** n, (merged,) + word[1:n]
+
+
+def connes_terms(word: tuple):
+    """(sign, word) pairs of B applied to a word, by slicing it: the unit
+    in front of each cyclic rotation, with sign (-1)^(n i); empty when
+    pi_0 = 0."""
+    if word[0] == 0:
+        return
+    n = len(word) - 1
+    for i in range(n + 1):
+        sign = -1 if (n * i) % 2 else 1
+        yield sign, (0,) + word[i:] + word[:i]
+
+
+def word_code(word: tuple, e: int) -> int:
+    """The word read as a base-e numeral, its first letter leading."""
+    code = 0
+    for letter in word:
+        code = code * e + letter
+    return code
+
+
 def dense_entries_matrix(src, dst, term_fn) -> np.ndarray:
     """The matrix of the map sending each word of src to its (sign, word)
     terms, on the basis dst, as cycbar built it before storing it sparse:

@@ -415,6 +415,33 @@ class TestUsageErrors:
         assert (f"--{flag} scopes the routes suite only, and --suite "
                 f"{suite} does not read it") in captured.err
 
+    @pytest.mark.parametrize("argv, flag, readers, suite", [
+        (["--suite", "homology", "--seed", "5"], "seed",
+         "witt and equalizer suites", "homology"),
+        (["--suite", "split", "--seed", "1"], "seed",
+         "witt and equalizer suites", "split"),
+        (["--suite", "routes", "--seed", "1"], "seed",
+         "witt and equalizer suites", "routes"),
+        (["--suite", "witt", "--enum-bound", "5"], "enum-bound",
+         "split and routes suites", "witt"),
+        (["--suite", "ss", "--enum-bound", "5"], "enum-bound",
+         "split and routes suites", "ss"),
+        (["--suite", "equalizer", "--enum-bound", "5"], "enum-bound",
+         "split and routes suites", "equalizer"),
+    ], ids=["seed-homology", "seed-split", "seed-routes", "enum-bound-witt",
+            "enum-bound-ss", "enum-bound-equalizer"])
+    def test_a_seed_or_enum_bound_on_a_suite_that_ignores_it(
+            self, capsys, argv, flag, readers, suite):
+        # --seed feeds the witt and equalizer suites, --enum-bound the
+        # split and routes suites
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"--{flag} scopes the {readers} only, and --suite {suite} "
+                f"does not read it") in captured.err
+
     def test_a_routes_scope_within_all(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "all", "--p", "2",
                             "--e", "2", "--rmax", "1")

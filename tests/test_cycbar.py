@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktrunc import cycbar
 from ktrunc.cycbar import (
@@ -31,9 +33,10 @@ from ktrunc.cycbar import (
 )
 from ktrunc.exactalg import SparseIntMatrix, fp_kernel_basis, fp_rank, fp_rref
 from ktrunc.ssengine import build_e2
-from oracle_utils import (dense, dense_entries_matrix, dense_vector,
-                          first_outside_span, rank_mod_p, span_multiples,
-                          word_count, words_by_recursion)
+from oracle_utils import (connes_terms, dense, dense_entries_matrix,
+                          dense_vector, face_terms, first_outside_span,
+                          rank_mod_p, span_multiples, word_code, word_count,
+                          words_by_recursion)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # (e, m, lambda) for every weight class `hh` admits with e not dividing m,
@@ -93,23 +96,32 @@ class TestWords:
         words = weight_words(3, 4, 2)
         assert words == tuple(sorted(words))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 24), st.integers(0, 4))
+    def test_codes_increase_in_lex_order(self, e, m, n):
+        # letters below e are base-e digits, so within one degree the
+        # numeric order of the codes is the lex order of the words
+        codes = [word_code(w, e) for w in weight_words(e, m, n)]
+        assert all(a < b for a, b in zip(codes, codes[1:])), (e, m, n)
 
-def _flip_first_sign(terms):
-    """The same expansion with the sign of its first term flipped."""
+
+def _flip_first_sign(moves):
+    """The same moves with the sign of the first one flipped."""
     def wrong_sign(*args):
-        for i, (sign, out) in enumerate(terms(*args)):
-            yield (-sign if i == 0 else sign), out
+        (i, j, limit, sign, a, b, d), *rest = moves(*args)
+        return [(i, j, limit, -sign, a, b, d), *rest]
     return wrong_sign
 
 
-def _stray_degree_two_term(terms):
-    """B plus a term from every degree-1 word to (1, 1, 1), a word whose
+def _stray_degree_two_term(moves):
+    """B plus a move from every degree-1 word to (1, 1, 1), a word whose
     head is not the unit, so that B no longer kills B's image.  Faces are
-    untouched, and at e = 3, m = 3 the word lies in the degree-2 basis."""
-    def stray(word):
-        yield from terms(word)
-        if len(word) == 2:
-            yield 1, (1, 1, 1)
+    untouched.  At e = 3, m = 3 the degree-1 words are (1, 2) and (2, 1),
+    codes 5 and 7, both odd, and (1, 1, 1), code 13, lies in the degree-2
+    basis: the added move sends c to c // 2 * 0 + c % 2 * 13."""
+    def stray(e, n, power):
+        out = moves(e, n, power)
+        return out + [(0, 0, 2 * e, 1, 2, 0, 13)] if n == 1 else out
     return stray
 
 
@@ -180,16 +192,16 @@ class TestComplexStructure:
         assert connes[5].shape == (0, len(basis[5]))
 
     @pytest.mark.parametrize("name, mutate, identity", [
-        pytest.param("_face_terms", _flip_first_sign,
+        pytest.param("_face_moves", _flip_first_sign,
                      "boundary squared nonzero at degree 3",
-                     id="_face_terms-boundary squared nonzero at degree 3"),
-        pytest.param("_connes_terms", _flip_first_sign,
+                     id="_face_moves-boundary squared nonzero at degree 3"),
+        pytest.param("_rotation_moves", _flip_first_sign,
                      "boundary/Connes anticommutator nonzero at degree 1",
-                     id="_connes_terms-boundary/Connes anticommutator "
+                     id="_rotation_moves-boundary/Connes anticommutator "
                         "nonzero at degree 1"),
-        pytest.param("_connes_terms", _stray_degree_two_term,
+        pytest.param("_rotation_moves", _stray_degree_two_term,
                      "Connes squared nonzero at degree 1",
-                     id="_connes_terms-Connes squared nonzero at degree 1"),
+                     id="_rotation_moves-Connes squared nonzero at degree 1"),
     ])
     def test_wrong_sign_breaks_an_identity(self, monkeypatch, name, mutate,
                                            identity):
@@ -203,38 +215,69 @@ class TestComplexStructure:
             cycbar._integer_complex.__wrapped__(3, 3)
         assert cycbar._integer_complex.cache_info() == before
 
+    def test_a_face_on_another_word_breaks_an_identity(self, monkeypatch):
+        # face 1 cut one digit too high, at e^n in place of e^(n-1), in
+        # every degree n >= 2: c // e^n * e^(n-2) + c % e^n.  At e = 3,
+        # m = 3 it sends (0, 1, 1, 1), code 13, to code 13 of degree 2,
+        # the word (1, 1, 1), in place of (0, 2, 1): a word of the basis,
+        # so no lookup fails and only an identity can catch it
+        right = cycbar._face_moves
+
+        def wrong_power(e, n, power):
+            moves = right(e, n, power)
+            if n >= 2:
+                i, j, limit, sign, _, b, d = moves[1]
+                moves[1] = (i, j, limit, sign, power[n], b, d)
+            return moves
+
+        basis = weight_words(3, 3, 2)
+        assert word_code((0, 1, 1, 1), 3) == 13
+        assert 13 // 27 * 3 + 13 % 27 == word_code((1, 1, 1), 3)
+        assert (1, 1, 1) in basis and (0, 2, 1) in basis
+        monkeypatch.setattr(cycbar, "_face_moves", wrong_power)
+        before = cycbar._integer_complex.cache_info()
+        with pytest.raises(ComplexIdentityError,
+                           match=r"boundary squared nonzero at degree 3 "
+                                 r"\(e=3, m=3\)"):
+            cycbar._integer_complex.__wrapped__(3, 3)
+        assert cycbar._integer_complex.cache_info() == before
+
 
 class TestSparseStorage:
     """The stored columns against the dense builder they replaced
-    (oracle_utils.dense_entries_matrix), on every map of e <= 5, m <= 9."""
+    (oracle_utils.dense_entries_matrix), fed by the tuple-slicing faces
+    and rotations of oracle_utils, on every map of e <= 5, m <= 9 and of
+    a few large e, whose codes are wide integers."""
 
     def test_dense_view_matches_the_reference_builder(self):
-        for e in range(2, 6):
-            for m in range(1, 10):
-                basis, boundary, connes = cycbar._integer_complex(e, m)
-                for n in range(m + 1):
-                    faces = (dense_entries_matrix(
-                        basis[n], basis[n - 1],
-                        lambda w: cycbar._face_terms(w, e)) if n
-                        else np.zeros((0, len(basis[0])), dtype=np.int64))
-                    rotations = (dense_entries_matrix(
-                        basis[n], basis[n + 1], cycbar._connes_terms)
-                        if n < m
-                        else np.zeros((0, len(basis[m])), dtype=np.int64))
-                    for got, want in ((boundary[n], faces),
-                                      (connes[n], rotations)):
-                        assert got.shape == want.shape, (e, m, n)
-                        assert got.size == want.size, (e, m, n)
-                        assert (dense(got) == want).all(), (e, m, n)
-                        assert all(x for col in got.columns for _, x in col)
+        pairs = [(e, m) for e in range(2, 6) for m in range(1, 10)]
+        for e, m in pairs + [(11, 6), (40, 5), (1000, 4)]:
+            basis, boundary, connes = cycbar._integer_complex(e, m)
+            for n in range(m + 1):
+                faces = (dense_entries_matrix(
+                    basis[n], basis[n - 1], lambda w: face_terms(w, e)) if n
+                    else np.zeros((0, len(basis[0])), dtype=np.int64))
+                rotations = (dense_entries_matrix(
+                    basis[n], basis[n + 1], connes_terms) if n < m
+                    else np.zeros((0, len(basis[m])), dtype=np.int64))
+                for got, want in ((boundary[n], faces),
+                                  (connes[n], rotations)):
+                    assert got.shape == want.shape, (e, m, n)
+                    assert got.size == want.size, (e, m, n)
+                    assert (dense(got) == want).all(), (e, m, n)
+                    assert all(x for col in got.columns for _, x in col)
 
     def test_builder_result_has_the_shape_and_size_the_tracer_reads(self):
-        basis = [weight_words(3, 5, n) for n in (1, 2)]
-        mat = cycbar._entries_matrix(basis[1], basis[0],
-                                     lambda w: cycbar._face_terms(w, 3))
-        assert "{}x{}".format(*mat.shape) == (
-            f"{len(basis[0])}x{len(basis[1])}")
-        assert mat.size == len(basis[0]) * len(basis[1])
+        e = 3
+        src, dst = (weight_words(e, 5, n) for n in (2, 1))
+        mat = cycbar._entries_matrix(
+            src, [word_code(w, e) for w in src],
+            {word_code(w, e): i for i, w in enumerate(dst)},
+            cycbar._face_moves(e, 2, [e ** k for k in range(4)]), 0)
+        assert "{}x{}".format(*mat.shape) == f"{len(dst)}x{len(src)}"
+        assert mat.size == len(dst) * len(src)
+        assert (dense(mat) == dense_entries_matrix(
+            src, dst, lambda w: face_terms(w, e))).all()
 
     def test_unit_pivot_ranks_on_every_boundary(self):
         for e in range(2, 6):
