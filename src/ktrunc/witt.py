@@ -25,8 +25,9 @@ from .exactalg import GhostInversionError, p_valuation
 # Bound on memoized divisor lists: the test suite and every benchmark grid
 # ask for at most 28 distinct n.
 DIVISORS_CACHE_SIZE = 256
-# Bound on interned truncation sets: the whole test suite builds 35 in one
-# process, `verify --suite all` 25 and the witt_enum grid 12.  Past it the
+# Bound on interned truncation sets, the divisor sets D(k) of route A's
+# coordinate tables among them: the whole test suite builds 47 in one
+# process, `verify --suite all` 34 and the witt_enum grid 24.  Past it the
 # oldest is dropped.
 TRUNCATION_CACHE_SIZE = 256
 

@@ -15,10 +15,16 @@ element of W_re(F_p) is an integer code, its coordinates read as base-p
 digits, and the multiply-by-p map is an array of codes memoized per (p, re),
 so every enumeration step is one numpy gather.  numpy is imported only
 where route A enumerates, so route B and the CLI paths that need only
-h_function, s_function and ENUM_CAP never load it.  The map is built from p-1
-Witt additions, each made once per block of MUL_P_BLOCK codes on int64
-columns (one per coordinate) through the same ghost map and inverse as a
-single vector; a worst-case bound on every intermediate is checked against
+h_function, s_function and ENUM_CAP never load it.  Coordinate k of a Witt
+sum depends only on the coordinates at the divisors D(k) of k, so
+restriction to D(k) is a ring map and coordinate k of p*x is coordinate k
+of p*(x restricted to D(k)).  The map is therefore assembled digit by digit
+from one table per (p, k), memoized and shared by every map with that p,
+of coordinate k of p*y over all p^tau(k) vectors y on D(k).  A table is
+built by double-and-add over the bits of p, each Witt addition made once
+per block of MUL_P_BLOCK codes on int64 columns (one per coordinate)
+through the same ghost map and inverse as a single vector; a worst-case
+bound on every intermediate, which covers each D(k), is checked against
 int64 before the build.  Enumerations are capped at ENUM_CAP elements.  The
 two routes are compared in the test suite over an exhaustive grid.
 """
@@ -30,19 +36,30 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .exactalg import GroupStructure, is_prime, p_valuation
-from .witt import TruncationSet, _add_coords
+from .witt import TruncationSet, _add_coords, _divisors
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 # Largest group brute_force_quotient enumerates, whatever its enum_bound;
-# its codes fit in int32.
+# its codes fit in int32.  At the cap, `verify --suite routes --enum-bound
+# 1048576` takes, in one fresh process (2 shared Intel Xeon x86_64 CPUs,
+# Python 3.11.7; wall time and VmHWM, 3 runs): 0.86-1.09 s and 49 MB at
+# (p, e, rmax) = (1021, 2, 1), 0.31-0.58 s and 79 MB at (31, 1, 4),
+# 0.36-0.37 s and 42 MB at (7, 7, 1), 0.48-0.63 s and 46 MB at (2, 4, 5).
 ENUM_CAP = 1 << 20
 # Bound on memoized multiply-by-p maps, one per (p, re): the test suite asks
-# for 35 and the witt_enum benchmark grid for 30.
+# for 37 and the witt_enum benchmark grid for 30.
 MUL_P_CACHE_SIZE = 64
-# Codes per block of columns in _mul_p_map; bounds the memory of a build.
+# Bound on memoized coordinate tables, one per (p, k) and shared by every
+# map at that p: the test suite builds 51, `verify --suite all` 32 and the
+# witt_enum benchmark grid 32.  A table holds p^tau(k) int32 entries, which
+# within ENUM_CAP is at most 29,791 for k > 2 (p = 31, k = 4) and p^2 at
+# k = 2, so a full cache holds at most 162 MiB: the k = 2 tables of the 64
+# largest primes below 1024, next to the maps of re = 2 they serve.
+COORDINATE_TABLE_CACHE_SIZE = 64
+# Codes per block of columns in _by_blocks; bounds the memory of a build.
 MUL_P_BLOCK = 1 << 12
 # _mul_p_map builds only when _addition_bound stays below this, so no int64
 # intermediate overflows.
@@ -145,37 +162,69 @@ def _addition_bound(p: int, ts: TruncationSet) -> int:
     return peak
 
 
+def _by_blocks(p: int, n: int, entries) -> np.ndarray:
+    """The read-only int32 array of entries(x) over all p^n codes in order,
+    where x holds the int64 digit columns (_digits) of one block of
+    MUL_P_BLOCK codes."""
+    import numpy as np
+
+    total = p ** n
+    out = np.empty(total, dtype=np.int32)
+    for start in range(0, total, MUL_P_BLOCK):
+        codes = np.arange(start, min(start + MUL_P_BLOCK, total),
+                          dtype=np.int64)
+        out[start:start + len(codes)] = entries(_digits(codes, p, n))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=COORDINATE_TABLE_CACHE_SIZE)
+def _coordinate_table(p: int, k: int) -> np.ndarray:
+    """Coordinate k of p*y for every y in W_D(F_p), D the divisors of k, as
+    a read-only int32 array indexed by code(y).
+
+    p*y is made by double-and-add over the bits of p, floor(log2 p) +
+    popcount(p) - 1 calls of _add_coords per block of MUL_P_BLOCK codes,
+    each on two operands reduced into [0, p).  Builds without a bound
+    check: _mul_p_map checks one that covers every D.
+    """
+    ts = TruncationSet(_divisors(k))
+
+    def times_p(y):
+        acc = y
+        for bit in bin(p)[3:]:  # the bits of p after the leading one
+            acc = _add_coords(ts, acc, acc, p)
+            if bit == "1":
+                acc = _add_coords(ts, acc, y, p)
+        return acc[-1]  # k is the largest of D
+
+    return _by_blocks(p, len(ts), times_p)
+
+
 @lru_cache(maxsize=MUL_P_CACHE_SIZE)
 def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
     """x -> p*x on all of W_S(F_p) as a read-only int32 array of codes.
 
     Entry code(x) is code(p*x), where code(x) reads the coordinates of x as
     base-p digits, first coordinate most significant (the order of
-    itertools.product(range(p), repeat=len(ts))).  p*x is the sum of p
-    copies of x: p-1 calls of _add_coords per block of MUL_P_BLOCK codes,
-    on int64 columns holding one coordinate of every code in the block.
-    Raises Int64BoundError, before any int64 arithmetic, if
-    _addition_bound(p, ts) reaches INT64_LIMIT.
+    itertools.product(range(p), repeat=len(ts))).  Coordinate k of a Witt
+    sum depends only on the coordinates at the divisors of k, so restricting
+    to the divisor-closed set D(k) of them is a ring map and
+    (p*x)_k = (p*(x|D(k)))_k.  Each digit of code(p*x) is therefore a
+    lookup in _coordinate_table(p, k), indexed by the digits of x at D(k).
+    Raises Int64BoundError, before any table is built, if
+    _addition_bound(p, ts) reaches INT64_LIMIT; the bound for D(k) is at
+    most that, since each row of it reads only the divisors of that row.
     """
-    import numpy as np
-
     n = len(ts)
     bound = _addition_bound(p, ts)
     if bound >= INT64_LIMIT:
         raise Int64BoundError(
             f"adding in W_{n}(F_{p}) can reach {bound}, past int64")
-    total = p ** n
-    out = np.empty(total, dtype=np.int32)
-    for start in range(0, total, MUL_P_BLOCK):
-        codes = np.arange(start, min(start + MUL_P_BLOCK, total),
-                          dtype=np.int64)
-        x = _digits(codes, p, n)
-        acc = x
-        for _ in range(p - 1):
-            acc = _add_coords(ts, acc, x, p)
-        out[start:start + len(codes)] = _code(acc, p)
-    out.flags.writeable = False
-    return out
+    tables = [(_coordinate_table(p, k),
+               [ts.position(d) for d in _divisors(k)]) for k in ts]
+    return _by_blocks(p, n, lambda x: _code(
+        (table[_code([x[i] for i in at], p)] for table, at in tables), p))
 
 
 def brute_force_quotient(params: SplitParams,

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktrunc import wittsplit
 from ktrunc.exactalg import GroupStructure, is_prime
 from ktrunc.witt import (TruncationSet, WittVector, _coords_from_ghost,
-                         _ghost_coords, witt_scalar)
+                         _divisors, _ghost_coords, witt_scalar)
 from ktrunc.wittsplit import (
     ENUM_CAP,
     INT64_LIMIT,
@@ -23,6 +24,7 @@ from ktrunc.wittsplit import (
     Int64BoundError,
     SplitParams,
     _addition_bound,
+    _coordinate_table,
     _mul_p_map,
     _split_e,
     brute_force_quotient,
@@ -179,22 +181,33 @@ class TestBruteForce:
 @pytest.fixture
 def fresh_mul_p_cache():
     _mul_p_map.cache_clear()
+    _coordinate_table.cache_clear()
     yield
     _mul_p_map.cache_clear()
+    _coordinate_table.cache_clear()
+
+
+def _largest_n_under_the_cap(p):
+    n = 1
+    while p ** (n + 1) <= ENUM_CAP:
+        n += 1
+    return n
 
 
 class TestMulPMap:
-    @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3)])
+    # (101, 2) builds its table at k = 2 in three blocks, and (31, 3)
+    # assembles its map in eight.
+    @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3), (101, 2),
+                                      (31, 3)])
     def test_codes_agree_with_one_ghost_scaling(self, p, n):
         # code(x) reads the coordinates of x as base-p digits, first
         # coordinate most significant; witt_scalar computes p*x in one
-        # ghost scaling, without the repeated additions of _mul_p_map.
+        # ghost scaling on all of W_S(Z), with no tables and no additions.
         ts = TruncationSet.big(n)
         mul_p = _mul_p_map(p, ts)
         assert not mul_p.flags.writeable
         assert len(mul_p) == p ** n
-        for x in product(range(p), repeat=n):
-            code = int("".join(map(str, x)), p)
+        for code, x in enumerate(product(range(p), repeat=n)):
             got = int(mul_p[code])
             digits = tuple(got // p ** (n - 1 - i) % p for i in range(n))
             want = witt_scalar(p, WittVector(ts, x)).coords
@@ -206,6 +219,29 @@ class TestMulPMap:
             params = SplitParams(2, r, e)
             assert brute_force_quotient(params) == predicted_quotient(params)
         assert _mul_p_map.cache_info().misses == 1
+        # W_4(F_2) reads the tables W_8(F_2) built, one per coordinate
+        _mul_p_map(2, TruncationSet.big(4))
+        assert _mul_p_map.cache_info().misses == 2
+        assert _coordinate_table.cache_info().maxsize is not None
+        assert _coordinate_table.cache_info().misses == 8
+
+    # Tables of 1, 1, 29 and 255 blocks.
+    @pytest.mark.parametrize("p, k", [(2, 12), (3, 12), (7, 12), (1021, 2)])
+    def test_each_table_block_doubles_and_adds(self, p, k, monkeypatch):
+        add, calls = wittsplit._add_coords, []
+
+        def counting(*args):
+            calls.append(len(args[1][0]))  # the codes in this block
+            return add(*args)
+
+        monkeypatch.setattr(wittsplit, "_add_coords", counting)
+        table = _coordinate_table.__wrapped__(p, k)
+        size = p ** len(_divisors(k))
+        blocks = -(-size // MUL_P_BLOCK)
+        per_block = p.bit_length() - 1 + bin(p).count("1") - 1
+        assert len(table) == size and table.dtype == np.int32
+        assert len(calls) == blocks * per_block
+        assert sum(calls) == size * per_block
 
     # The oracle makes p^n (p-1) additions one element at a time, which
     # limits the primes; the grids of route A use p <= 7.
@@ -223,10 +259,18 @@ class TestMulPMap:
 
     def test_int64_bound_holds_up_to_the_cap(self):
         for p in filter(is_prime, range(2, 1025)):
-            n = 1
-            while p ** (n + 1) <= ENUM_CAP:
-                n += 1
+            n = _largest_n_under_the_cap(p)
             assert _addition_bound(p, TruncationSet.big(n)) < INT64_LIMIT, p
+
+    def test_every_table_is_within_the_map_bound(self):
+        # _mul_p_map checks the bound of ts alone before building the
+        # tables on the divisors D(k) of each k in ts.
+        for p in filter(is_prime, range(2, 1025)):
+            n = _largest_n_under_the_cap(p)
+            bound = _addition_bound(p, TruncationSet.big(n))
+            for k in range(1, n + 1):
+                assert _addition_bound(
+                    p, TruncationSet(_divisors(k))) <= bound, (p, k)
 
     @pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3)])
     def test_bound_covers_every_sum(self, p, n):
@@ -247,9 +291,10 @@ class TestMulPMap:
                 seen += [term, acc]
         assert 0 < np.abs(np.array(seen)).max() <= _addition_bound(p, ts)
 
-    def test_refuses_a_build_past_int64(self):
+    def test_refuses_a_build_past_int64(self, fresh_mul_p_cache):
         # W_54(F_2) is the first big Witt ring over F_2 whose bound reaches
-        # 2^62; the refusal comes before any array is allocated.
+        # 2^62; the refusal comes before any table is built.
         assert _addition_bound(2, TruncationSet.big(53)) < INT64_LIMIT
         with pytest.raises(Int64BoundError):
             _mul_p_map.__wrapped__(2, TruncationSet.big(54))
+        assert _coordinate_table.cache_info().misses == 0
