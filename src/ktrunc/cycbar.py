@@ -36,11 +36,14 @@ out of its degree: the stored boundary goes to integer_kernel_basis as
 it is, and the coordinate map kept with that basis turns the boundary
 columns into the degree into the columns of the presentation, a
 SparseIntMatrix with no dense copy.  Each of its Smith forms keeps only
-the transforms read from it: the boundary's keeps v and the inverse of v
-(the kernel basis and its coordinates), the presentation's keeps u (one
-row of it is the homology functional), and in the lower degree the
-functional's own, inverted by integer_solve for the generator, keeps u
-and v; the upper degree needs no generator, only its functional.
+the transforms read from it.  In the lower degree, the boundary's keeps v
+and the inverse of v (the kernel basis, which carries the generator, and
+the coordinates), the presentation's keeps u (one row of it is the
+homology functional), and the functional's own, inverted by
+integer_solve for the generator, keeps u and v.  The upper degree needs
+no generator, only its functional and the coordinates of B of the lower
+generator: its boundary's Smith form keeps the inverse of v alone, and
+its presentation's keeps u.
 
 A (z, w) page (e | m and p | e) has its scalar checked, not solved for.
 Its integral homology is Z/e in degree 2d+1 and nothing else, so by
@@ -94,16 +97,16 @@ HOMOLOGY_CACHE_SIZE = 256
 # for every e.  The integral Connes scalar runs Smith forms on the four
 # degrees around it.  Worst case over all 608 admitted (e, m), each run as
 # a fresh `hh --m` process at p = 2 and at every prime factor of e (684
-# runs, about 85 s in all; wall time of the whole process and its peak
-# RSS, VmHWM; Python 3.11.7 on 2 shared x86_64 Xeon CPUs): (6, 14), whose
-# integral scalar reads a 952 x 2,471 presentation, 1.1-1.5 s and 55-56 MB
-# at p = 2 or 3.  Every other run took at most 1.0 s and 44 MB.  Timed as
-# 5 fresh processes each on the same host, since the complex is built on
-# base-e word codes (before it, in brackets): (6, 14) at p = 3 1.07-1.27 s
-# (1.26-1.42 s) and 56-59 MB; (7, 14) at p = 7, a (z, w) page, 0.42-0.68 s
-# (0.53-0.90 s) and 35 MB; (3, 18) at p = 3, a (z, w) page of 8,362 words,
-# 0.30-0.31 s (0.37-0.40 s) and 30 MB.  The complexes alone build in
-# 0.28, 0.29 and 0.18 s (0.43, 0.55 and 0.26 s).  Past the budget,
+# runs, 91 s in all; wall time of the whole process and its peak RSS,
+# VmHWM; Python 3.11.7 on 2 shared x86_64 Xeon CPUs): (6, 14), whose
+# integral scalar reads a 952 x 2,471 presentation, 1.0-1.1 s and 48 MB at
+# p = 2 or 3.  Every other run took at most 0.72 s and 39 MB.  Timed as 5
+# fresh processes each on the same host, since the upper degree's Smith
+# form stopped building v and the E-infinity survivors stop at the first
+# kill (before it, in brackets): (6, 14) at p = 3 0.75-0.81 s
+# (0.95-1.17 s) and 48 MB (55-59 MB); (7, 14) at p = 7, a (z, w) page,
+# 0.39-0.64 s (0.40-0.66 s) and 35 MB; (3, 18) at p = 3, a (z, w) page of
+# 8,362 words, 0.32-0.46 s (0.40-0.50 s) and 30 MB.  Past the budget,
 # (3, 19), widest scalar degree 3,718, takes 73 s and 514 MB for its
 # homology summary.
 WEIGHT_BUDGET = 512
@@ -272,7 +275,7 @@ def _anticommutator_nonzero(boundary: list[SparseIntMatrix],
 
 def _entries_matrix(words: tuple[Word, ...], codes: list[int],
                     rows: dict[int, int], moves: list[tuple],
-                    first: int) -> SparseIntMatrix:
+                    first: int, where: str) -> SparseIntMatrix:
     """The map sending each word to the sum of its moves, on the basis
     whose rows maps each code to its row: column j holds the terms of
     words[j] after cancellation, and the columns before `first` are zero.
@@ -283,20 +286,40 @@ def _entries_matrix(words: tuple[Word, ...], codes: list[int],
     moves cut the numeral at a power of e and shift its two parts by
     powers of e; every digit stays a letter below e (a merged letter is
     below e when its move is kept), so no carry occurs and the result is
-    the code of the word the move makes."""
+    the code of the word the move makes.  A code outside rows means a
+    broken move: ComplexIdentityError names it, with `where` (the map,
+    its degree and (e, m)), found again on a cold path so the word loop
+    pays only one try per call."""
     columns = [()] * first
     if first:
         words, codes = words[first:], codes[first:]
-    for w, c in zip(words, codes):
-        col: dict[int, int] = {}
-        for i, j, limit, sign, a, b, d in moves:
-            if w[i] + w[j] < limit:
-                r = rows[c // a * b + c % a * d]
-                col[r] = col.get(r, 0) + sign
-        if 0 in col.values():
-            col = {i: x for i, x in col.items() if x}
-        columns.append(tuple(col.items()))
+    try:
+        for w, c in zip(words, codes):
+            col: dict[int, int] = {}
+            for i, j, limit, sign, a, b, d in moves:
+                if w[i] + w[j] < limit:
+                    r = rows[c // a * b + c % a * d]
+                    col[r] = col.get(r, 0) + sign
+            if 0 in col.values():
+                col = {i: x for i, x in col.items() if x}
+            columns.append(tuple(col.items()))
+    except KeyError:
+        raise ComplexIdentityError(
+            _missed_move(words, codes, rows, moves, where)) from None
     return SparseIntMatrix(len(rows), columns)
+
+
+def _missed_move(words: tuple[Word, ...], codes: list[int],
+                 rows: dict[int, int], moves: list[tuple], where: str) -> str:
+    """The error message for the first word and kept move whose code is
+    not in rows, as _entries_matrix reads them."""
+    for w, c in zip(words, codes):
+        for k, (i, j, limit, sign, a, b, d) in enumerate(moves):
+            target = c // a * b + c % a * d
+            if w[i] + w[j] < limit and target not in rows:
+                return (f"{where}: move {k} {moves[k]} sends the word {w} "
+                        f"to code {target}, outside the target basis")
+    raise AssertionError(f"{where}: a lookup failed that no move makes")
 
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)
@@ -338,13 +361,16 @@ def _integer_complex(e: int, m: int):
     boundary = [SparseIntMatrix(0, [()] * len(basis[0]))]
     for n in range(1, m + 1):
         moves = _face_moves(e, n, power) if basis[n] else []
-        boundary.append(_entries_matrix(basis[n], codes[n], rows[n - 1],
-                                        moves, 0))
+        boundary.append(_entries_matrix(
+            basis[n], codes[n], rows[n - 1], moves, 0,
+            f"boundary out of degree {n} (e={e}, m={m})"))
     connes = []
     for n in range(m):
         moves = _rotation_moves(e, n, power) if basis[n] else []
-        connes.append(_entries_matrix(basis[n], codes[n], rows[n + 1],
-                                      moves, bisect_left(codes[n], power[n])))
+        connes.append(_entries_matrix(
+            basis[n], codes[n], rows[n + 1], moves,
+            bisect_left(codes[n], power[n]),
+            f"Connes map out of degree {n} (e={e}, m={m})"))
     connes.append(SparseIntMatrix(0, [()] * len(basis[m])))
 
     for n in range(1, m):
@@ -431,26 +457,33 @@ def _boundary_in(boundary: tuple[SparseIntMatrix, ...],
     return SparseIntMatrix(boundary[n].shape[1], ())
 
 
-def _homology_functional(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix
-                         ) -> tuple[SparseIntMatrix, Callable, list[int]]:
+def _homology_functional(out_mat: SparseIntMatrix, in_mat: SparseIntMatrix,
+                         *, keep_basis: bool
+                         ) -> tuple[SparseIntMatrix | None, Callable,
+                                    list[int]]:
     """(kernel, coordinates, phi) for an integral homology group that must
     be exactly Z.
 
     ker(out_mat)/im(in_mat) is presented in a kernel-lattice basis, whose
     coordinates integer_kernel_basis reads off the Smith form of out_mat;
-    the Smith form u @ pres @ v = d of the presentation must show one free
-    coordinate and no torsion.  Row `rank` of u is then a functional phi
-    on kernel coordinates whose kernel is exactly the image, so it maps
-    the homology isomorphically onto Z: a cycle's class is phi of its
-    coordinates times the generator, the cycles phi sends to 1.
+    that Smith form keeps the inverse of v, and v as well only when
+    keep_basis asks for the kernel basis (else kernel is None).  The
+    presentation has one row per kernel basis vector, and its Smith form
+    u @ pres @ v = d, which keeps u alone, must show one free coordinate
+    and no torsion.  Row `rank` of u is then a functional phi on kernel
+    coordinates whose kernel is exactly the image, so it maps the homology
+    isomorphically onto Z: a cycle's class is phi of its coordinates times
+    the generator, the cycles phi sends to 1.
     """
-    kernel, coordinates = integer_kernel_basis(out_mat)
-    snf_pres = smith_normal_form(coordinates(in_mat.columns), _keep=("u",))
+    kernel, coordinates = integer_kernel_basis(out_mat,
+                                               keep_basis=keep_basis)
+    pres = coordinates(in_mat.columns)
+    snf_pres = smith_normal_form(pres, _keep=("u",))
     rank = snf_pres.rank()
-    if kernel.shape[1] - rank != 1 or any(x > 1 for x in snf_pres.d):
+    if pres.shape[0] - rank != 1 or any(x > 1 for x in snf_pres.d):
         raise AssertionError(
             f"integral homology is not free of rank one: diag {snf_pres.d}, "
-            f"kernel rank {kernel.shape[1]}")
+            f"kernel rank {pres.shape[0]}")
     phi = [dict(col).get(rank, 0) for col in snf_pres.u.columns]  # row rank
     return kernel, coordinates, phi
 
@@ -462,18 +495,20 @@ def _integral_connes_scalar(e: int, m: int) -> int:
     Only defined when e does not divide m, where the integral homology
     is Z in degrees 2d and 2d+1.  It is phi_hi(B gen_lo), where gen_lo
     solves phi_lo(c) = 1: phi_hi kills every boundary and sends gen_hi
-    to 1, so the value is exact, sign included.
+    to 1, so the value is exact, sign included.  The upper degree's
+    kernel basis is never read, so its boundary's Smith form does not
+    build v (see _homology_functional).
     """
     if m % e == 0:
         raise ValueError("integral normalization needs e not dividing m")
     _, boundary, connes = _integer_complex(e, m)
     lo = 2 * d_function(e, m)
-    kernel, _, phi_lo = _homology_functional(boundary[lo],
-                                             _boundary_in(boundary, lo))
+    kernel, _, phi_lo = _homology_functional(
+        boundary[lo], _boundary_in(boundary, lo), keep_basis=True)
     gen_lo = kernel.apply(integer_solve(
         SparseIntMatrix(1, [((0, f),) if f else () for f in phi_lo]), [1]))
     _, coordinates, phi_hi = _homology_functional(
-        boundary[lo + 1], _boundary_in(boundary, lo + 1))
+        boundary[lo + 1], _boundary_in(boundary, lo + 1), keep_basis=False)
     (image,) = coordinates([enumerate(connes[lo].apply(gen_lo))]).columns
     return sum(phi_hi[k] * x for k, x in image)
 

@@ -23,7 +23,9 @@ returns d as its diagonal and each of those as a SparseIntMatrix.
 integer_kernel_basis keeps the column transform v and its inverse, and no
 u: rows rank.. of the inverse are a left inverse of the kernel basis, so
 the coordinate map it returns reads the coordinates of kernel vectors off
-that inverse, with no second Smith form and no solve per vector.
+that inverse, with no second Smith form and no solve per vector.  A
+caller that reads only coordinates asks for no basis, and then the Smith
+form keeps the inverse alone.
 kernel_invariants reads the kernel of a map of finite cyclic p-group
 products off the cokernel of its dual map, so it needs one Smith form, of
 whose diagonal it reads only the exponents of p: it keeps no transform.
@@ -367,24 +369,30 @@ def smith_normal_form(m: SparseIntMatrix, *,
         None if vi is None else _from_rows(vi, C))
 
 
-def integer_kernel_basis(m: SparseIntMatrix) -> tuple[
-        SparseIntMatrix, Callable[[Iterable[Iterable[tuple[int, int]]]],
-                                  SparseIntMatrix]]:
+def integer_kernel_basis(m: SparseIntMatrix, *, keep_basis: bool = True
+                         ) -> tuple[SparseIntMatrix | None, Callable[
+                             [Iterable[Iterable[tuple[int, int]]]],
+                             SparseIntMatrix]]:
     """(basis, coordinates): the columns of basis form a basis of the
     integer kernel lattice of m, and coordinates(vectors) gives the
-    coordinates of kernel vectors in it, one column per vector.
+    coordinates of kernel vectors in it, one column per vector, so its
+    matrices have one row per basis vector, the kernel rank.
 
     With u @ m @ v == diag(d) of rank r, the basis is columns r.. of v,
     stored by columns as the Smith form returns it, and the coordinates of
     w are rows r.. of v^-1 @ w, read off the inverse the Smith form kept
-    (no second Smith form, no solve per vector).  Each vector is given
-    sparse, as (index, value) pairs; one whose rows ..r of v^-1 @ w do not
-    vanish lies outside the kernel, and coordinates raises
+    (no second Smith form, no solve per vector).  The Smith form keeps v
+    and its inverse, and no u; with keep_basis False it keeps the inverse
+    alone and basis comes back as None.  Pivot choice reads neither
+    transform, so the coordinates are the same either way.  Each vector is
+    given sparse, as (index, value) pairs; one whose rows ..r of v^-1 @ w
+    do not vanish lies outside the kernel, and coordinates raises
     GhostInversionError for it.
     """
-    snf = smith_normal_form(m, _keep=("v", "v_inverse"))
+    snf = smith_normal_form(
+        m, _keep=("v", "v_inverse") if keep_basis else ("v_inverse",))
     rank = snf.rank()
-    basis = SparseIntMatrix(m.shape[1], snf.v.columns[rank:])
+    dim = m.shape[1] - rank
     inverse = snf.v_inverse.columns
 
     def coordinates(vectors: Iterable[Iterable[tuple[int, int]]]
@@ -404,8 +412,10 @@ def integer_kernel_basis(m: SparseIntMatrix) -> tuple[
                     "vector outside the integer kernel")
             columns.append(tuple(sorted((k, y) for k, y in high.items()
                                         if y)))
-        return SparseIntMatrix(basis.shape[1], columns)
+        return SparseIntMatrix(dim, columns)
 
+    basis = (SparseIntMatrix(m.shape[1], snf.v.columns[rank:])
+             if keep_basis else None)
     return basis, coordinates
 
 

@@ -166,14 +166,19 @@ def standard_patterns(page: BigradedPage) -> DifferentialPattern | None:
 
 
 def _classes(page: BigradedPage, pattern: DifferentialPattern | None,
-             total_degrees):
+             total_degrees, *, stop_at_kill: bool):
     """Plain (total, b, a, generator, killed) tuples, one per enumerated
     class.  Classes t^b x^a g with -2b + vertical + 2a = total form one
     family per generator and total degree.  A class dies when the other
     end of the differential through it lies on the page: t^(b+t_shift)
     x^(a+x_shift) from the source, t^(b-t_shift) x^(a-x_shift) from the
     target; survivors have a < a_min + t_shift + x_shift, so
-    enumeration stops just past that at a guard slot."""
+    enumeration stops just past that at a guard slot.
+
+    Both conditions of the kill rule are nondecreasing in a (b grows with
+    a), so once a class of a family dies every later one does: with
+    stop_at_kill each family ends at its first killed class, which is
+    yielded, and the survivors are the same."""
     if pattern is not None:
         pattern.validate(page)
     named = () if pattern is None else (pattern.source, pattern.target)
@@ -202,13 +207,16 @@ def _classes(page: BigradedPage, pattern: DifferentialPattern | None,
                         f"survivor {_label(b, a, gen.name)} at the "
                         f"enumeration cap in total degree {total}")
                 yield total, b, a, gen.name, killed
+                if killed and stop_at_kill:
+                    break
 
 
 def run_to_einfty(page: BigradedPage, pattern: DifferentialPattern | None,
                   total_degrees) -> dict[int, tuple[PageClass, ...]]:
     """Surviving classes per total degree after the page's differential."""
     survivors = {total: [] for total in total_degrees}
-    for total, b, a, g, killed in _classes(page, pattern, survivors):
+    for total, b, a, g, killed in _classes(page, pattern, survivors,
+                                           stop_at_kill=True):
         if not killed:
             survivors[total].append(PageClass(b, a, g))
     return {total: tuple(classes) for total, classes in survivors.items()}
@@ -219,8 +227,8 @@ def dump_page(page: BigradedPage, pattern: DifferentialPattern | None,
     """One line per enumerated class: killed-by page or survivor mark."""
     return [f"{total}: {_label(b, a, g)} "
             + (f"killed-by: d^{pattern.page}" if killed else "survives")
-            for total, b, a, g, killed in _classes(page, pattern,
-                                                    total_degrees)]
+            for total, b, a, g, killed in _classes(
+                page, pattern, total_degrees, stop_at_kill=False)]
 
 
 class TowerGroup(NamedTuple):

@@ -45,9 +45,9 @@ if TYPE_CHECKING:
 # Largest group brute_force_quotient enumerates, whatever its enum_bound;
 # its codes fit in int32.  At the cap, `verify --suite routes --enum-bound
 # 1048576` takes, in one fresh process (2 shared Intel Xeon x86_64 CPUs,
-# Python 3.11.7; wall time and VmHWM, 3 runs): 0.86-1.09 s and 49 MB at
-# (p, e, rmax) = (1021, 2, 1), 0.31-0.58 s and 79 MB at (31, 1, 4),
-# 0.36-0.37 s and 42 MB at (7, 7, 1), 0.48-0.63 s and 46 MB at (2, 4, 5).
+# Python 3.11.7; wall time and VmHWM, 3 runs): 0.85-0.97 s and 49 MB at
+# (p, e, rmax) = (1021, 2, 1), 0.29-0.38 s and 48 MB at (31, 1, 4),
+# 0.28-0.29 s and 42 MB at (7, 7, 1), 0.48 s and 46 MB at (2, 4, 5).
 ENUM_CAP = 1 << 20
 # Bound on memoized multiply-by-p maps, one per (p, re): the test suite asks
 # for 37 and the witt_enum benchmark grid for 30.
@@ -251,13 +251,15 @@ def brute_force_quotient(params: SplitParams,
                                         f"exceeds enum_bound = {bound}")
     ts = TruncationSet.big(r * e)
 
-    # Coordinate (i+1)e-1 of V_e(y) is y_i, every other one is 0; y runs
-    # over all of W_r(F_p) at once, one column per coordinate.
-    coords = [0] * (r * e)
-    for i, y_i in enumerate(_digits(np.arange(p ** r), p, r)):
-        coords[(i + 1) * e - 1] = y_i
+    # Coordinate (i+1)e-1 of V_e(y) is y_i, every other one is 0, so the
+    # code of V_e(y) is sum of y_i p^(e(r-1-i)): y's digits read in base
+    # p^e.  The codes over all of W_r(F_p) are built one digit at a time,
+    # and at e = 1 they are arange(p^r).
+    image = np.zeros(1, dtype=np.int64)
+    for _ in range(r):
+        image = np.add.outer(image * p ** e, np.arange(p)).ravel()
     in_image = np.zeros(total, dtype=bool)
-    in_image[_code(coords, p)] = True
+    in_image[image] = True
     image_order = int(np.count_nonzero(in_image))
     if total % image_order:
         raise AssertionError("image order must divide group order")

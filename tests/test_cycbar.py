@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,52 @@ class TestComplexStructure:
             cycbar._integer_complex.__wrapped__(3, 3)
         assert cycbar._integer_complex.cache_info() == before
 
+    def test_every_one_power_mutant_is_refused_by_name(self, monkeypatch):
+        # a, b or d of one of moves 0-3 of either table, times e or floor
+        # divided by e in every degree: 48 mutants at (e, m) = (3, 6).
+        # Each one either builds the very same complex or is refused by a
+        # ComplexIdentityError naming (e, m), and every refusal here is a
+        # lookup miss that names the map, its degree and the move.  The
+        # three equivalent mutants are rotation 0's a times e and b times
+        # or over e: rotation 0 cuts at e^(n+1), past every code of degree
+        # n, so c // a is 0 and c % a is c either way.
+        e, m = 3, 6
+        want = cycbar._integer_complex.__wrapped__(e, m)
+        before = cycbar._integer_complex.cache_info()
+        equivalent = []
+        for name, k, field, op in product(
+                ("_face_moves", "_rotation_moves"), range(4), "abd",
+                ("*", "//")):
+            right = getattr(cycbar, name)
+            at = 4 + "abd".index(field)
+
+            def mutant(e, n, power, right=right, k=k, at=at, op=op):
+                moves = right(e, n, power)
+                if k < len(moves):
+                    move = list(moves[k])
+                    move[at] = move[at] * e if op == "*" else move[at] // e
+                    moves[k] = tuple(move)
+                return moves
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cycbar, name, mutant)
+                try:
+                    got = cycbar._integer_complex.__wrapped__(e, m)
+                except ComplexIdentityError as err:
+                    assert re.match(rf"(boundary|Connes map) out of degree "
+                                    rf"\d \(e=3, m=6\): move {k} ",
+                                    str(err)), (name, k, field, op, err)
+                    continue
+            assert got[0] == want[0]
+            for mine, theirs in zip(got[1] + got[2], want[1] + want[2]):
+                assert mine.shape == theirs.shape
+                assert mine.columns == theirs.columns
+            equivalent.append((name, k, field, op))
+        assert equivalent == [("_rotation_moves", 0, "a", "*"),
+                              ("_rotation_moves", 0, "b", "*"),
+                              ("_rotation_moves", 0, "b", "//")]
+        assert cycbar._integer_complex.cache_info() == before
+
 
 class TestSparseStorage:
     """The stored columns against the dense builder they replaced
@@ -273,7 +320,8 @@ class TestSparseStorage:
         mat = cycbar._entries_matrix(
             src, [word_code(w, e) for w in src],
             {word_code(w, e): i for i, w in enumerate(dst)},
-            cycbar._face_moves(e, 2, [e ** k for k in range(4)]), 0)
+            cycbar._face_moves(e, 2, [e ** k for k in range(4)]), 0,
+            "boundary out of degree 2")
         assert "{}x{}".format(*mat.shape) == f"{len(dst)}x{len(src)}"
         assert mat.size == len(dst) * len(src)
         assert (dense(mat) == dense_entries_matrix(

@@ -285,11 +285,15 @@ class TestFastPathsMatchReference:
     def test_connes_scalar_smith_forms(self, monkeypatch, time_limit):
         """Every matrix the integral Connes scalar at (e, m) = (3, 7) puts
         through the Smith form: for each of the two degrees, the boundary
-        out of it (keeping v and its inverse, which gives the kernel
-        coordinates) and the presentation of its homology (keeping u,
-        whose row phi it reads); in the lower degree only, the functional
-        phi that integer_solve inverts for the generator (keeping u and
-        v).  d is the reference one, and so is each transform kept."""
+        out of it (keeping the inverse of v, which gives the kernel
+        coordinates, and v too, the kernel basis, in the lower degree
+        only) and the presentation of its homology (keeping u, whose row
+        phi it reads); in the lower degree only, the functional phi that
+        integer_solve inverts for the generator (keeping u and v).  d is
+        the reference one, and so is each transform kept.  The upper
+        presentation, the coordinates of the boundaries into the upper
+        degree, is the reference one in the reference kernel basis, so the
+        dropped v changed no coordinate."""
         seen = []
 
         def recording_snf(m, **kwargs):
@@ -305,7 +309,7 @@ class TestFastPathsMatchReference:
         kept = [(snf.u is not None, snf.v is not None,
                  snf.v_inverse is not None) for _, snf in seen]
         assert kept == [(False, True, True), (True, False, False),
-                        (True, True, False), (False, True, True),
+                        (True, True, False), (False, False, True),
                         (True, False, False)]
         for g, snf in seen:
             d, u, v = reference_snf(dense_rows(g), *g.shape)
@@ -318,6 +322,18 @@ class TestFastPathsMatchReference:
                 # the kept inverse is the inverse of the reference v
                 assert dense_product(dense_rows(snf.v_inverse),
                                      v) == identity(g.shape[1])
+        (upper, snf), (presentation, _) = seen[3:]
+        _, v = reference_snf(dense_rows(upper), *upper.shape)[1:]
+        rank = snf.rank()
+        kernel = SparseIntMatrix(upper.shape[1], [
+            tuple((i, row[j]) for i, row in enumerate(v) if row[j])
+            for j in range(rank, upper.shape[1])])
+        _, boundary, _ = _integer_complex(3, 7)  # upper degree 5
+        assert boundary[5].columns == upper.columns
+        into = [dense_vector(dict(col), upper.shape[1])
+                for col in boundary[6].columns]
+        assert dense_rows(presentation) == \
+            reference_coordinates(kernel)(into)
 
     @staticmethod
     def assert_reference_snf(m: SparseIntMatrix):
@@ -479,6 +495,16 @@ class TestKernelCoordinates:
         kernel = [w for w in vectors if not any(dense_apply(rows, w))]
         sparse = [[(i, x) for i, x in enumerate(w) if x] for w in kernel]
         assert dense_rows(coordinates(sparse)) == reference(kernel)
+        # without the basis the Smith form keeps the inverse of v alone,
+        # and the coordinates are the same
+        no_basis, bare = integer_kernel_basis(m, keep_basis=False)
+        assert no_basis is None
+        assert bare(sparse).shape == coordinates(sparse).shape
+        assert dense_rows(bare(sparse)) == reference(kernel)
+        for w in vectors:
+            if any(dense_apply(rows, w)):
+                with pytest.raises(GhostInversionError):
+                    bare([enumerate(w)])
 
     @given(deficient_matrices(), st.data())
     @settings(max_examples=200, deadline=None)
