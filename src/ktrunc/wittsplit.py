@@ -17,16 +17,20 @@ so every enumeration step is one numpy gather.  numpy is imported only
 where route A enumerates, so route B and the CLI paths that need only
 h_function, s_function and ENUM_CAP never load it.  Coordinate k of a Witt
 sum depends only on the coordinates at the divisors D(k) of k, so
-restriction to D(k) is a ring map and coordinate k of p*x is coordinate k
-of p*(x restricted to D(k)).  The map is therefore assembled digit by digit
-from one table per (p, k), memoized and shared by every map with that p,
-of coordinate k of p*y over all p^tau(k) vectors y on D(k).  A table is
-built by double-and-add over the bits of p, each Witt addition made once
-per block of MUL_P_BLOCK codes on int64 columns (one per coordinate)
-through the same ghost map and inverse as a single vector; a worst-case
-bound on every intermediate, which covers each D(k), is checked against
-int64 before the build.  Enumerations are capped at ENUM_CAP elements.  The
-two routes are compared in the test suite over an exhaustive grid.
+restriction to a divisor-closed subset is a ring map.  Let k be the largest
+element of S: it divides no other member, so S' = S minus k is
+divisor-closed and p*x restricted to S' is p*(x restricted to S'), while
+coordinate k of p*x is coordinate k of p*(x restricted to D(k)).  Since k
+is the last base-p digit of a code, the map on S is the memoized map on S'
+shifted one digit up plus one lookup in a table of coordinate k of p*y
+over all p^tau(k) vectors y on D(k), memoized per (p, k) and shared by
+every map with that p.  A table is built by double-and-add over the bits
+of p, each Witt addition made once per block of MUL_P_BLOCK codes on int64
+columns (one per coordinate) through the same ghost map and inverse as a
+single vector; a worst-case bound on every intermediate, which covers S'
+and each D(k), is checked against int64 before the build.  Enumerations
+are capped at ENUM_CAP elements.  The two routes are compared in the test
+suite over an exhaustive grid.
 """
 
 from __future__ import annotations
@@ -45,12 +49,17 @@ if TYPE_CHECKING:
 # Largest group brute_force_quotient enumerates, whatever its enum_bound;
 # its codes fit in int32.  At the cap, `verify --suite routes --enum-bound
 # 1048576` takes, in one fresh process (2 shared Intel Xeon x86_64 CPUs,
-# Python 3.11.7; wall time and VmHWM, 3 runs): 0.85-0.97 s and 49 MB at
-# (p, e, rmax) = (1021, 2, 1), 0.29-0.38 s and 48 MB at (31, 1, 4),
-# 0.28-0.29 s and 42 MB at (7, 7, 1), 0.48 s and 46 MB at (2, 4, 5).
+# Python 3.11.7, numpy 2.4.6; wall time and VmHWM, 3 runs): 1.07-1.18 s
+# and 49 MB at (p, e, rmax) = (1021, 2, 1), 0.31-0.34 s and 48 MB at
+# (31, 1, 4), 0.26-0.27 s and 42 MB at (7, 7, 1), 0.33-0.34 s and 49 MB at
+# (2, 4, 5).  The last keeps the maps on W_1 .. W_19 it is built on, at
+# most 4 MiB in all.
 ENUM_CAP = 1 << 20
-# Bound on memoized multiply-by-p maps, one per (p, re): the test suite asks
-# for 37 and the witt_enum benchmark grid for 30.
+# Bound on memoized multiply-by-p maps, one per (p, S); the map on W_n is
+# built on the map on W_(n-1), so a map brings every prefix with it.  The
+# test suite asks for 46, `verify --suite all` for 32 and the witt_enum
+# benchmark grid for 32, so nothing is evicted and traced counts do not
+# depend on the order of the cases.
 MUL_P_CACHE_SIZE = 64
 # Bound on memoized coordinate tables, one per (p, k) and shared by every
 # map at that p: the test suite builds 51, `verify --suite all` 32 and the
@@ -162,18 +171,16 @@ def _addition_bound(p: int, ts: TruncationSet) -> int:
     return peak
 
 
-def _by_blocks(p: int, n: int, entries) -> np.ndarray:
-    """The read-only int32 array of entries(x) over all p^n codes in order,
-    where x holds the int64 digit columns (_digits) of one block of
-    MUL_P_BLOCK codes."""
+def _by_blocks(size: int, entries) -> np.ndarray:
+    """The read-only int32 array of entries(codes) over codes 0..size-1 in
+    order, where codes is one int64 block of MUL_P_BLOCK of them."""
     import numpy as np
 
-    total = p ** n
-    out = np.empty(total, dtype=np.int32)
-    for start in range(0, total, MUL_P_BLOCK):
-        codes = np.arange(start, min(start + MUL_P_BLOCK, total),
+    out = np.empty(size, dtype=np.int32)
+    for start in range(0, size, MUL_P_BLOCK):
+        codes = np.arange(start, min(start + MUL_P_BLOCK, size),
                           dtype=np.int64)
-        out[start:start + len(codes)] = entries(_digits(codes, p, n))
+        out[start:start + len(codes)] = entries(codes)
     out.flags.writeable = False
     return out
 
@@ -189,16 +196,17 @@ def _coordinate_table(p: int, k: int) -> np.ndarray:
     check: _mul_p_map checks one that covers every D.
     """
     ts = TruncationSet(_divisors(k))
+    n = len(ts)
 
-    def times_p(y):
-        acc = y
+    def times_p(codes):
+        acc = y = _digits(codes, p, n)
         for bit in bin(p)[3:]:  # the bits of p after the leading one
             acc = _add_coords(ts, acc, acc, p)
             if bit == "1":
                 acc = _add_coords(ts, acc, y, p)
         return acc[-1]  # k is the largest of D
 
-    return _by_blocks(p, len(ts), times_p)
+    return _by_blocks(p ** n, times_p)
 
 
 @lru_cache(maxsize=MUL_P_CACHE_SIZE)
@@ -207,24 +215,32 @@ def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
 
     Entry code(x) is code(p*x), where code(x) reads the coordinates of x as
     base-p digits, first coordinate most significant (the order of
-    itertools.product(range(p), repeat=len(ts))).  Coordinate k of a Witt
-    sum depends only on the coordinates at the divisors of k, so restricting
-    to the divisor-closed set D(k) of them is a ring map and
-    (p*x)_k = (p*(x|D(k)))_k.  Each digit of code(p*x) is therefore a
-    lookup in _coordinate_table(p, k), indexed by the digits of x at D(k).
-    Raises Int64BoundError, before any table is built, if
-    _addition_bound(p, ts) reaches INT64_LIMIT; the bound for D(k) is at
-    most that, since each row of it reads only the divisors of that row.
+    itertools.product(range(p), repeat=len(ts))).  Let k be the largest
+    element of S.  It divides no other member, so S' = S minus k is
+    divisor-closed, and restriction to S' or to the divisors D(k) of k is a
+    ring map: p*x is p*(x|S') on S' and (p*(x|D(k)))_k at k.  As k is the
+    last digit of a code, entry c is the memoized map on S' at c // p,
+    shifted one digit up, plus _coordinate_table(p, k) at c's digits on
+    D(k); at |S| = 1 the map on the empty S' is the one code 0.  Raises
+    Int64BoundError, before any table or smaller map is built, if
+    _addition_bound(p, ts) reaches INT64_LIMIT; the bounds of S' and D(k)
+    are at most that, since each row of them reads only its divisors.
     """
+    import numpy as np
+
     n = len(ts)
     bound = _addition_bound(p, ts)
     if bound >= INT64_LIMIT:
         raise Int64BoundError(
             f"adding in W_{n}(F_{p}) can reach {bound}, past int64")
-    tables = [(_coordinate_table(p, k),
-               [ts.position(d) for d in _divisors(k)]) for k in ts]
-    return _by_blocks(p, n, lambda x: _code(
-        (table[_code([x[i] for i in at], p)] for table, at in tables), p))
+    *rest, k = ts
+    prefix = (_mul_p_map(p, TruncationSet(rest)) if rest
+              else np.zeros(1, dtype=np.int32))
+    table = _coordinate_table(p, k)
+    # The place value of each digit at D(k) in a code of S
+    weights = [p ** (n - 1 - ts.position(d)) for d in _divisors(k)]
+    return _by_blocks(p ** n, lambda codes: prefix[codes // p] * p + table[
+        _code((codes // w % p for w in weights), p)])
 
 
 def brute_force_quotient(params: SplitParams,

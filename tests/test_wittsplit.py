@@ -196,7 +196,7 @@ def _largest_n_under_the_cap(p):
 
 class TestMulPMap:
     # (101, 2) builds its table at k = 2 in three blocks, and (31, 3)
-    # assembles its map in eight.
+    # builds its map in eight.
     @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3), (101, 2),
                                       (31, 3)])
     def test_codes_agree_with_one_ghost_scaling(self, p, n):
@@ -218,12 +218,27 @@ class TestMulPMap:
         for r, e in [(2, 4), (4, 2), (8, 1)]:
             params = SplitParams(2, r, e)
             assert brute_force_quotient(params) == predicted_quotient(params)
-        assert _mul_p_map.cache_info().misses == 1
-        # W_4(F_2) reads the tables W_8(F_2) built, one per coordinate
+        # W_8(F_2) is built on W_7(F_2), and so on down: one map per prefix
+        assert _mul_p_map.cache_info().misses == 8
         _mul_p_map(2, TruncationSet.big(4))
-        assert _mul_p_map.cache_info().misses == 2
+        assert _mul_p_map.cache_info().misses == 8
         assert _coordinate_table.cache_info().maxsize is not None
         assert _coordinate_table.cache_info().misses == 8
+
+    # (2, 14) is built in four blocks.
+    @pytest.mark.parametrize("p, n", [(2, 14), (31, 3), (101, 2)])
+    def test_map_extends_the_map_on_the_prefix(self, p, n):
+        # Dropping the last coordinate is a ring map, so the leading digits
+        # of code(p*x) are the map one size down at x's leading digits; the
+        # last digit is coordinate n of p*x, from one ghost scaling.
+        ts = TruncationSet.big(n)
+        mul_p = _mul_p_map(p, ts)
+        prefix = _mul_p_map(p, TruncationSet.big(n - 1))
+        codes = np.arange(p ** n)
+        assert (mul_p // p == prefix[codes // p]).all()
+        last = [witt_scalar(p, WittVector(ts, x)).coords[-1] % p
+                for x in product(range(p), repeat=n)]
+        assert (mul_p % p).tolist() == last
 
     # Tables of 1, 1, 29 and 255 blocks.
     @pytest.mark.parametrize("p, k", [(2, 12), (3, 12), (7, 12), (1021, 2)])
@@ -293,8 +308,9 @@ class TestMulPMap:
 
     def test_refuses_a_build_past_int64(self, fresh_mul_p_cache):
         # W_54(F_2) is the first big Witt ring over F_2 whose bound reaches
-        # 2^62; the refusal comes before any table is built.
+        # 2^62; the refusal comes before any table or smaller map is built.
         assert _addition_bound(2, TruncationSet.big(53)) < INT64_LIMIT
         with pytest.raises(Int64BoundError):
             _mul_p_map.__wrapped__(2, TruncationSet.big(54))
         assert _coordinate_table.cache_info().misses == 0
+        assert _mul_p_map.cache_info().currsize == 0
