@@ -22,12 +22,12 @@ from typing import Iterable, Iterator, Sequence
 from .exactalg import GhostInversionError, p_valuation
 
 
-# Bound on memoized divisor lists: the test suite and every benchmark grid
-# ask for at most 28 distinct n.
+# Bound on memoized divisor lists: the test suite asks for 56 distinct n,
+# `verify --suite all` for 27 and the witt_enum benchmark grid for 14.
 DIVISORS_CACHE_SIZE = 256
 # Bound on interned truncation sets, the divisor sets D(k) of route A's
-# coordinate tables among them: the whole test suite builds 47 in one
-# process, `verify --suite all` 34 and the witt_enum grid 24.  Past it the
+# multiply-by-p maps among them: the whole test suite builds 48 in one
+# process, `verify --suite all` 38 and the witt_enum grid 26.  Past it the
 # oldest is dropped.
 TRUNCATION_CACHE_SIZE = 256
 

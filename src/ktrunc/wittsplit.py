@@ -12,25 +12,22 @@ m' contributes a cyclic group Z/p^h with
 Brute force: enumerate the full quotient group and read off its invariant
 factors from order statistics, using no structure theory at all.  Each
 element of W_re(F_p) is an integer code, its coordinates read as base-p
-digits, and the multiply-by-p map is an array of codes memoized per (p, re),
-so every enumeration step is one numpy gather.  numpy is imported only
-where route A enumerates, so route B and the CLI paths that need only
+digits, and the multiply-by-p map is an array of codes memoized per
+(p, S), so every enumeration step is one numpy gather.  numpy is imported
+only where route A enumerates, so route B and the CLI paths that need only
 h_function, s_function and ENUM_CAP never load it.  Coordinate k of a Witt
 sum depends only on the coordinates at the divisors D(k) of k, so
-restriction to a divisor-closed subset is a ring map.  Let k be the largest
-element of S: it divides no other member, so S' = S minus k is
-divisor-closed and p*x restricted to S' is p*(x restricted to S'), while
-coordinate k of p*x is coordinate k of p*(x restricted to D(k)).  Since k
-is the last base-p digit of a code, the map on S is the memoized map on S'
-shifted one digit up plus one lookup in a table of coordinate k of p*y
-over all p^tau(k) vectors y on D(k), memoized per (p, k) and shared by
-every map with that p.  A table is built by double-and-add over the bits
-of p, each Witt addition made once per block of MUL_P_BLOCK codes on int64
-columns (one per coordinate) through the same ghost map and inverse as a
-single vector; a worst-case bound on every intermediate, which covers S'
-and each D(k), is checked against int64 before the build.  Enumerations
-are capped at ENUM_CAP elements.  The two routes are compared in the test
-suite over an exhaustive grid.
+restriction to a divisor-closed subset is a ring map.  The map on D(k) is
+built by double-and-add over the bits of p, each Witt addition made once
+per block of MUL_P_BLOCK codes on int64 columns (one per coordinate)
+through the same ghost map and inverse as a single vector.  Any other S
+has a largest element k that divides no other member, so S' = S minus k
+is divisor-closed, and since k is the last base-p digit of a code the map
+on S is the memoized map on S' shifted one digit up plus the last digit
+of the memoized map on D(k).  A worst-case bound on every intermediate,
+which covers S' and each D(k), is checked against int64 before the build.
+Enumerations are capped at ENUM_CAP elements.  The two routes are
+compared in the test suite over an exhaustive grid.
 """
 
 from __future__ import annotations
@@ -49,25 +46,20 @@ if TYPE_CHECKING:
 # Largest group brute_force_quotient enumerates, whatever its enum_bound;
 # its codes fit in int32.  At the cap, `verify --suite routes --enum-bound
 # 1048576` takes, in one fresh process (2 shared Intel Xeon x86_64 CPUs,
-# Python 3.11.7, numpy 2.4.6; wall time and VmHWM, 3 runs): 1.07-1.18 s
-# and 49 MB at (p, e, rmax) = (1021, 2, 1), 0.31-0.34 s and 48 MB at
-# (31, 1, 4), 0.26-0.27 s and 42 MB at (7, 7, 1), 0.33-0.34 s and 49 MB at
-# (2, 4, 5).  The last keeps the maps on W_1 .. W_19 it is built on, at
-# most 4 MiB in all.
+# Python 3.11.7, numpy 2.4.6; wall time and peak RSS, 3 runs): 0.99-1.20 s
+# and 45 MB at (p, e, rmax) = (1021, 2, 1), 0.27-0.35 s and 48 MB at
+# (31, 1, 4), 0.24-0.36 s and 42 MB at (7, 7, 1), 0.30-0.45 s and 49 MB at
+# (2, 4, 5).  The last keeps the maps on W_2 .. W_19 and D(3) .. D(20) it
+# is built on, about 4 MiB in all.
 ENUM_CAP = 1 << 20
 # Bound on memoized multiply-by-p maps, one per (p, S); the map on W_n is
-# built on the map on W_(n-1), so a map brings every prefix with it.  The
-# test suite asks for 46, `verify --suite all` for 32 and the witt_enum
-# benchmark grid for 32, so nothing is evicted and traced counts do not
-# depend on the order of the cases.
+# built on the maps on W_(n-1) and D(n), so a map brings all of those with
+# it.  `verify --suite all` asks for 55 and the witt_enum benchmark grid
+# for 56, so neither evicts and traced counts do not depend on the order
+# of the cases; the test suite asks for 77 and evicts.  A map holds at
+# most ENUM_CAP int32 codes, so a full cache holds at most 256 MiB: the
+# maps on W_1 at the 64 largest primes below 2^20.
 MUL_P_CACHE_SIZE = 64
-# Bound on memoized coordinate tables, one per (p, k) and shared by every
-# map at that p: the test suite builds 51, `verify --suite all` 32 and the
-# witt_enum benchmark grid 32.  A table holds p^tau(k) int32 entries, which
-# within ENUM_CAP is at most 29,791 for k > 2 (p = 31, k = 4) and p^2 at
-# k = 2, so a full cache holds at most 162 MiB: the k = 2 tables of the 64
-# largest primes below 1024, next to the maps of re = 2 they serve.
-COORDINATE_TABLE_CACHE_SIZE = 64
 # Codes per block of columns in _by_blocks; bounds the memory of a build.
 MUL_P_BLOCK = 1 << 12
 # _mul_p_map builds only when _addition_bound stays below this, so no int64
@@ -185,30 +177,6 @@ def _by_blocks(size: int, entries) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=COORDINATE_TABLE_CACHE_SIZE)
-def _coordinate_table(p: int, k: int) -> np.ndarray:
-    """Coordinate k of p*y for every y in W_D(F_p), D the divisors of k, as
-    a read-only int32 array indexed by code(y).
-
-    p*y is made by double-and-add over the bits of p, floor(log2 p) +
-    popcount(p) - 1 calls of _add_coords per block of MUL_P_BLOCK codes,
-    each on two operands reduced into [0, p).  Builds without a bound
-    check: _mul_p_map checks one that covers every D.
-    """
-    ts = TruncationSet(_divisors(k))
-    n = len(ts)
-
-    def times_p(codes):
-        acc = y = _digits(codes, p, n)
-        for bit in bin(p)[3:]:  # the bits of p after the leading one
-            acc = _add_coords(ts, acc, acc, p)
-            if bit == "1":
-                acc = _add_coords(ts, acc, y, p)
-        return acc[-1]  # k is the largest of D
-
-    return _by_blocks(p ** n, times_p)
-
-
 @lru_cache(maxsize=MUL_P_CACHE_SIZE)
 def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
     """x -> p*x on all of W_S(F_p) as a read-only int32 array of codes.
@@ -216,31 +184,41 @@ def _mul_p_map(p: int, ts: TruncationSet) -> np.ndarray:
     Entry code(x) is code(p*x), where code(x) reads the coordinates of x as
     base-p digits, first coordinate most significant (the order of
     itertools.product(range(p), repeat=len(ts))).  Let k be the largest
-    element of S.  It divides no other member, so S' = S minus k is
-    divisor-closed, and restriction to S' or to the divisors D(k) of k is a
-    ring map: p*x is p*(x|S') on S' and (p*(x|D(k)))_k at k.  As k is the
-    last digit of a code, entry c is the memoized map on S' at c // p,
-    shifted one digit up, plus _coordinate_table(p, k) at c's digits on
-    D(k); at |S| = 1 the map on the empty S' is the one code 0.  Raises
-    Int64BoundError, before any table or smaller map is built, if
+    element of S.  If S is the set D(k) of divisors of k, p*x is made by
+    double-and-add over the bits of p, floor(log2 p) + popcount(p) - 1
+    calls of _add_coords per block of MUL_P_BLOCK codes.  Otherwise k
+    divides no other member, so S' = S minus k is divisor-closed, and
+    restriction to S' or to D(k) is a ring map: p*x is p*(x|S') on S' and
+    (p*(x|D(k)))_k at k.  As k is the last digit of a code, entry c is the
+    memoized map on S' at c // p, shifted one digit up, plus the last digit
+    of the memoized map on D(k) at c's digits on D(k).  Raises
+    Int64BoundError, before any smaller map is built, if
     _addition_bound(p, ts) reaches INT64_LIMIT; the bounds of S' and D(k)
     are at most that, since each row of them reads only its divisors.
     """
-    import numpy as np
-
     n = len(ts)
     bound = _addition_bound(p, ts)
     if bound >= INT64_LIMIT:
         raise Int64BoundError(
             f"adding in W_{n}(F_{p}) can reach {bound}, past int64")
     *rest, k = ts
-    prefix = (_mul_p_map(p, TruncationSet(rest)) if rest
-              else np.zeros(1, dtype=np.int32))
-    table = _coordinate_table(p, k)
+    divisors = _divisors(k)
+    if len(divisors) == n:  # S is D(k)
+        def times_p(codes):
+            acc = y = _digits(codes, p, n)
+            for bit in bin(p)[3:]:  # the bits of p after the leading one
+                acc = _add_coords(ts, acc, acc, p)
+                if bit == "1":
+                    acc = _add_coords(ts, acc, y, p)
+            return _code(acc, p)
+
+        return _by_blocks(p ** n, times_p)
+    prefix = _mul_p_map(p, TruncationSet(rest))
+    map_dk = _mul_p_map(p, TruncationSet(divisors))
     # The place value of each digit at D(k) in a code of S
-    weights = [p ** (n - 1 - ts.position(d)) for d in _divisors(k)]
-    return _by_blocks(p ** n, lambda codes: prefix[codes // p] * p + table[
-        _code((codes // w % p for w in weights), p)])
+    weights = [p ** (n - 1 - ts.position(d)) for d in divisors]
+    return _by_blocks(p ** n, lambda codes: prefix[codes // p] * p + map_dk[
+        _code((codes // w % p for w in weights), p)] % p)
 
 
 def brute_force_quotient(params: SplitParams,

@@ -435,8 +435,8 @@ def reference_coordinates(basis):
 
 # -- Reference multiply-by-p map -------------------------------------------
 # The multiply-by-p map as wittsplit._mul_p_map built it one element at a
-# time, before its column blocks and coordinate tables: p-1 additions of
-# coordinate tuples per element.
+# time, before its column blocks and its maps on the divisors D(k): p-1
+# additions of coordinate tuples per element.
 
 def mul_p_codes(p: int, ts) -> list[int]:
     """code(p*x) for every x in W_S(F_p), in the order of

@@ -24,7 +24,6 @@ from ktrunc.wittsplit import (
     Int64BoundError,
     SplitParams,
     _addition_bound,
-    _coordinate_table,
     _mul_p_map,
     _split_e,
     brute_force_quotient,
@@ -181,10 +180,8 @@ class TestBruteForce:
 @pytest.fixture
 def fresh_mul_p_cache():
     _mul_p_map.cache_clear()
-    _coordinate_table.cache_clear()
     yield
     _mul_p_map.cache_clear()
-    _coordinate_table.cache_clear()
 
 
 def _largest_n_under_the_cap(p):
@@ -195,15 +192,20 @@ def _largest_n_under_the_cap(p):
 
 
 class TestMulPMap:
-    # (101, 2) builds its table at k = 2 in three blocks, and (31, 3)
-    # builds its map in eight.
-    @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3), (101, 2),
-                                      (31, 3)])
-    def test_codes_agree_with_one_ghost_scaling(self, p, n):
+    # (101, 2) builds its map on D(2) in three blocks, and (31, 3) builds
+    # its map in eight.  D(12) and D(8) are not W_n, so they are built
+    # directly by double-and-add, D(12) with gaps in its indices.
+    @pytest.mark.parametrize("p, ts", [
+        pytest.param(p, TruncationSet.big(n), id=f"{p}-{n}")
+        for p, n in [(2, 6), (3, 4), (5, 3), (101, 2), (31, 3)]] + [
+        pytest.param(p, TruncationSet(_divisors(k)), id=f"{p}-D{k}")
+        for p, k in [(3, 12), (5, 8)]])
+    def test_codes_agree_with_one_ghost_scaling(self, p, ts):
         # code(x) reads the coordinates of x as base-p digits, first
         # coordinate most significant; witt_scalar computes p*x in one
-        # ghost scaling on all of W_S(Z), with no tables and no additions.
-        ts = TruncationSet.big(n)
+        # ghost scaling on all of W_S(Z), with no smaller maps and no
+        # additions.
+        n = len(ts)
         mul_p = _mul_p_map(p, ts)
         assert not mul_p.flags.writeable
         assert len(mul_p) == p ** n
@@ -218,12 +220,12 @@ class TestMulPMap:
         for r, e in [(2, 4), (4, 2), (8, 1)]:
             params = SplitParams(2, r, e)
             assert brute_force_quotient(params) == predicted_quotient(params)
-        # W_8(F_2) is built on W_7(F_2), and so on down: one map per prefix
-        assert _mul_p_map.cache_info().misses == 8
+        # W_8(F_2) is built on W_7(F_2) and D(8), and so on down to W_2,
+        # which is D(2): one map per prefix W_8 .. W_2 and one per D(3) ..
+        # D(8).  W_1 is never built.
+        assert _mul_p_map.cache_info().misses == 7 + 6
         _mul_p_map(2, TruncationSet.big(4))
-        assert _mul_p_map.cache_info().misses == 8
-        assert _coordinate_table.cache_info().maxsize is not None
-        assert _coordinate_table.cache_info().misses == 8
+        assert _mul_p_map.cache_info().misses == 7 + 6
 
     # (2, 14) is built in four blocks.
     @pytest.mark.parametrize("p, n", [(2, 14), (31, 3), (101, 2)])
@@ -240,7 +242,7 @@ class TestMulPMap:
                 for x in product(range(p), repeat=n)]
         assert (mul_p % p).tolist() == last
 
-    # Tables of 1, 1, 29 and 255 blocks.
+    # Maps on D(k) of 1, 1, 29 and 255 blocks.
     @pytest.mark.parametrize("p, k", [(2, 12), (3, 12), (7, 12), (1021, 2)])
     def test_each_table_block_doubles_and_adds(self, p, k, monkeypatch):
         add, calls = wittsplit._add_coords, []
@@ -250,11 +252,11 @@ class TestMulPMap:
             return add(*args)
 
         monkeypatch.setattr(wittsplit, "_add_coords", counting)
-        table = _coordinate_table.__wrapped__(p, k)
+        mul_p = _mul_p_map.__wrapped__(p, TruncationSet(_divisors(k)))
         size = p ** len(_divisors(k))
         blocks = -(-size // MUL_P_BLOCK)
         per_block = p.bit_length() - 1 + bin(p).count("1") - 1
-        assert len(table) == size and table.dtype == np.int32
+        assert len(mul_p) == size and mul_p.dtype == np.int32
         assert len(calls) == blocks * per_block
         assert sum(calls) == size * per_block
 
@@ -278,8 +280,8 @@ class TestMulPMap:
             assert _addition_bound(p, TruncationSet.big(n)) < INT64_LIMIT, p
 
     def test_every_table_is_within_the_map_bound(self):
-        # _mul_p_map checks the bound of ts alone before building the
-        # tables on the divisors D(k) of each k in ts.
+        # _mul_p_map checks the bound of ts alone before building the maps
+        # on the divisors D(k) of each k in ts.
         for p in filter(is_prime, range(2, 1025)):
             n = _largest_n_under_the_cap(p)
             bound = _addition_bound(p, TruncationSet.big(n))
@@ -308,9 +310,8 @@ class TestMulPMap:
 
     def test_refuses_a_build_past_int64(self, fresh_mul_p_cache):
         # W_54(F_2) is the first big Witt ring over F_2 whose bound reaches
-        # 2^62; the refusal comes before any table or smaller map is built.
+        # 2^62; the refusal comes before any smaller map is built.
         assert _addition_bound(2, TruncationSet.big(53)) < INT64_LIMIT
         with pytest.raises(Int64BoundError):
             _mul_p_map.__wrapped__(2, TruncationSet.big(54))
-        assert _coordinate_table.cache_info().misses == 0
         assert _mul_p_map.cache_info().currsize == 0
